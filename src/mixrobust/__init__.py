@@ -22,8 +22,8 @@ from .metrics import (MetricsError, RunOutcome, auc_ovr, log_sd, mean_auc,
 from .mixmodel import (AnalysisDataset, ImpliedEffect, MixtureModelFit, ModelError,
                        ModelMatrix, TermInference, build_design_matrix,
                        dataset_from_outcomes, fit_ols, fit_report,
-                       implied_covariate_effect, model_row, predict, term_inference,
-                       term_labels, write_fit_report)
+                       implied_covariate_effect, model_matrix, model_row, predict,
+                       predict_rows, term_inference, term_labels, write_fit_report)
 from .shapley import (ShapReport, exact_shapley_oracle, shap_importance,
                       shap_per_observation, shap_report, write_shap_json)
 from .studentt import student_t_cdf, student_t_sf, two_sided_p

@@ -43,16 +43,45 @@ def n_terms(m, h):
     return m + m * (m - 1) // 2 + h * m + h * (h - 1) // 2
 
 
+def _term_factors(m, h):
+    """Per model column, the two columns of [x | z | 1] whose product it is.
+
+    Main effects pair x_j with the constant column; multiplying by 1.0 is
+    exact, so every column is one elementwise product in term_labels order.
+    """
+    one = m + h
+    pair_j, pair_jp = np.triu_indices(m, 1)
+    cov_k, cov_kp = np.triu_indices(h, 1)
+    left = np.concatenate([np.arange(m), pair_j, np.tile(np.arange(m), h), m + cov_k])
+    right = np.concatenate([np.full(m, one), pair_jp, m + np.repeat(np.arange(h), m),
+                            m + cov_kp])
+    return left, right
+
+
+def _factor_columns(mixtures, covariates):
+    """[x | z | 1] as one (n, m + h + 1) array from raw 2-D inputs, with m and h."""
+    mixtures = np.asarray(mixtures, dtype=float)
+    covariates = np.asarray(covariates, dtype=float)
+    if mixtures.ndim != 2 or covariates.ndim != 2:
+        raise ModelError("mixtures and covariates must be 2-D, one row per observation")
+    n = mixtures.shape[0]
+    if covariates.shape[0] != n:
+        raise ModelError(f"{n} mixture rows but {covariates.shape[0]} covariate rows")
+    factors = np.column_stack([mixtures, covariates, np.ones(n)])
+    return factors, mixtures.shape[1], covariates.shape[1]
+
+
+def model_matrix(mixtures, covariates):
+    """Model-matrix rows for raw (uncentered) mixtures (n, m) and covariates (n, h)."""
+    factors, m, h = _factor_columns(mixtures, covariates)
+    left, right = _term_factors(m, h)
+    # row-major like a stack of rows: the fit's BLAS results depend on layout
+    return np.take(factors, left, axis=1) * np.take(factors, right, axis=1)
+
+
 def model_row(x, z):
     """One model-matrix row from raw (uncentered) inputs."""
-    x = np.asarray(x, dtype=float)
-    z = np.asarray(z, dtype=float)
-    m, h = x.size, z.size
-    parts = [x]
-    parts.append(np.array([x[j] * x[jp] for j in range(m) for jp in range(j + 1, m)]))
-    parts.append(np.array([z[k] * x[j] for k in range(h) for j in range(m)]))
-    parts.append(np.array([z[k] * z[kp] for k in range(h) for kp in range(k + 1, h)]))
-    return np.concatenate([p for p in parts if p.size])
+    return model_matrix(np.reshape(x, (1, -1)), np.reshape(z, (1, -1)))[0]
 
 
 @dataclass
@@ -72,6 +101,15 @@ class AnalysisDataset:
         n = self.y.size
         if self.mixtures.shape[0] != n or self.covariates.shape[0] != n:
             raise ModelError("responses, mixtures and covariates must align")
+        finite = {"y": np.isfinite(self.y),
+                  "mixtures": np.isfinite(self.mixtures).all(axis=1),
+                  "covariates": np.isfinite(self.covariates).all(axis=1)}
+        bad = ~np.logical_and.reduce(list(finite.values()))
+        if bad.any():
+            row = int(np.argmax(bad))
+            fields = ", ".join(name for name, ok in finite.items() if not ok[row])
+            raise ModelError(f"non-finite {fields} in row {row} of the {self.response} "
+                             f"data (rows counted from 0)")
         sums = self.mixtures.sum(axis=1)
         if n and np.max(np.abs(sums - 1.0)) > 1e-6:
             raise ModelError("every mixture row must sum to 1 within 1e-6")
@@ -127,9 +165,8 @@ class ModelMatrix:
 
 
 def build_design_matrix(data: AnalysisDataset) -> ModelMatrix:
-    rows = np.array([model_row(x, z) for x, z in zip(data.mixtures, data.covariates)])
-    return ModelMatrix(values=rows, labels=term_labels(data.m, data.h),
-                       m=data.m, h=data.h)
+    return ModelMatrix(values=model_matrix(data.mixtures, data.covariates),
+                       labels=term_labels(data.m, data.h), m=data.m, h=data.h)
 
 
 @dataclass
@@ -251,12 +288,30 @@ def implied_covariate_effect(fit: MixtureModelFit, k) -> ImpliedEffect:
     return ImpliedEffect(k, estimate, se, t, float(two_sided_p(t, fit.df)))
 
 
+def predict_rows(fit: MixtureModelFit, mixtures, covariates):
+    """Model predictions for rows of mixtures (n, m) and covariates (n, h).
+
+    Column times coefficient is accumulated elementwise in term order, so a
+    row gets the same bits whether it is evaluated alone or in a batch; the
+    full model matrix is never materialized.
+    """
+    factors, m, h = _factor_columns(mixtures, covariates)
+    if (m, h) != (fit.m, fit.h):
+        raise ModelError(f"fit expects {fit.m} mixture parts and {fit.h} covariates, "
+                         f"got {m} and {h}")
+    sums = factors[:, :fit.m].sum(axis=1)
+    bad = np.flatnonzero(~(np.abs(sums - 1.0) <= 1e-6))
+    if bad.size:
+        raise ModelError(f"mixture row {bad[0]} sums to {sums[bad[0]]}, not 1")
+    out = np.zeros(factors.shape[0])
+    for a, b, beta in zip(*_term_factors(fit.m, fit.h), fit.coefficients):
+        out += factors[:, a] * factors[:, b] * beta
+    return out
+
+
 def predict(fit: MixtureModelFit, x, z):
     """Model prediction at mixture x and covariate levels z."""
-    x = np.asarray(x, dtype=float)
-    if abs(x.sum() - 1.0) > 1e-6:
-        raise ModelError(f"mixture sums to {x.sum()}, not 1")
-    return float(model_row(x, z) @ fit.coefficients)
+    return float(predict_rows(fit, np.reshape(x, (1, -1)), np.reshape(z, (1, -1)))[0])
 
 
 def fit_report(fit: MixtureModelFit, scenario, response):

@@ -9,7 +9,6 @@ closed form can be tested rather than trusted.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 from dataclasses import dataclass
@@ -108,9 +107,9 @@ def write_shap_json(report: ShapReport, path, scenario=None, response=None):
 
 
 def write_phi_csv(report: ShapReport, path):
+    row = ",".join(["%.10g"] * len(report.labels)) + "\n"
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(report.labels)
-    for row in report.phi:
-        writer.writerow([f"{v:.10g}" for v in row])
+    buf.write(",".join(report.labels) + "\n")
+    for values in report.phi:
+        buf.write(row % tuple(values.tolist()))
     atomic_write_text(path, buf.getvalue())

@@ -2,13 +2,13 @@
 
 Points (x1, x2, x3) project onto the plane as (x2 + x3/2, sqrt(3)/2 * x3),
 which sends the three pure blends to an equilateral triangle of unit side.
-Surfaces are drawn as filled bands by coloring the lattice micro-triangles
-with their band's color; a dashed inner triangle marks the proportion floor.
+Surfaces are drawn as filled bands: the lattice micro-triangles of each band
+form one SVG path in the band's color; a dashed inner triangle marks the
+proportion floor.
 """
 
 from __future__ import annotations
 
-import csv
 import io
 import math
 from dataclasses import dataclass, replace
@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .fileio import atomic_write_bytes, atomic_write_text
-from .mixmodel import MixtureModelFit, predict
+from .mixmodel import MixtureModelFit, predict_rows
 
 SQRT3_2 = math.sqrt(3.0) / 2.0
 
@@ -87,19 +87,20 @@ class TernaryGrid:
 def grid_predict(fit: MixtureModelFit, grid: TernaryGrid, z) -> TernaryGrid:
     """Evaluate the fitted surface at every grid point for covariate levels z."""
     z = tuple(float(v) for v in z)
-    values = np.array([predict(fit, point, z) for point in grid.points])
+    covariates = np.broadcast_to(np.array(z, dtype=float), (len(grid.points), len(z)))
+    values = predict_rows(fit, grid.points, covariates)
     return replace(grid, values=values, covariates=z)
 
 
 def grid_to_csv(grid: TernaryGrid) -> str:
     if grid.values is None:
         raise ContourError("grid has no values; predict before exporting")
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
     m = grid.points.shape[1]
-    writer.writerow([f"x{j}" for j in range(1, m + 1)] + ["value"])
-    for point, value in zip(grid.points, grid.values):
-        writer.writerow([f"{v:.6f}" for v in point] + [f"{value:.10g}"])
+    row = ",".join(["%.6f"] * m + ["%.10g"]) + "\n"
+    buf = io.StringIO()
+    buf.write(",".join([f"x{j}" for j in range(1, m + 1)] + ["value"]) + "\n")
+    for point, value in zip(grid.points, grid.values.tolist()):
+        buf.write(row % (*point.tolist(), value))
     return buf.getvalue()
 
 
@@ -117,28 +118,22 @@ def _ramp_color(t):
     return "#{:02x}{:02x}{:02x}".format(*(int(round(255 * v)) for v in rgb))
 
 
-def _band_index(value, vmin, vmax, levels):
-    if vmax <= vmin:
-        return 0
-    idx = int((value - vmin) / (vmax - vmin) * levels)
-    return min(max(idx, 0), levels - 1)
-
-
 def _micro_triangles(grid: TernaryGrid):
-    """Lattice cells whose three corners all satisfy the floor constraint."""
+    """Lattice cells whose three corners all satisfy the floor constraint.
+
+    Returns an (n, 3) array of grid row indices: for each lattice point in
+    row order, its upward cell then its downward cell, when present.
+    """
     q = grid.q
-    index = {}
-    for row, point in enumerate(grid.points):
-        b = int(round(point[1] * q))
-        c = int(round(point[2] * q))
-        index[(b, c)] = row
-    for (b, c), row in index.items():
-        up = (index.get((b + 1, c)), index.get((b, c + 1)))
-        if None not in up:
-            yield (row, up[0], up[1])
-        down = (index.get((b + 1, c)), index.get((b + 1, c + 1)), index.get((b, c + 1)))
-        if None not in down:
-            yield down
+    counts = np.rint(grid.points[:, 1:3] * q).astype(int)
+    b, c = counts[:, 0], counts[:, 1]
+    # one spare row and column so every (b + 1, c + 1) lookup stays in bounds
+    index = np.full((q + 2, q + 2), -1)
+    index[b, c] = np.arange(len(grid.points))
+    up = np.column_stack([index[b, c], index[b + 1, c], index[b, c + 1]])
+    down = np.column_stack([index[b + 1, c], index[b + 1, c + 1], index[b, c + 1]])
+    cells = np.stack([up, down], axis=1).reshape(-1, 3)
+    return cells[(cells >= 0).all(axis=1)]
 
 
 def render_ternary(grid: TernaryGrid, levels=10) -> bytes:
@@ -158,11 +153,15 @@ def render_ternary(grid: TernaryGrid, levels=10) -> bytes:
         return (margin_left + xy[0] * side,
                 margin_top + side * SQRT3_2 - xy[1] * side)
 
-    vmin = float(np.min(grid.values))
-    vmax = float(np.max(grid.values))
+    values = np.asarray(grid.values, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise ContourError(f"grid value at point {grid.points[bad[0]].tolist()} "
+                           f"is {values[bad[0]]}; cannot assign a band")
+    vmin = float(np.min(values))
+    vmax = float(np.max(values))
     constant = vmax <= vmin
     n_bands = 1 if constant else levels
-    pixels = [to_px(xy) for xy in barycentric_to_xy(grid.points)]
 
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -174,12 +173,22 @@ def render_ternary(grid: TernaryGrid, levels=10) -> bytes:
     parts.append(f'<text x="{margin_left:.1f}" y="24" font-family="sans-serif" '
                  f'font-size="15">{_escape(title)}</text>')
 
-    for tri in _micro_triangles(grid):
-        value = float(np.mean([grid.values[i] for i in tri]))
-        color = _ramp_color(0.5 if constant
-                            else (_band_index(value, vmin, vmax, levels) + 0.5) / levels)
-        pts = " ".join(f"{pixels[i][0]:.2f},{pixels[i][1]:.2f}" for i in tri)
-        parts.append(f'<polygon points="{pts}" fill="{color}" stroke="{color}" '
+    triangles = _micro_triangles(grid)
+    if constant:
+        bands = np.zeros(len(triangles), dtype=int)
+    else:
+        cell_values = values[triangles].sum(axis=1) / 3.0
+        bands = ((cell_values - vmin) / (vmax - vmin) * levels).astype(int)
+        bands = np.clip(bands, 0, levels - 1)
+    px, py = to_px(barycentric_to_xy(grid.points).T)
+    coords = [f"{x:.2f},{y:.2f}" for x, y in zip(px.tolist(), py.tolist())]
+    for band in range(n_bands):
+        cells = triangles[bands == band].tolist()
+        if not cells:
+            continue
+        color = _ramp_color(0.5 if constant else (band + 0.5) / levels)
+        path = "".join(f"M{coords[a]}L{coords[b]}L{coords[c]}Z" for a, b, c in cells)
+        parts.append(f'<path d="{path}" fill="{color}" stroke="{color}" '
                      'stroke-width="0.6"/>')
 
     corners = [to_px(xy) for xy in barycentric_to_xy(np.eye(3))]

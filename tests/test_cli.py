@@ -140,6 +140,23 @@ class TestShapAndContour:
         assert "contour_mean_auc_balanced_z10.svg" in names
 
 
+class TestNonFiniteOutcomes:
+    @pytest.mark.parametrize("command", ["analyze", "shap", "contour"])
+    def test_nan_response_exits_numeric(self, experiment_dir, tmp_path, capsys, command):
+        source, _ = experiment_dir
+        lines = (source / "out" / "outcomes.csv").read_text().splitlines()
+        column = lines[0].split(",").index("mean_auc")
+        fields = lines[3].split(",")
+        fields[column] = "nan"
+        lines[3] = ",".join(fields)
+        (tmp_path / "out").mkdir()
+        (tmp_path / "out" / "outcomes.csv").write_text("\n".join(lines) + "\n")
+        config_path = write_config(tmp_path)
+        assert main([command, "--config", str(config_path)]) == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert "non-finite y in row" in err
+
+
 class TestReportCommand:
     def test_report_text(self, experiment_dir, capsys):
         tmp_path, config_path = experiment_dir

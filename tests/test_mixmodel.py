@@ -7,8 +7,9 @@ from scipy import stats
 from mixrobust import (AnalysisDataset, MixtureModelFit, ModelError, ModelMatrix,
                        RunOutcome, TestScenario, build_design_matrix,
                        dataset_from_outcomes, fit_ols, fit_report,
-                       implied_covariate_effect, model_row, predict,
-                       term_inference, term_labels, write_fit_report)
+                       implied_covariate_effect, model_matrix, model_row, predict,
+                       predict_rows, term_inference, term_labels, write_fit_report)
+from mixrobust.mixmodel import n_terms
 from mixrobust.seeding import generator
 
 from reference_tables import CROSS_ARRAY_28, REFERENCE_INFERENCE
@@ -27,6 +28,18 @@ def make_fit(coefficients, covariance=None, df=71, m=3, h=2, n=84):
     return MixtureModelFit(coefficients=np.asarray(coefficients, dtype=float),
                            covariance=cov, sigma2=float("nan"), df=df,
                            labels=term_labels(m, h), m=m, h=h, n=n, rss=0.0)
+
+
+def reference_model_row(x, z):
+    """Per-row loop builder kept as the oracle for the array code."""
+    x = np.asarray(x, dtype=float)
+    z = np.asarray(z, dtype=float)
+    m, h = x.size, z.size
+    parts = [x]
+    parts.append(np.array([x[j] * x[jp] for j in range(m) for jp in range(j + 1, m)]))
+    parts.append(np.array([z[k] * x[j] for k in range(h) for j in range(m)]))
+    parts.append(np.array([z[k] * z[kp] for k in range(h) for kp in range(k + 1, h)]))
+    return np.concatenate([p for p in parts if p.size])
 
 
 def reference_coefficients(scenario, response):
@@ -58,6 +71,43 @@ class TestModelRowAndLabels:
     def test_thirteen_columns_for_reference_shape(self):
         assert len(term_labels(3, 2)) == 13
         assert model_row((0.2, 0.3, 0.5), (1, 0)).size == 13
+
+
+class TestModelMatrix:
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("h", [0, 1, 2, 3])
+    def test_equals_stacked_per_row_reference_bit_for_bit(self, m, h):
+        rng = generator(60 + 4 * m + h, "matrix")
+        mixtures = rng.dirichlet(np.ones(m), size=17)
+        covariates = rng.normal(size=(17, h))
+        covariates[::2] = rng.integers(0, 2, size=(9, h))  # the design's 0/1 levels
+        got = model_matrix(mixtures, covariates)
+        want = np.array([reference_model_row(x, z)
+                         for x, z in zip(mixtures, covariates)])
+        assert got.shape == (17, n_terms(m, h)) == (17, len(term_labels(m, h)))
+        assert got.tobytes() == want.tobytes()
+        # row-major like the stacked rows, so the fit sees the same layout
+        assert got.flags.c_contiguous
+
+    def test_model_row_without_covariates(self):
+        row = model_row((0.2, 0.3, 0.5), ())
+        assert row.tolist() == [0.2, 0.3, 0.5, 0.2 * 0.3, 0.2 * 0.5, 0.3 * 0.5]
+
+    def test_prediction_alone_equals_prediction_in_batch(self):
+        rng = generator(61, "batch")
+        fit = make_fit(rng.normal(size=33), m=5, h=3)
+        mixtures = rng.dirichlet(np.ones(5), size=40)
+        covariates = rng.integers(0, 2, size=(40, 3)).astype(float)
+        batch = predict_rows(fit, mixtures, covariates)
+        alone = [predict(fit, x, z) for x, z in zip(mixtures, covariates)]
+        assert batch.tolist() == alone
+
+    def test_prediction_rejects_wrong_widths(self):
+        fit = make_fit(np.zeros(13))
+        with pytest.raises(ModelError, match="expects 3 mixture parts"):
+            predict(fit, (0.5, 0.5), (0, 0))
+        with pytest.raises(ModelError, match="expects 3 mixture parts"):
+            predict(fit, (0.2, 0.3, 0.5), (0, 0, 1))
 
 
 class TestIdentifiabilityIdentities:
@@ -299,3 +349,12 @@ class TestAnalysisDatasetValidation:
             AnalysisDataset(y=np.zeros(2), mixtures=np.array([[0.5, 0.2, 0.2]] * 2),
                             covariates=np.zeros((2, 2)),
                             scenario=TestScenario.BALANCED, response="mean_auc")
+
+    @pytest.mark.parametrize("field, row", [("y", 0), ("mixtures", 2), ("covariates", 1)])
+    def test_rejects_non_finite_values_naming_the_row(self, field, row):
+        arrays = {"y": np.zeros(4), "mixtures": np.full((4, 3), THIRD),
+                  "covariates": np.zeros((4, 2))}
+        arrays[field][row] = np.nan
+        arrays[field][3] = np.inf
+        with pytest.raises(ModelError, match=f"non-finite {field} in row {row} "):
+            AnalysisDataset(**arrays, scenario=TestScenario.BALANCED, response="mean_auc")

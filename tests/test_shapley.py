@@ -1,3 +1,6 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 
@@ -159,3 +162,19 @@ class TestReportEmission:
         write_phi_csv(report, csv_path)
         header = csv_path.read_text().splitlines()[0]
         assert header.split(",") == term_labels(3, 2)
+
+    def test_phi_csv_bytes_match_csv_writer(self, tmp_path):
+        rng = generator(40, "phi")
+        phi = rng.normal(size=(30, 13)) * np.logspace(-12, 6, 13)
+        phi[3, 4] = 0.0
+        report = ShapReport(labels=term_labels(3, 2), phi=phi,
+                            importance=shap_importance(phi),
+                            background_means=np.zeros(13))
+        path = tmp_path / "phi.csv"
+        write_phi_csv(report, path)
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(report.labels)
+        for row in phi:
+            writer.writerow([f"{v:.10g}" for v in row])
+        assert path.read_text() == buf.getvalue()

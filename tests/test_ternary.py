@@ -1,3 +1,6 @@
+import csv
+import io
+import re
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -6,7 +9,8 @@ import pytest
 from mixrobust import (MixtureModelFit, TernaryGrid, barycentric_to_xy,
                        grid_predict, render_ternary, simplex_lattice, term_labels,
                        ternary_grid)
-from mixrobust.ternary import ContourError, contour_filename, grid_to_csv
+from mixrobust.ternary import (ContourError, _micro_triangles, contour_filename,
+                               grid_to_csv)
 from mixrobust.seeding import generator
 
 THIRD = 1.0 / 3.0
@@ -17,6 +21,23 @@ def make_fit(coefficients, m=3, h=2):
     return MixtureModelFit(coefficients=np.asarray(coefficients, dtype=float),
                            covariance=np.zeros((p, p)), sigma2=0.0, df=71,
                            labels=term_labels(m, h), m=m, h=h, n=84, rss=0.0)
+
+
+def reference_micro_triangles(grid):
+    """Dict-keyed cell enumeration kept as the oracle for the lookup table."""
+    q = grid.q
+    index = {}
+    for row, point in enumerate(grid.points):
+        index[(int(round(point[1] * q)), int(round(point[2] * q)))] = row
+    cells = []
+    for (b, c), row in index.items():
+        up = (index.get((b + 1, c)), index.get((b, c + 1)))
+        if None not in up:
+            cells.append((row, up[0], up[1]))
+        down = (index.get((b + 1, c)), index.get((b + 1, c + 1)), index.get((b, c + 1)))
+        if None not in down:
+            cells.append(down)
+    return cells
 
 
 class TestLattice:
@@ -109,8 +130,14 @@ class TestGridPredict:
         fit = make_fit(rng.normal(size=13))
         grid = TernaryGrid.build(q=100, min_prop=0.01)
         surface = grid_predict(fit, grid, (1, 0))
-        for row, point in enumerate(surface.points[:50]):
+        for row, point in enumerate(surface.points):
             assert surface.values[row] == predict(fit, point, (1, 0))
+        fit5 = make_fit(rng.normal(size=33), m=5, h=3)
+        grid5 = TernaryGrid(q=20, min_prop=0.01, points=simplex_lattice(20, 5, 0.01))
+        surface5 = grid_predict(fit5, grid5, (1, 0, 1))
+        assert len(surface5.points) == 3876  # each count >= 1: C(15 + 4, 4)
+        for row, point in enumerate(surface5.points):
+            assert surface5.values[row] == predict(fit5, point, (1, 0, 1))
 
 
 class TestRender:
@@ -149,6 +176,31 @@ class TestRender:
         for label in (">x1<", ">x2<", ">x3<"):
             assert label in svg
 
+    @pytest.mark.parametrize("q, min_prop", [(2, 0.0), (5, 0.0), (12, 0.01),
+                                             (30, 0.05), (100, 0.01), (9, 0.3)])
+    def test_micro_triangles_match_dict_reference(self, q, min_prop):
+        grid = TernaryGrid.build(q=q, min_prop=min_prop)
+        got = [tuple(cell) for cell in _micro_triangles(grid).tolist()]
+        want = reference_micro_triangles(grid)
+        assert len(got) == len(want)
+        assert set(got) == set(want)
+
+    def test_one_path_per_band_covering_every_cell(self):
+        surface = self._surface(q=30)
+        svg = render_ternary(surface, levels=10).decode("utf-8")
+        fills = re.findall(r'<path d="[^"]*" fill="(#[0-9a-f]{6})"', svg)
+        assert len(fills) == len(set(fills)) > 1
+        assert svg.count("<polygon") == 2  # outline and dashed floor only
+        subpaths = sum(d.count("M") for d in re.findall(r'<path d="([^"]*)"', svg))
+        assert subpaths == len(_micro_triangles(surface)) == 27 * 27
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_values_rejected(self, bad):
+        surface = self._surface()
+        surface.values[7] = bad
+        with pytest.raises(ContourError, match="cannot assign a band"):
+            render_ternary(surface)
+
     def test_empty_grid_rejected(self):
         grid = TernaryGrid(q=5, min_prop=0.0, points=np.zeros((0, 3)),
                            values=np.zeros(0))
@@ -165,6 +217,17 @@ class TestCsvAndNames:
         lines = text.splitlines()
         assert lines[0] == "x1,x2,x3,value"
         assert len(lines) == 1 + 10  # C(5, 2) lattice points
+
+    def test_grid_csv_bytes_match_csv_writer(self):
+        rng = generator(53, "csv")
+        fit = make_fit(rng.normal(size=13) * 1e3)
+        surface = grid_predict(fit, TernaryGrid.build(17, 0.01), (1, 0))
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["x1", "x2", "x3", "value"])
+        for point, value in zip(surface.points, surface.values):
+            writer.writerow([f"{v:.6f}" for v in point] + [f"{value:.10g}"])
+        assert grid_to_csv(surface) == buf.getvalue()
 
     def test_contour_filename(self):
         assert contour_filename("mean_auc", "balanced", (1, 0)) \
