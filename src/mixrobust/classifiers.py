@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import subprocess
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
@@ -44,8 +44,24 @@ class ClassifierKind(Enum):
             raise ClassifierError(f"unknown classifier kind {name!r}") from None
 
 
-LOGISTIC_DEFAULTS = {"epochs": 500, "step": 0.1, "l2": 1e-4}
-STUMP_DEFAULTS = {"rounds": 100, "shrinkage": 0.1}
+HYPER_DEFAULTS = {
+    ClassifierKind.LOGISTIC: {"epochs": 500, "step": 0.1, "l2": 1e-4},
+    ClassifierKind.BOOSTED_STUMPS: {"rounds": 100, "shrinkage": 0.1},
+    ClassifierKind.EXTERNAL: {},
+}
+
+
+def resolve_hyper(kind: ClassifierKind, hyper=None):
+    """The kind's defaults overridden by `hyper`; a key the kind does not
+    take raises ClassifierError, so a misspelling cannot fall back silently."""
+    defaults = HYPER_DEFAULTS[kind]
+    hyper = dict(hyper or {})
+    unknown = [key for key in hyper if key not in defaults]
+    if unknown:
+        raise ClassifierError(
+            f"{kind.value} takes no hyper key {', '.join(map(repr, unknown))}; "
+            f"allowed: {', '.join(defaults) or 'none'}")
+    return {**defaults, **hyper}
 
 
 @dataclass(frozen=True)
@@ -102,6 +118,8 @@ def check_score_matrix(scores, m=None, tol=SCORE_ROW_TOL):
     scores = np.asarray(scores, dtype=float)
     if scores.ndim != 2 or (m is not None and scores.shape[1] != m):
         raise ClassifierError(f"score matrix has shape {scores.shape}")
+    if not np.isfinite(scores).all():
+        raise ClassifierError("scores must be finite")
     if scores.size and (scores.min() < -tol or scores.max() > 1 + tol):
         raise ClassifierError("scores must lie in [0, 1]")
     if scores.size and np.max(np.abs(scores.sum(axis=1) - 1.0)) > tol:
@@ -171,19 +189,25 @@ def best_stump_split(values, residuals):
     None when the feature is constant.
     """
     values = np.asarray(values, dtype=float)
-    residuals = np.asarray(residuals, dtype=float)
-    n = values.size
     order = np.argsort(values, kind="mergesort")
     sv = values[order]
-    sr = residuals[order]
-    valid = np.flatnonzero(sv[:-1] < sv[1:])
+    return _best_sorted_split(sv, _cuts(sv), np.asarray(residuals, dtype=float)[order])
+
+
+def _cuts(sv):
+    """Left group sizes of the candidate cuts between distinct ascending values."""
+    return np.flatnonzero(sv[:-1] < sv[1:]) + 1
+
+
+def _best_sorted_split(sv, k, sr):
+    """`best_stump_split` on ascending values, their `_cuts` and the residuals."""
+    n = sv.size
     total_sq = float(sr @ sr)
-    if valid.size == 0:
+    if k.size == 0:
         return None, float(sr.mean()), float(sr.mean()), total_sq - n * sr.mean() ** 2
     prefix = np.cumsum(sr)
     total = prefix[-1]
-    k = valid + 1  # left group sizes at each candidate cut
-    left_sum = prefix[valid]
+    left_sum = prefix[k - 1]
     right_sum = total - left_sum
     gain = left_sum ** 2 / k + right_sum ** 2 / (n - k)
     best = int(np.argmax(gain))
@@ -194,53 +218,34 @@ def best_stump_split(values, residuals):
     return float(threshold), float(left_mean), float(right_mean), total_sq - float(gain[best])
 
 
-@dataclass
-class StumpModel:
-    base: float
-    shrinkage: float
-    stumps: list = field(default_factory=list)  # (feature, threshold, left, right)
-
-    def raw_scores(self, features):
-        features = np.asarray(features, dtype=float)
-        out = np.full(features.shape[0], self.base)
-        for feature, threshold, left, right in self.stumps:
-            if threshold is None:
-                out += self.shrinkage * left
-            else:
-                out += self.shrinkage * np.where(features[:, feature] <= threshold,
-                                                 left, right)
-        return out
-
-
-def fit_boosted_stumps(features, targets, rounds=100, shrinkage=0.1) -> StumpModel:
-    """Additive regression stumps on squared error; one model per class column."""
-    features = np.asarray(features, dtype=float)
-    targets = np.asarray(targets, dtype=float)
-    model = StumpModel(base=float(targets.mean()), shrinkage=shrinkage)
-    current = np.full(targets.size, model.base)
-    for _ in range(rounds):
-        residual = targets - current
-        best = None
-        for feature in range(features.shape[1]):
-            threshold, left, right, sse = best_stump_split(features[:, feature], residual)
-            if best is None or sse < best[4] - 1e-15:
-                best = (feature, threshold, left, right, sse)
-        feature, threshold, left, right, _ = best
-        model.stumps.append((feature, threshold, left, right))
-        if threshold is None:
-            current = current + shrinkage * left
-        else:
-            current = current + shrinkage * np.where(
-                features[:, feature] <= threshold, left, right)
-    return model
-
-
-def _train_features(split: SampleSplit, pool: DatasetPool):
-    train = np.asarray(split.train_indices, dtype=int)
-    labels = pool.labels[train]
-    if np.unique(labels).size < 2:
-        raise ClassifierError("training multiset covers fewer than 2 classes")
-    return pool.features[train], labels
+def boosted_stump_scores(features, targets, test_features, rounds=100, shrinkage=0.1):
+    """(n_test, m) raw scores of additive squared-error stumps, one model per
+    column of the one-hot `targets`. Each feature is sorted and cut once for
+    every round and class; each stump is applied once, to train and test rows."""
+    n, d = features.shape
+    order = np.argsort(features, axis=0, kind="mergesort")
+    sorted_values = np.take_along_axis(features, order, axis=0)
+    cuts = [_cuts(sorted_values[:, feature]) for feature in range(d)]
+    rows = np.vstack([features, test_features])
+    raw = np.empty((rows.shape[0] - n, targets.shape[1]))
+    for j in range(targets.shape[1]):
+        target = targets[:, j]
+        current = np.full(rows.shape[0], float(target.mean()))
+        for _ in range(rounds):
+            residual = target - current[:n]
+            best = None
+            for feature in range(d):
+                # SSEs tie within 1e-15 below, so each must keep best_stump_split's bits
+                threshold, left, right, sse = _best_sorted_split(
+                    sorted_values[:, feature], cuts[feature], residual[order[:, feature]])
+                if best is None or sse < best[4] - 1e-15:
+                    best = (feature, threshold, left, right, sse)
+            feature, threshold, left, right, _ = best
+            step = left if threshold is None else np.where(
+                rows[:, feature] <= threshold, left, right)
+            current = current + shrinkage * step
+        raw[:, j] = current[n:]
+    return raw
 
 
 def train_and_score(kind, split: SampleSplit, pool: DatasetPool, hyper=None,
@@ -252,30 +257,28 @@ def train_and_score(kind, split: SampleSplit, pool: DatasetPool, hyper=None,
     temporary directory.
     """
     kind = kind if isinstance(kind, ClassifierKind) else ClassifierKind.parse(kind)
-    hyper = dict(hyper or {})
+    settings = resolve_hyper(kind, hyper)
     if kind is ClassifierKind.EXTERNAL:
         if command is None:
             raise ClassifierError("external classifier needs a command")
         return run_external(command, split, pool, workdir=workdir)
 
-    features, labels = _train_features(split, pool)
+    train = np.asarray(split.train_indices, dtype=int)
+    features, labels = pool.features[train], pool.labels[train]
+    if np.unique(labels).size < 2:
+        raise ClassifierError("training multiset covers fewer than 2 classes")
     test_features = pool.features[np.asarray(split.test_indices, dtype=int)]
     if kind is ClassifierKind.LOGISTIC:
-        settings = {**LOGISTIC_DEFAULTS, **hyper}
         weights, _ = fit_logistic_ovr(features, labels, pool.m,
                                       epochs=int(settings["epochs"]),
                                       step=float(settings["step"]),
                                       l2=float(settings["l2"]))
         scores = logistic_scores(weights, test_features)
     elif kind is ClassifierKind.BOOSTED_STUMPS:
-        settings = {**STUMP_DEFAULTS, **hyper}
-        raw = np.empty((test_features.shape[0], pool.m))
-        for j in range(1, pool.m + 1):
-            model = fit_boosted_stumps(features, (labels == j).astype(float),
-                                       rounds=int(settings["rounds"]),
-                                       shrinkage=float(settings["shrinkage"]))
-            raw[:, j - 1] = model.raw_scores(test_features)
-        scores = _softmax(raw)
+        scores = _softmax(boosted_stump_scores(features, _onehot(labels, pool.m),
+                                               test_features,
+                                               rounds=int(settings["rounds"]),
+                                               shrinkage=float(settings["shrinkage"])))
     else:  # pragma: no cover
         raise ClassifierError(f"unhandled classifier kind {kind}")
     return check_score_matrix(scores, pool.m)

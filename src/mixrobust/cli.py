@@ -16,7 +16,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .classifiers import ClassifierKind
+from .classifiers import ClassifierKind, resolve_hyper
 from .design import DesignError, TestScenario, build_run_plan, write_plan_csv
 from .fileio import atomic_write_text
 from .metrics import MetricsError, read_outcomes_csv, write_outcomes_csv
@@ -133,15 +133,10 @@ def _write_failures(failures, path):
 
 def _run_metadata(config):
     """Resolved settings snapshot so any run reproduces from the record."""
-    from .classifiers import LOGISTIC_DEFAULTS, STUMP_DEFAULTS
-
-    defaults = {ClassifierKind.LOGISTIC: LOGISTIC_DEFAULTS,
-                ClassifierKind.BOOSTED_STUMPS: STUMP_DEFAULTS,
-                ClassifierKind.EXTERNAL: {}}
     classifiers = {}
     for level, spec in sorted(config.classifiers.items()):
         entry = {"kind": spec.kind.value,
-                 "hyper": {**defaults[spec.kind], **spec.hyper_dict}}
+                 "hyper": resolve_hyper(spec.kind, spec.hyper_dict)}
         if spec.command:
             entry["command"] = list(spec.command)
         classifiers[f"{level:g}"] = entry
@@ -202,7 +197,9 @@ def _read_outcomes(config):
         raise CliFailure(EXIT_IO, str(exc)) from None
 
 
-def _grouped_outcomes(config, args):
+def _fits(config, args):
+    """Yield (scenario, response, fit, matrix) for each selected scenario and
+    each response; every scenario is checked for rows before the first fit."""
     outcomes = _read_outcomes(config)
     groups = []
     for scenario in _scenarios(config, args):
@@ -211,39 +208,34 @@ def _grouped_outcomes(config, args):
             raise CliFailure(EXIT_IO, f"outcomes file has no rows for scenario "
                              f"{scenario.value}")
         groups.append((scenario, rows))
-    return groups
-
-
-def _fit_for(rows, response):
-    try:
-        data = dataset_from_outcomes(rows, response)
-        matrix = build_design_matrix(data)
-        return fit_ols(matrix, data.y), matrix
-    except ModelError as exc:
-        raise CliFailure(EXIT_NUMERIC, str(exc)) from None
+    for scenario, rows in groups:
+        for response in RESPONSES:
+            try:
+                data = dataset_from_outcomes(rows, response)
+                matrix = build_design_matrix(data)
+                fit = fit_ols(matrix, data.y)
+            except ModelError as exc:
+                raise CliFailure(EXIT_NUMERIC, str(exc)) from None
+            yield scenario, response, fit, matrix
 
 
 def cmd_analyze(config, args):
-    for scenario, rows in _grouped_outcomes(config, args):
-        for response in RESPONSES:
-            fit, _ = _fit_for(rows, response)
-            report = fit_report(fit, scenario, response)
-            path = config.output_dir / f"fit_{response}_{scenario.value}.json"
-            write_fit_report(report, path)
-            print(f"wrote {path}")
+    for scenario, response, fit, _ in _fits(config, args):
+        report = fit_report(fit, scenario, response)
+        path = config.output_dir / f"fit_{response}_{scenario.value}.json"
+        write_fit_report(report, path)
+        print(f"wrote {path}")
     return EXIT_OK
 
 
 def cmd_shap(config, args):
-    for scenario, rows in _grouped_outcomes(config, args):
-        for response in RESPONSES:
-            fit, matrix = _fit_for(rows, response)
-            report = shap_report(fit, matrix)
-            base = f"{response}_{scenario.value}"
-            write_shap_json(report, config.output_dir / f"shap_{base}.json",
-                            scenario=scenario.value, response=response)
-            write_phi_csv(report, config.output_dir / f"shap_phi_{base}.csv")
-            print(f"wrote {config.output_dir / f'shap_{base}.json'}")
+    for scenario, response, fit, matrix in _fits(config, args):
+        report = shap_report(fit, matrix)
+        base = f"{response}_{scenario.value}"
+        write_shap_json(report, config.output_dir / f"shap_{base}.json",
+                        scenario=scenario.value, response=response)
+        write_phi_csv(report, config.output_dir / f"shap_phi_{base}.csv")
+        print(f"wrote {config.output_dir / f'shap_{base}.json'}")
     return EXIT_OK
 
 
@@ -258,20 +250,18 @@ def cmd_contour(config, args, q=100, levels=10):
         grid = TernaryGrid(q=lattice_q, min_prop=design.min_prop,
                            points=simplex_lattice(lattice_q, design.m,
                                                   design.min_prop))
-    for scenario, rows in _grouped_outcomes(config, args):
-        for response in RESPONSES:
-            fit, _ = _fit_for(rows, response)
-            for z in itertools.product(*design.covariate_levels):
-                z_tag = "".join(f"{v:g}" for v in z)
-                base = f"{response}_{scenario.value}_z{z_tag}"
-                surface = replace(grid_predict(fit, grid, z),
-                                  response=response, scenario=scenario.value)
-                write_grid_csv(surface, config.output_dir / f"grid_{base}.csv")
-                if ternary:
-                    write_ternary_svg(surface,
-                                      config.output_dir / f"contour_{base}.svg",
-                                      levels=levels)
-            print(f"wrote contour outputs for {response} / {scenario.value}")
+    for scenario, response, fit, _ in _fits(config, args):
+        for z in itertools.product(*design.covariate_levels):
+            z_tag = "".join(f"{v:g}" for v in z)
+            base = f"{response}_{scenario.value}_z{z_tag}"
+            surface = replace(grid_predict(fit, grid, z),
+                              response=response, scenario=scenario.value)
+            write_grid_csv(surface, config.output_dir / f"grid_{base}.csv")
+            if ternary:
+                write_ternary_svg(surface,
+                                  config.output_dir / f"contour_{base}.svg",
+                                  levels=levels)
+        print(f"wrote contour outputs for {response} / {scenario.value}")
     return EXIT_OK
 
 

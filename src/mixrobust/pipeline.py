@@ -15,7 +15,8 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .classifiers import (ClassifierError, ClassifierKind, ExternalRunnerError,
-                          SyntheticDataConfig, default_class_means, generate_pool)
+                          SyntheticDataConfig, default_class_means, generate_pool,
+                          resolve_hyper, train_and_score)
 from .design import ALL_SCENARIOS, DesignConfig, DesignError, RunPlan, RunSpec, TestScenario
 from .metrics import MetricsError, RunOutcome, auc_ovr
 from .sampling import DatasetPool, SamplingConfig, SamplingError, compose_split, load_pool_csv
@@ -90,8 +91,6 @@ class RunFailure:
 def execute_run(spec: RunSpec, pool: DatasetPool, classifier: ClassifierSpec,
                 sampling: SamplingConfig) -> RunOutcome:
     """Sample, train, score and reduce one run instance to its outcome."""
-    from .classifiers import train_and_score
-
     split = compose_split(pool, spec.train_mixture, spec.test_mixture, sampling,
                           train_rng=generator(spec.seed, "train"),
                           test_rng=generator(spec.seed, "test"))
@@ -195,8 +194,12 @@ def _parse_level_map(doc, where):
 
 
 def _parse_classifier(doc, where):
-    kind = ClassifierKind.parse(_require(doc, "kind", where))
-    hyper = tuple(sorted((str(k), float(v)) for k, v in doc.get("hyper", {}).items()))
+    try:
+        kind = ClassifierKind.parse(_require(doc, "kind", where))
+        hyper = {str(k): float(v) for k, v in doc.get("hyper", {}).items()}
+        resolve_hyper(kind, hyper)
+    except ClassifierError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
     command = doc.get("command")
     if kind is ClassifierKind.EXTERNAL:
         if not command:
@@ -204,7 +207,7 @@ def _parse_classifier(doc, where):
         command = tuple(str(part) for part in command)
     elif command:
         raise ConfigError(f"{where}: only external classifiers take a command")
-    return ClassifierSpec(kind=kind, hyper=hyper,
+    return ClassifierSpec(kind=kind, hyper=tuple(sorted(hyper.items())),
                           command=command if kind is ClassifierKind.EXTERNAL else None)
 
 

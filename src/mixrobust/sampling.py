@@ -100,21 +100,25 @@ def class_counts(mixture, total):
     return base
 
 
+def _per_class(pool: DatasetPool, counts, draw) -> np.ndarray:
+    """Concatenate draw(j, count, members) over the classes j with count > 0;
+    members are class j's sorted pool rows, empty when the pool has none."""
+    picks = []
+    for j, count in enumerate(np.asarray(counts, dtype=int), start=1):
+        if count:
+            members = pool.class_index[j - 1] if j - 1 < pool.m else np.array([], dtype=int)
+            picks.append(draw(j, count, members))
+    return np.concatenate(picks) if picks else np.array([], dtype=int)
+
+
 def compose_training(pool: DatasetPool, counts, rng) -> np.ndarray:
     """Per class, counts[j] uniform draws with replacement from that class."""
-    counts = np.asarray(counts, dtype=int)
-    picks = []
-    for j, count in enumerate(counts, start=1):
-        if count == 0:
-            continue
-        members = pool.class_index[j - 1] if j - 1 < pool.m else np.array([], dtype=int)
+    def draw(j, count, members):
         if members.size == 0:
             raise SamplingError(f"class {j}: {count} draws requested but the pool "
                                 "has no members of that class")
-        picks.append(members[rng.integers(0, members.size, size=count)])
-    if not picks:
-        return np.array([], dtype=int)
-    return np.concatenate(picks)
+        return members[rng.integers(0, members.size, size=count)]
+    return _per_class(pool, counts, draw)
 
 
 def compose_test(pool: DatasetPool, train_indices, counts, rng) -> np.ndarray:
@@ -123,22 +127,17 @@ def compose_test(pool: DatasetPool, train_indices, counts, rng) -> np.ndarray:
     "Absent" is judged on distinct indices, so a duplicated training draw
     blocks the observation from the test set exactly once.
     """
-    counts = np.asarray(counts, dtype=int)
-    taken = np.unique(np.asarray(train_indices, dtype=int))
-    picks = []
-    for j, count in enumerate(counts, start=1):
-        if count == 0:
-            continue
-        members = pool.class_index[j - 1] if j - 1 < pool.m else np.array([], dtype=int)
-        remaining = np.setdiff1d(members, taken, assume_unique=False)
+    free = np.ones(pool.n, dtype=bool)
+    free[np.asarray(train_indices, dtype=int)] = False
+
+    def draw(j, count, members):
+        remaining = members[free[members]]
         if remaining.size < count:
             raise SamplingError(
                 f"class {j}: {count} test points requested but only "
                 f"{remaining.size} remain (shortfall {count - remaining.size})")
-        picks.append(rng.choice(remaining, size=count, replace=False))
-    if not picks:
-        return np.array([], dtype=int)
-    return np.concatenate(picks)
+        return rng.choice(remaining, size=count, replace=False)
+    return _per_class(pool, counts, draw)
 
 
 def split_sizes(config: SamplingConfig, n_total):

@@ -4,7 +4,8 @@ import pytest
 from mixrobust import (ClassifierError, ClassifierKind, DatasetPool,
                        ExternalRunnerError, SampleSplit, SyntheticDataConfig,
                        auc_ovr, default_class_means, generate_pool, train_and_score)
-from mixrobust.classifiers import best_stump_split, fit_logistic_ovr
+from mixrobust.classifiers import (_softmax, best_stump_split, boosted_stump_scores,
+                                   check_score_matrix, fit_logistic_ovr)
 from mixrobust.seeding import generator
 
 
@@ -144,6 +145,124 @@ class TestBoostedStumps:
         assert np.max(np.abs(scores.sum(axis=1) - 1.0)) <= 1e-9
 
 
+def oracle_best_stump_split(values, residuals):
+    """The one-feature split as it was written before features were presorted:
+    every call argsorts its own column."""
+    n = values.size
+    order = np.argsort(values, kind="mergesort")
+    sv = values[order]
+    sr = residuals[order]
+    valid = np.flatnonzero(sv[:-1] < sv[1:])
+    total_sq = float(sr @ sr)
+    if valid.size == 0:
+        return None, float(sr.mean()), float(sr.mean()), total_sq - n * sr.mean() ** 2
+    prefix = np.cumsum(sr)
+    k = valid + 1
+    left_sum = prefix[valid]
+    right_sum = prefix[-1] - left_sum
+    gain = left_sum ** 2 / k + right_sum ** 2 / (n - k)
+    best = int(np.argmax(gain))
+    cut = k[best]
+    threshold = 0.5 * (sv[cut - 1] + sv[cut])
+    return (float(threshold), float(left_sum[best] / cut),
+            float(right_sum[best] / (n - cut)), total_sq - float(gain[best]))
+
+
+def oracle_boosted_raw(features, labels, test_features, m, rounds, shrinkage=0.1):
+    """The per-class booster it replaced: one model per class, each round
+    trying every feature, the fitted stumps replayed on the test rows."""
+    raw = np.empty((test_features.shape[0], m))
+    for j in range(1, m + 1):
+        targets = (labels == j).astype(float)
+        base = float(targets.mean())
+        current = np.full(targets.size, base)
+        stumps = []
+        for _ in range(rounds):
+            residual = targets - current
+            best = None
+            for feature in range(features.shape[1]):
+                threshold, left, right, sse = oracle_best_stump_split(
+                    features[:, feature], residual)
+                if best is None or sse < best[4] - 1e-15:
+                    best = (feature, threshold, left, right, sse)
+            feature, threshold, left, right, _ = best
+            stumps.append((feature, threshold, left, right))
+            if threshold is None:
+                current = current + shrinkage * left
+            else:
+                current = current + shrinkage * np.where(
+                    features[:, feature] <= threshold, left, right)
+        out = np.full(test_features.shape[0], base)
+        for feature, threshold, left, right in stumps:
+            if threshold is None:
+                out += shrinkage * left
+            else:
+                out += shrinkage * np.where(test_features[:, feature] <= threshold,
+                                            left, right)
+        raw[:, j - 1] = out
+    return raw
+
+
+class TestBoostedStumpsOracle:
+    """The presorted booster must give the per-class booster's scores bit
+    for bit, including ties between a feature and its duplicate."""
+
+    @staticmethod
+    def _pool(seed, n=240, decimals=1):
+        rng = generator(seed, "stump-oracle")
+        x = np.round(rng.normal(size=(n, 2)), decimals)
+        # columns: x0, a constant, a copy of x0 (ties every SSE of column 0), x1
+        features = np.column_stack([x[:, 0], np.full(n, 2.5), x[:, 0], x[:, 1]])
+        labels = rng.integers(1, 4, size=n)
+        return DatasetPool(features=features, labels=labels), rng
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    @pytest.mark.parametrize("rounds", [0, 1, 7, 40])
+    def test_scores_equal_oracle_bits(self, seed, rounds):
+        pool, rng = self._pool(seed, decimals=1 if seed % 2 else 3)
+        train = rng.integers(0, pool.n, size=120)  # duplicates on purpose
+        test = np.arange(0, pool.n, 3)
+        features, labels = pool.features[train], pool.labels[train]
+        expected_raw = oracle_boosted_raw(features, labels, pool.features[test],
+                                          pool.m, rounds)
+        onehot = (labels[:, None] == np.arange(1, pool.m + 1)).astype(float)
+        raw = boosted_stump_scores(features, onehot, pool.features[test],
+                                   rounds=rounds, shrinkage=0.1)
+        assert raw.tobytes() == expected_raw.tobytes()
+        scores = train_and_score(ClassifierKind.BOOSTED_STUMPS, split_of(train, test),
+                                 pool, hyper={"rounds": rounds})
+        assert scores.tobytes() == _softmax(expected_raw).tobytes()
+
+    def test_constant_features_only(self):
+        features = np.ones((12, 2))
+        labels = np.array([1, 2, 3] * 4)
+        pool = DatasetPool(features=features, labels=labels)
+        train = np.arange(12)
+        scores = train_and_score(ClassifierKind.BOOSTED_STUMPS, split_of(train, train),
+                                 pool, hyper={"rounds": 5})
+        expected = _softmax(oracle_boosted_raw(features, labels, features, 3, 5))
+        assert scores.tobytes() == expected.tobytes()
+
+
+class TestHyperKeys:
+    @pytest.mark.parametrize("kind,hyper,allowed", [
+        ("logistic", {"epoch": 5}, "epochs, step, l2"),
+        ("boosted_stumps", {"round": 2}, "rounds, shrinkage"),
+    ])
+    def test_misspelled_key_rejected(self, kind, hyper, allowed):
+        pool = two_class_pool(n_per_class=20)
+        train = np.arange(pool.n)
+        with pytest.raises(ClassifierError, match=allowed):
+            train_and_score(kind, split_of(train, train), pool, hyper=hyper)
+
+
+class TestScoreMatrixFinite:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ClassifierError, match="finite"):
+            check_score_matrix(np.array([[0.5, 0.5], [bad, 0.5]]), 2)
+
+
 class TestPermutationEquivariance:
     @pytest.mark.parametrize("kind,hyper", [
         (ClassifierKind.LOGISTIC, {"epochs": 60}),
@@ -186,6 +305,14 @@ with open(workdir / "scores.csv", "w", newline="") as fh:
 """
 
 RUNNER_FAILS = "import sys; sys.exit(3)\n"
+
+RUNNER_NAN = """\
+import sys
+from pathlib import Path
+workdir = Path(sys.argv[1])
+rows = ["nan,nan"] * 10
+(workdir / "scores.csv").write_text("score_1,score_2\\n" + "\\n".join(rows) + "\\n")
+"""
 
 RUNNER_BAD_ROWS = """\
 import sys
@@ -233,6 +360,14 @@ class TestExternalRunner:
         runner.write_text(RUNNER_BAD_ROWS)
         pool = self._pool()
         with pytest.raises(ExternalRunnerError, match="expected 10 rows"):
+            train_and_score(ClassifierKind.EXTERNAL, self._split(pool), pool,
+                            command=["python3", str(runner)])
+
+    def test_nan_scores_rejected(self, tmp_path):
+        runner = tmp_path / "runner.py"
+        runner.write_text(RUNNER_NAN)
+        pool = self._pool()
+        with pytest.raises(ClassifierError, match="finite"):
             train_and_score(ClassifierKind.EXTERNAL, self._split(pool), pool,
                             command=["python3", str(runner)])
 

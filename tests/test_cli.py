@@ -75,6 +75,28 @@ class TestSimulateCommand:
         assert doc["classifiers"]["0"]["hyper"]["rounds"] == 10
         assert doc["master_seed"] == 99
 
+    def test_run_metadata_hyper_in_defaults_order(self, experiment_dir):
+        tmp_path, _ = experiment_dir
+        text = (tmp_path / "out" / "run_metadata.json").read_text()
+        hyper = json.loads(text)["classifiers"]
+        assert list(hyper["1"]["hyper"]) == ["epochs", "step", "l2"]
+        assert list(hyper["0"]["hyper"]) == ["rounds", "shrinkage"]
+        # overrides are parsed as floats; untouched defaults keep their type
+        assert '"epochs": 80.0' in text and '"shrinkage": 0.1' in text
+
+    @pytest.mark.parametrize("level,entry,allowed", [
+        ("1", {"kind": "logistic", "hyper": {"epoch": 5}}, "epochs, step, l2"),
+        ("0", {"kind": "boosted_stumps", "hyper": {"round": 2}}, "rounds, shrinkage"),
+    ])
+    def test_misspelled_hyper_key_exits_config(self, tmp_path, capsys, level, entry,
+                                               allowed):
+        doc = small_config_doc()
+        doc["classifiers"][level] = entry
+        config_path = write_config(tmp_path, doc)
+        assert main(["simulate", "--config", str(config_path)]) == EXIT_CONFIG
+        assert allowed in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_external_kind_refused_by_simulate(self, tmp_path):
         doc = small_config_doc()
         doc["classifiers"]["1"] = {"kind": "external", "command": ["true"]}
@@ -223,3 +245,25 @@ class TestRunCommand:
         assert main(["run", "--config", str(config_path), "--jobs", "1"]) == EXIT_OK
         lines = (tmp_path / "out" / "outcomes.csv").read_text().splitlines()
         assert len(lines) == 1 + 28
+
+    def test_nan_scores_recorded_as_failures(self, tmp_path):
+        runner = tmp_path / "runner.py"
+        runner.write_text(
+            "import csv, sys\n"
+            "from pathlib import Path\n"
+            "workdir = Path(sys.argv[1])\n"
+            "with open(workdir / 'test.csv') as fh:\n"
+            "    rows = list(csv.reader(fh))[1:]\n"
+            "lines = ['score_1,score_2,score_3'] + ['nan,nan,nan'] * len(rows)\n"
+            "(workdir / 'scores.csv').write_text('\\n'.join(lines) + '\\n')\n")
+        doc = small_config_doc(replicates=1)
+        doc["scenarios"] = ["balanced"]
+        doc["classifiers"]["1"] = {"kind": "external",
+                                   "command": ["python3", str(runner)]}
+        config_path = write_config(tmp_path, doc)
+        assert main(["run", "--config", str(config_path), "--jobs", "1"]) == EXIT_NUMERIC
+        failures = (tmp_path / "out" / "failures.csv").read_text().splitlines()
+        assert len(failures) == 1 + 14
+        assert all("scores must be finite" in line for line in failures[1:])
+        lines = (tmp_path / "out" / "outcomes.csv").read_text().splitlines()
+        assert len(lines) == 1 + 14

@@ -63,6 +63,26 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="command"):
             parse_experiment_config(doc, tmp_path)
 
+    @pytest.mark.parametrize("level,entry,match", [
+        ("1", {"kind": "logistic", "hyper": {"epoch": 5}},
+         r"'epoch'; allowed: epochs, step, l2"),
+        ("0", {"kind": "boosted_stumps", "hyper": {"round": 2}},
+         r"'round'; allowed: rounds, shrinkage"),
+        ("1", {"kind": "external", "command": ["true"], "hyper": {"epochs": 5}},
+         r"'epochs'; allowed: none"),
+        ("1", {"kind": "logistc"}, "unknown classifier kind"),
+    ])
+    def test_bad_classifier_entry_rejected(self, tmp_path, level, entry, match):
+        doc = small_config_doc()
+        doc["classifiers"][level] = entry
+        with pytest.raises(ConfigError, match=rf"classifiers\[{level}\]: .*{match}"):
+            parse_experiment_config(doc, tmp_path)
+
+    def test_hyper_keeps_only_given_keys(self, tmp_path):
+        config = parse_experiment_config(small_config_doc(), tmp_path)
+        assert config.classifiers[1.0].hyper == (("epochs", 80.0),)
+        assert config.classifiers[0.0].hyper == (("rounds", 10.0),)
+
     def test_master_seed_override(self, tmp_path):
         config = parse_experiment_config(small_config_doc(), tmp_path)
         assert with_master_seed(config, 7).design.seed == 7

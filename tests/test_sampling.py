@@ -107,6 +107,71 @@ class TestComposeTest:
             compose_test(pool, train, [0, 0, 2], generator(8, "ts"))
 
 
+def oracle_compose_training(pool, counts, rng):
+    """Per-class loop as first written: one draw per class with demand."""
+    picks = []
+    for j, count in enumerate(np.asarray(counts, dtype=int), start=1):
+        if count == 0:
+            continue
+        members = pool.class_index[j - 1] if j - 1 < pool.m else np.array([], dtype=int)
+        if members.size == 0:
+            raise SamplingError(f"class {j}: no members")
+        picks.append(members[rng.integers(0, members.size, size=count)])
+    return np.concatenate(picks) if picks else np.array([], dtype=int)
+
+
+def oracle_compose_test(pool, train_indices, counts, rng):
+    """The set-difference form: unique training rows, then setdiff1d per class."""
+    taken = np.unique(np.asarray(train_indices, dtype=int))
+    picks = []
+    for j, count in enumerate(np.asarray(counts, dtype=int), start=1):
+        if count == 0:
+            continue
+        members = pool.class_index[j - 1] if j - 1 < pool.m else np.array([], dtype=int)
+        remaining = np.setdiff1d(members, taken, assume_unique=False)
+        if remaining.size < count:
+            raise SamplingError(f"class {j}: shortfall")
+        picks.append(rng.choice(remaining, size=count, replace=False))
+    return np.concatenate(picks) if picks else np.array([], dtype=int)
+
+
+class TestComposeOracles:
+    """The free-row mask draws exactly the rows the set-difference form drew."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_duplicated_training_draws(self, seed):
+        pool = toy_pool(n=300, m=3, seed=seed)
+        rng = generator(seed, "mix")
+        train_counts = class_counts(rng.dirichlet(np.ones(3)), 150)
+        train = compose_training(pool, train_counts, generator(seed, "tr"))
+        assert np.array_equal(train, oracle_compose_training(pool, train_counts,
+                                                             generator(seed, "tr")))
+        assert np.unique(train).size < train.size
+        test_counts = class_counts(rng.dirichlet(np.ones(3)), 40)
+        test = compose_test(pool, train, test_counts, generator(seed, "ts"))
+        expected = oracle_compose_test(pool, train, test_counts, generator(seed, "ts"))
+        assert test.dtype == expected.dtype
+        assert np.array_equal(test, expected)
+
+    def test_empty_class(self):
+        # no member has label 2, and counts name a fourth class the pool lacks
+        labels = np.array([1, 3, 1, 3, 1, 3, 1, 3, 3, 1], dtype=int)
+        pool = DatasetPool(features=np.arange(10.0).reshape(-1, 1), labels=labels)
+        assert pool.class_index[1].size == 0
+        train = np.array([0, 0, 1, 1, 3])
+        for counts in ([2, 0, 3], [2, 0, 3, 0]):
+            test = compose_test(pool, train, counts, generator(11, "ts"))
+            expected = oracle_compose_test(pool, train, counts, generator(11, "ts"))
+            assert np.array_equal(test, expected)
+        for counts in ([1, 1, 1], [1, 0, 1, 1]):
+            with pytest.raises(SamplingError):
+                oracle_compose_test(pool, train, counts, generator(12, "ts"))
+            with pytest.raises(SamplingError, match="shortfall"):
+                compose_test(pool, train, counts, generator(12, "ts"))
+            with pytest.raises(SamplingError, match="no members"):
+                compose_training(pool, counts, generator(12, "tr"))
+
+
 class TestComposeSplit:
     def test_fraction_sizing(self):
         pool = toy_pool()
