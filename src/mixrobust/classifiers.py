@@ -9,6 +9,8 @@ covariate. Real trainers attach through the external-runner protocol.
 from __future__ import annotations
 
 import csv
+import math
+import numbers
 import subprocess
 from dataclasses import dataclass
 from enum import Enum
@@ -51,9 +53,30 @@ HYPER_DEFAULTS = {
 }
 
 
+# what each hyper key accepts: (description, test on the value as a float)
+HYPER_RANGES = {
+    "epochs": ("an integer >= 0", lambda x: x >= 0 and x.is_integer()),
+    "rounds": ("an integer >= 0", lambda x: x >= 0 and x.is_integer()),
+    "step": ("finite and > 0", lambda x: 0 < x < math.inf),
+    "shrinkage": ("finite and > 0", lambda x: 0 < x < math.inf),
+    "l2": ("finite and >= 0", lambda x: 0 <= x < math.inf),
+}
+
+
+def _as_float(value):
+    """`value` as a float, or None when it is not a real number."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return None
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf
+
+
 def resolve_hyper(kind: ClassifierKind, hyper=None):
-    """The kind's defaults overridden by `hyper`; a key the kind does not
-    take raises ClassifierError, so a misspelling cannot fall back silently."""
+    """The kind's defaults overridden by `hyper`. A key the kind does not take,
+    or a value outside the key's HYPER_RANGES rule, raises ClassifierError,
+    so neither a misspelling nor a bad value can fall back silently."""
     defaults = HYPER_DEFAULTS[kind]
     hyper = dict(hyper or {})
     unknown = [key for key in hyper if key not in defaults]
@@ -61,6 +84,12 @@ def resolve_hyper(kind: ClassifierKind, hyper=None):
         raise ClassifierError(
             f"{kind.value} takes no hyper key {', '.join(map(repr, unknown))}; "
             f"allowed: {', '.join(defaults) or 'none'}")
+    for key, value in hyper.items():
+        rule, accepts = HYPER_RANGES[key]
+        number = _as_float(value)
+        if number is None or not accepts(number):
+            raise ClassifierError(f"{kind.value} hyper {key!r} must be {rule}, "
+                                  f"got {value!r}")
     return {**defaults, **hyper}
 
 
@@ -186,66 +215,93 @@ def best_stump_split(values, residuals):
 
     Returns (threshold, left_mean, right_mean, sse); threshold is the
     midpoint between the adjacent sorted values around the best cut, and
-    None when the feature is constant.
+    None when the feature is constant. Needs at least two values.
     """
     values = np.asarray(values, dtype=float)
-    order = np.argsort(values, kind="mergesort")
-    sv = values[order]
-    return _best_sorted_split(sv, _cuts(sv), np.asarray(residuals, dtype=float)[order])
+    residuals = np.asarray(residuals, dtype=float)
+    split = _best_splits(residuals[None, :], *_presort(values[:, None]))
+    threshold, left, right, sse = (float(table[0, 0]) for table in split)
+    return None if threshold == np.inf else threshold, left, right, sse
 
 
-def _cuts(sv):
-    """Left group sizes of the candidate cuts between distinct ascending values."""
-    return np.flatnonzero(sv[:-1] < sv[1:]) + 1
+def _presort(features):
+    """Per-run facts of the (n, d) training features, shared by every round
+    and class: the stable sort order of each feature, shape (d, n); a 0/-inf
+    mask of the n - 1 sorted positions, 0 where a cut between distinct
+    values falls; each cut's midpoint threshold (+inf elsewhere, so a
+    constant feature's stump sends every row left); and the constant flags."""
+    order = np.argsort(features.T, axis=1, kind="mergesort")
+    sv = np.take_along_axis(features.T, order, axis=1)
+    is_cut = sv[:, :-1] < sv[:, 1:]
+    return (order, np.where(is_cut, 0.0, -np.inf),
+            np.where(is_cut, 0.5 * (sv[:, :-1] + sv[:, 1:]), np.inf),
+            ~is_cut.any(axis=1))
 
 
-def _best_sorted_split(sv, k, sr):
-    """`best_stump_split` on ascending values, their `_cuts` and the residuals."""
-    n = sv.size
-    total_sq = float(sr @ sr)
-    if k.size == 0:
-        return None, float(sr.mean()), float(sr.mean()), total_sq - n * sr.mean() ** 2
-    prefix = np.cumsum(sr)
-    total = prefix[-1]
-    left_sum = prefix[k - 1]
-    right_sum = total - left_sum
-    gain = left_sum ** 2 / k + right_sum ** 2 / (n - k)
-    best = int(np.argmax(gain))
-    cut = k[best]
-    left_mean = left_sum[best] / cut
-    right_mean = right_sum[best] / (n - cut)
-    threshold = 0.5 * (sv[cut - 1] + sv[cut])
-    return float(threshold), float(left_mean), float(right_mean), total_sq - float(gain[best])
+def _best_splits(residuals, order, mask, thresholds, constant):
+    """Every class's best stump on every feature, as four (m, d) tables
+    (threshold, left_mean, right_mean, sse), for the (m, n) residuals.
+
+    One pass scores every cut: the left sums are a cumsum of the residuals
+    gathered in each feature's sorted order. The tie rule downstream
+    compares SSEs within 1e-15, so each must keep the bits of a 1-D
+    `sr @ sr` in that order: `take` gathers into contiguous rows, whose
+    batched matmul sums like `sr @ sr`; a strided gather or einsum does not.
+    The work is done in place, because fresh blocks of this size, freed
+    every round, cost page faults.
+    """
+    n = residuals.shape[1]
+    prefix = residuals.take(order, axis=1)
+    total_sq = np.matmul(prefix[..., None, :], prefix[..., :, None])[..., 0, 0]
+    np.cumsum(prefix, axis=-1, out=prefix)
+    left_sum = prefix[..., :-1]
+    k = np.arange(1, n)
+    gain = np.square(left_sum)
+    gain /= k
+    right = prefix[..., -1:] - left_sum
+    np.square(right, out=right)
+    right /= n - k
+    gain += right
+    gain += mask
+    at = (np.arange(residuals.shape[0])[:, None], np.arange(order.shape[0]),
+          gain.argmax(axis=-1))
+    cut = at[2] + 1
+    left = left_sum[at]
+    # a constant feature's stable order is the identity, so this is the
+    # mean of its sorted residuals
+    mean = residuals.mean(axis=1)[:, None]
+    return (thresholds[at[1:]],
+            np.where(constant, mean, left / cut),
+            np.where(constant, mean, (prefix[..., -1] - left) / (n - cut)),
+            total_sq - np.where(constant, n * mean ** 2, gain[at]))
+
+
+# the running best over ascending features moves only for an SSE lower by
+# more than 1e-15, so a feature and its duplicate keep the first-listed one
+_keep_first = np.frompyfunc(lambda best, sse: sse if sse < best - 1e-15 else best, 2, 1)
 
 
 def boosted_stump_scores(features, targets, test_features, rounds=100, shrinkage=0.1):
     """(n_test, m) raw scores of additive squared-error stumps, one model per
-    column of the one-hot `targets`. Each feature is sorted and cut once for
-    every round and class; each stump is applied once, to train and test rows."""
-    n, d = features.shape
-    order = np.argsort(features, axis=0, kind="mergesort")
-    sorted_values = np.take_along_axis(features, order, axis=0)
-    cuts = [_cuts(sorted_values[:, feature]) for feature in range(d)]
-    rows = np.vstack([features, test_features])
-    raw = np.empty((rows.shape[0] - n, targets.shape[1]))
-    for j in range(targets.shape[1]):
-        target = targets[:, j]
-        current = np.full(rows.shape[0], float(target.mean()))
-        for _ in range(rounds):
-            residual = target - current[:n]
-            best = None
-            for feature in range(d):
-                # SSEs tie within 1e-15 below, so each must keep best_stump_split's bits
-                threshold, left, right, sse = _best_sorted_split(
-                    sorted_values[:, feature], cuts[feature], residual[order[:, feature]])
-                if best is None or sse < best[4] - 1e-15:
-                    best = (feature, threshold, left, right, sse)
-            feature, threshold, left, right, _ = best
-            step = left if threshold is None else np.where(
-                rows[:, feature] <= threshold, left, right)
-            current = current + shrinkage * step
-        raw[:, j] = current[n:]
-    return raw
+    column of the one-hot `targets`. Features are sorted and cut once per
+    run; each round scores every cut of every feature for all classes in one
+    pass and applies the m chosen stumps to the train and test rows at once."""
+    n = features.shape[0]
+    presorted = _presort(features)
+    rows = np.concatenate([features.T, test_features.T], axis=1)
+    targets = np.ascontiguousarray(targets.T)
+    current = np.repeat(targets.mean(axis=1)[:, None], rows.shape[1], axis=1)
+    classes = np.arange(targets.shape[0])
+    for _ in range(rounds):
+        threshold, left, right, sse = _best_splits(targets - current[:, :n], *presorted)
+        # the scan's final best SSE first appears at the feature it kept
+        best = _keep_first.reduce(sse, axis=1).astype(float)
+        feature = (sse == best[:, None]).argmax(axis=1)
+        chosen = classes, feature
+        current += np.where(rows[feature] <= threshold[chosen][:, None],
+                            shrinkage * left[chosen][:, None],
+                            shrinkage * right[chosen][:, None])
+    return current[:, n:].T.copy()
 
 
 def train_and_score(kind, split: SampleSplit, pool: DatasetPool, hyper=None,

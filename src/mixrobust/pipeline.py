@@ -143,6 +143,21 @@ def _execute_guarded(spec, pool, classifier, sampling):
         return RunFailure(spec.run_id, spec.replicate, spec.scenario, str(exc))
 
 
+def _check_pools(pools, m):
+    """Every pool must hold exactly the labels 1..m, and all pools one
+    feature width; raises ConfigError before any run is attempted."""
+    for level, pool in sorted(pools.items()):
+        missing = [j + 1 for j, rows in enumerate(pool.class_index) if rows.size == 0]
+        if pool.m != m or missing:
+            found = sorted(set(range(1, pool.m + 1)) - set(missing))
+            raise ConfigError(f"pool z2={level:g} has labels {found}; "
+                              f"the design needs exactly 1..{m}")
+    widths = {level: pool.d for level, pool in pools.items()}
+    if len(set(widths.values())) > 1:
+        raise ConfigError("pools differ in feature width: " + ", ".join(
+            f"z2={level:g} has d={d}" for level, d in sorted(widths.items())))
+
+
 def simulate_plan(plan: RunPlan, config: ExperimentConfig, jobs=1, pools=None):
     """Execute every run instance; returns (outcomes, failures) by run_id.
 
@@ -153,6 +168,7 @@ def simulate_plan(plan: RunPlan, config: ExperimentConfig, jobs=1, pools=None):
         raise ConfigError("the pipeline expects two covariates: the classifier "
                           "level and the pool level")
     pools = config.materialize_pools() if pools is None else pools
+    _check_pools(pools, plan.config.m)
     for spec in plan.runs:
         config.classifier_for(spec)
         if spec.covariates[1] not in pools:
@@ -194,12 +210,15 @@ def _parse_level_map(doc, where):
 
 
 def _parse_classifier(doc, where):
+    hyper = doc.get("hyper", {})
+    if not isinstance(hyper, dict):
+        raise ConfigError(f"{where}: hyper must be an object of numbers")
     try:
         kind = ClassifierKind.parse(_require(doc, "kind", where))
-        hyper = {str(k): float(v) for k, v in doc.get("hyper", {}).items()}
         resolve_hyper(kind, hyper)
     except ClassifierError as exc:
         raise ConfigError(f"{where}: {exc}") from None
+    hyper = {str(k): float(v) for k, v in hyper.items()}
     command = doc.get("command")
     if kind is ClassifierKind.EXTERNAL:
         if not command:

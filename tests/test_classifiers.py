@@ -4,8 +4,9 @@ import pytest
 from mixrobust import (ClassifierError, ClassifierKind, DatasetPool,
                        ExternalRunnerError, SampleSplit, SyntheticDataConfig,
                        auc_ovr, default_class_means, generate_pool, train_and_score)
-from mixrobust.classifiers import (_softmax, best_stump_split, boosted_stump_scores,
-                                   check_score_matrix, fit_logistic_ovr)
+from mixrobust.classifiers import (HYPER_DEFAULTS, _softmax, best_stump_split,
+                                   boosted_stump_scores, check_score_matrix,
+                                   fit_logistic_ovr, resolve_hyper)
 from mixrobust.seeding import generator
 
 
@@ -233,6 +234,18 @@ class TestBoostedStumpsOracle:
                                  pool, hyper={"rounds": rounds})
         assert scores.tobytes() == _softmax(expected_raw).tobytes()
 
+    @pytest.mark.parametrize("seed", [1, 3, 4, 11])
+    def test_unrounded_five_classes_equal_oracle_bits(self, seed):
+        # with unrounded features, the splits that isolate one extreme row tie
+        # across features, so the bits of each feature's SSE pick the winner
+        rng = generator(seed, "stump-oracle-m5")
+        features = rng.normal(size=(120, 4))
+        labels = rng.integers(1, 6, size=120)
+        test = rng.normal(size=(30, 4))
+        onehot = (labels[:, None] == np.arange(1, 6)).astype(float)
+        raw = boosted_stump_scores(features, onehot, test, rounds=40)
+        assert raw.tobytes() == oracle_boosted_raw(features, labels, test, 5, 40).tobytes()
+
     def test_constant_features_only(self):
         features = np.ones((12, 2))
         labels = np.array([1, 2, 3] * 4)
@@ -254,6 +267,32 @@ class TestHyperKeys:
         train = np.arange(pool.n)
         with pytest.raises(ClassifierError, match=allowed):
             train_and_score(kind, split_of(train, train), pool, hyper=hyper)
+
+    @pytest.mark.parametrize("kind,hyper,rule", [
+        ("logistic", {"epochs": -5}, "'epochs' must be an integer >= 0"),
+        ("logistic", {"epochs": 2.5}, "'epochs' must be an integer >= 0"),
+        ("logistic", {"epochs": "many"}, "'epochs' must be an integer >= 0"),
+        ("logistic", {"step": 0.0}, "'step' must be finite and > 0"),
+        ("logistic", {"step": float("inf")}, "'step' must be finite and > 0"),
+        ("logistic", {"l2": -1e-4}, "'l2' must be finite and >= 0"),
+        ("logistic", {"l2": float("nan")}, "'l2' must be finite and >= 0"),
+        ("boosted_stumps", {"rounds": 2.7}, "'rounds' must be an integer >= 0"),
+        ("boosted_stumps", {"rounds": True}, "'rounds' must be an integer >= 0"),
+        ("boosted_stumps", {"shrinkage": -0.1}, "'shrinkage' must be finite and > 0"),
+        ("boosted_stumps", {"shrinkage": 10 ** 400}, "'shrinkage' must be finite and > 0"),
+    ])
+    def test_out_of_range_value_rejected(self, kind, hyper, rule):
+        pool = two_class_pool(n_per_class=20)
+        train = np.arange(pool.n)
+        with pytest.raises(ClassifierError, match=rule):
+            train_and_score(kind, split_of(train, train), pool, hyper=hyper)
+
+    @pytest.mark.parametrize("kind,hyper", [
+        (ClassifierKind.LOGISTIC, {"epochs": 0, "step": 1e-3, "l2": 0.0}),
+        (ClassifierKind.BOOSTED_STUMPS, {"rounds": 3.0, "shrinkage": np.float64(0.5)}),
+    ])
+    def test_boundary_values_accepted(self, kind, hyper):
+        assert resolve_hyper(kind, hyper) == {**HYPER_DEFAULTS[kind], **hyper}
 
 
 class TestScoreMatrixFinite:

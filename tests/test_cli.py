@@ -97,6 +97,29 @@ class TestSimulateCommand:
         assert allowed in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("level,entry", [
+        ("1", {"kind": "logistic", "hyper": {"epochs": -5}}),
+        ("0", {"kind": "boosted_stumps", "hyper": {"rounds": 2.7}}),
+        ("1", {"kind": "logistic", "hyper": {"epochs": "many"}}),
+        ("1", {"kind": "logistic", "hyper": [1]}),
+    ])
+    def test_bad_hyper_value_exits_config(self, tmp_path, capsys, level, entry):
+        doc = small_config_doc()
+        doc["classifiers"][level] = entry
+        config_path = write_config(tmp_path, doc)
+        assert main(["simulate", "--config", str(config_path)]) == EXIT_CONFIG
+        assert f"classifiers[{level}]" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_pool_class_count_mismatch_exits_config(self, tmp_path, capsys):
+        doc = small_config_doc()
+        doc["pools"]["1"]["synthetic"].update(m=4, d=4)
+        config_path = write_config(tmp_path, doc)
+        assert main(["simulate", "--config", str(config_path), "--jobs", "1"]) == EXIT_CONFIG
+        assert "the design needs exactly 1..3" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "outcomes.csv").exists()
+        assert not (tmp_path / "out" / "failures.csv").exists()
+
     def test_external_kind_refused_by_simulate(self, tmp_path):
         doc = small_config_doc()
         doc["classifiers"]["1"] = {"kind": "external", "command": ["true"]}

@@ -78,6 +78,21 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=rf"classifiers\[{level}\]: .*{match}"):
             parse_experiment_config(doc, tmp_path)
 
+    @pytest.mark.parametrize("level,entry,match", [
+        ("1", {"kind": "logistic", "hyper": {"epochs": -5}}, "'epochs' must be an integer >= 0"),
+        ("0", {"kind": "boosted_stumps", "hyper": {"rounds": 2.7}},
+         "'rounds' must be an integer >= 0"),
+        ("1", {"kind": "logistic", "hyper": {"epochs": "many"}}, "got 'many'"),
+        ("1", {"kind": "logistic", "hyper": {"step": True}}, "'step' must be finite and > 0"),
+        ("1", {"kind": "logistic", "hyper": [1]}, "hyper must be an object"),
+        ("0", {"kind": "boosted_stumps", "hyper": "fast"}, "hyper must be an object"),
+    ])
+    def test_bad_hyper_value_rejected(self, tmp_path, level, entry, match):
+        doc = small_config_doc()
+        doc["classifiers"][level] = entry
+        with pytest.raises(ConfigError, match=rf"classifiers\[{level}\]: .*{match}"):
+            parse_experiment_config(doc, tmp_path)
+
     def test_hyper_keeps_only_given_keys(self, tmp_path):
         config = parse_experiment_config(small_config_doc(), tmp_path)
         assert config.classifiers[1.0].hyper == (("epochs", 80.0),)
@@ -173,6 +188,36 @@ class TestSimulatePlan:
         plan = build_run_plan(design, config.scenarios)
         with pytest.raises(ConfigError, match="two covariates"):
             simulate_plan(plan, config, jobs=1)
+
+
+class TestPoolsMatchDesign:
+    """A pool that cannot serve the design is a config error before any run."""
+
+    @staticmethod
+    def _simulate(tmp_path, pool_entry):
+        doc = small_config_doc(n_per_class=60)
+        doc["pools"]["1"] = pool_entry
+        config = parse_experiment_config(doc, tmp_path)
+        return simulate_plan(build_run_plan(config.design, config.scenarios), config, jobs=1)
+
+    @pytest.mark.parametrize("synthetic,match", [
+        ({"m": 4, "d": 4}, r"pool z2=1 has labels \[1, 2, 3, 4\]; the design needs exactly 1..3"),
+        ({"m": 2}, r"pool z2=1 has labels \[1, 2\]"),
+        ({"d": 4}, "pools differ in feature width: z2=0 has d=3, z2=1 has d=4"),
+    ])
+    def test_mismatched_synthetic_pool_rejected(self, tmp_path, synthetic, match):
+        entry = {"m": 3, "d": 3, "n_per_class": 60, "seed": 11, **synthetic}
+        with pytest.raises(ConfigError, match=match):
+            self._simulate(tmp_path, {"synthetic": entry})
+
+    def test_csv_pool_missing_a_label_rejected(self, tmp_path):
+        from mixrobust import DatasetPool, write_pool_csv
+
+        rng = np.random.default_rng(0)
+        write_pool_csv(DatasetPool(features=rng.normal(size=(60, 3)),
+                                   labels=np.repeat([1, 3], 30)), tmp_path / "pool.csv")
+        with pytest.raises(ConfigError, match=r"pool z2=1 has labels \[1, 3\]"):
+            self._simulate(tmp_path, {"csv": "pool.csv"})
 
 
 class TestPoolSpecMaterialization:
