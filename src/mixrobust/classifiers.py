@@ -166,38 +166,55 @@ def _softmax(logits):
 
 
 def _onehot(labels, m):
-    out = np.zeros((labels.size, m))
-    out[np.arange(labels.size), labels - 1] = 1.0
-    return out
+    """(..., n, m) indicators of the 1-based (..., n) labels."""
+    return (labels[..., None] == np.arange(1, m + 1)).astype(float)
 
 
 def logistic_loss(weights, features_b, targets, l2):
     z = features_b @ weights
     # log(1 + exp(-|z|)) form keeps the loss finite for large margins
     per = np.logaddexp(0.0, z) - targets * z
-    return per.mean() + 0.5 * l2 * np.sum(weights[:-1] ** 2)
+    return (per.mean(axis=(-2, -1))
+            + 0.5 * l2 * np.sum(weights[..., :-1, :] ** 2, axis=(-2, -1)))
 
 
 def fit_logistic_ovr(features, labels, m, epochs=500, step=0.1, l2=1e-4,
                      loss_every=0):
     """One-vs-rest logistic weights via full-batch gradient descent.
 
-    All class columns train jointly (the loss separates per class). Returns
+    All class columns train jointly (the loss separates per class). Leading
+    axes stack independent fits: (..., n, d) features and (..., n) labels
+    give (..., d + 1, m) weights, each equal bit for bit to its own
+    unstacked fit. That holds because every product is one gemm per fit on
+    the same operands: the transposed features stay a `swapaxes` view, not
+    a contiguous copy, which would be summed in another order. Returns
     (weights, losses); losses is populated every `loss_every` epochs when
-    that is nonzero.
+    that is nonzero, one value per fit.
     """
     features = np.asarray(features, dtype=float)
-    n = features.shape[0]
-    features_b = np.hstack([features, np.ones((n, 1))])
+    n = features.shape[-2]
+    features_b = np.concatenate([features, np.ones(features.shape[:-1] + (1,))],
+                                axis=-1)
+    features_t = np.swapaxes(features_b, -1, -2)
     targets = _onehot(np.asarray(labels, dtype=int), m)
-    weights = np.zeros((features_b.shape[1], m))
+    weights = np.zeros(features_b.shape[:-2] + (features_b.shape[-1], m))
+    # one (..., n, m) block for every epoch: fresh blocks of this size cost
+    # page faults at large n
+    probs = np.empty(targets.shape)
     losses = []
     for epoch in range(epochs):
         if loss_every and epoch % loss_every == 0:
             losses.append(logistic_loss(weights, features_b, targets, l2))
-        probs = 1.0 / (1.0 + np.exp(-(features_b @ weights)))
-        grad = features_b.T @ (probs - targets) / n
-        grad[:-1] += l2 * weights[:-1]
+        # probs = 1 / (1 + exp(-(features_b @ weights))) - targets
+        np.matmul(features_b, weights, out=probs)
+        np.negative(probs, out=probs)
+        np.exp(probs, out=probs)
+        probs += 1.0
+        np.divide(1.0, probs, out=probs)
+        probs -= targets
+        grad = features_t @ probs
+        grad /= n
+        grad[..., :-1, :] += l2 * weights[..., :-1, :]
         weights -= step * grad
     if loss_every:
         losses.append(logistic_loss(weights, features_b, targets, l2))
@@ -310,34 +327,88 @@ def train_and_score(kind, split: SampleSplit, pool: DatasetPool, hyper=None,
 
     Returns an (n_test, m) row-stochastic score matrix. EXTERNAL delegates
     to `command` via the file protocol; `workdir` defaults to a fresh
-    temporary directory.
+    temporary directory. This is the one-split call of
+    `train_and_score_batch`, and raises what that returns as the error.
     """
-    kind = kind if isinstance(kind, ClassifierKind) else ClassifierKind.parse(kind)
-    settings = resolve_hyper(kind, hyper)
-    if kind is ClassifierKind.EXTERNAL:
-        if command is None:
-            raise ClassifierError("external classifier needs a command")
-        return run_external(command, split, pool, workdir=workdir)
+    [result] = train_and_score_batch(kind, [split], pool, hyper=hyper,
+                                     command=command, workdir=workdir)
+    if isinstance(result, Exception):
+        raise result
+    return result
 
-    train = np.asarray(split.train_indices, dtype=int)
-    features, labels = pool.features[train], pool.labels[train]
-    if np.unique(labels).size < 2:
-        raise ClassifierError("training multiset covers fewer than 2 classes")
-    test_features = pool.features[np.asarray(split.test_indices, dtype=int)]
-    if kind is ClassifierKind.LOGISTIC:
-        weights, _ = fit_logistic_ovr(features, labels, pool.m,
+
+def train_and_score_batch(kind, splits, pool: DatasetPool, hyper=None,
+                          command=None, workdir=None):
+    """`train_and_score` for every split of one pool. Returns, per split, its
+    score matrix or the ClassifierError or ExternalRunnerError it raised, so
+    one split's failure leaves the others' scores as they would be alone.
+
+    Logistic splits that draw the same number of training rows train as one
+    stacked gradient descent; boosted stumps and external runners go one
+    split at a time.
+    """
+    try:
+        kind = kind if isinstance(kind, ClassifierKind) else ClassifierKind.parse(kind)
+        settings = resolve_hyper(kind, hyper)
+    except ClassifierError as exc:
+        return [exc] * len(splits)
+    if kind is ClassifierKind.EXTERNAL:
+        return [_caught(run_external, command, split, pool, workdir=workdir)
+                for split in splits]
+
+    results = [_caught(_training_rows, split, pool) for split in splits]
+    trainable = [i for i, rows in enumerate(results) if not isinstance(rows, Exception)]
+    if kind is ClassifierKind.BOOSTED_STUMPS:
+        for i in trainable:
+            results[i] = _caught(_boosted_stump_result, results[i], splits[i], pool,
+                                 int(settings["rounds"]), float(settings["shrinkage"]))
+        return results
+    stacks = {}
+    for i in trainable:
+        stacks.setdefault(results[i].size, []).append(i)
+    for stack in stacks.values():
+        train = np.stack([results[i] for i in stack])
+        weights, _ = fit_logistic_ovr(pool.features[train], pool.labels[train], pool.m,
                                       epochs=int(settings["epochs"]),
                                       step=float(settings["step"]),
                                       l2=float(settings["l2"]))
-        scores = logistic_scores(weights, test_features)
-    elif kind is ClassifierKind.BOOSTED_STUMPS:
-        scores = _softmax(boosted_stump_scores(features, _onehot(labels, pool.m),
-                                               test_features,
-                                               rounds=int(settings["rounds"]),
-                                               shrinkage=float(settings["shrinkage"])))
-    else:  # pragma: no cover
-        raise ClassifierError(f"unhandled classifier kind {kind}")
-    return check_score_matrix(scores, pool.m)
+        for i, run_weights in zip(stack, weights):
+            results[i] = _caught(_logistic_result, run_weights, splits[i], pool)
+    return results
+
+
+def _caught(call, *args, **kwargs):
+    """call(*args, **kwargs), or the ClassifierError or ExternalRunnerError it raised."""
+    try:
+        return call(*args, **kwargs)
+    except (ClassifierError, ExternalRunnerError) as exc:
+        return exc
+
+
+def _training_rows(split: SampleSplit, pool: DatasetPool):
+    train = np.asarray(split.train_indices, dtype=int)
+    if np.unique(pool.labels[train]).size < 2:
+        raise ClassifierError("training multiset covers fewer than 2 classes")
+    return train
+
+
+def _test_features(split: SampleSplit, pool: DatasetPool):
+    return pool.features[np.asarray(split.test_indices, dtype=int)]
+
+
+def _boosted_stump_result(train, split, pool, rounds, shrinkage):
+    raw = boosted_stump_scores(pool.features[train], _onehot(pool.labels[train], pool.m),
+                               _test_features(split, pool), rounds=rounds,
+                               shrinkage=shrinkage)
+    return check_score_matrix(_softmax(raw), pool.m)
+
+
+def _logistic_result(weights, split, pool):
+    if not np.isfinite(weights).all():
+        raise ClassifierError("logistic weights are not finite; the gradient "
+                              "descent diverged")
+    return check_score_matrix(logistic_scores(weights, _test_features(split, pool)),
+                              pool.m)
 
 
 def _write_split_csv(path, pool: DatasetPool, indices):
@@ -354,6 +425,8 @@ def run_external(command, split: SampleSplit, pool: DatasetPool, workdir=None):
     within 1e-6)."""
     import tempfile
 
+    if command is None:
+        raise ClassifierError("external classifier needs a command")
     command = [str(part) for part in (command if isinstance(command, (list, tuple))
                                       else [command])]
     with tempfile.TemporaryDirectory() as tmp:

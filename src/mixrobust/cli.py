@@ -22,8 +22,9 @@ from .fileio import atomic_write_text
 from .metrics import MetricsError, read_outcomes_csv, write_outcomes_csv
 from .mixmodel import (ModelError, build_design_matrix, dataset_from_outcomes,
                        fit_ols, fit_report, write_fit_report)
-from .pipeline import (ConfigError, ExperimentConfig, parse_experiment_config,
-                       resolve_jobs, simulate_plan, with_master_seed)
+from .pipeline import (ConfigError, ExperimentConfig, checked_pools,
+                       parse_experiment_config, resolve_jobs, simulate_plan,
+                       with_master_seed)
 from .shapley import shap_report, write_phi_csv, write_shap_json
 from .ternary import (TernaryGrid, grid_predict, simplex_lattice, write_grid_csv,
                       write_ternary_svg)
@@ -160,13 +161,16 @@ def _execute(config, args, allow_external):
                              f"classifiers[{level:g}] is external; use `run`, "
                              "not `simulate`")
     plan = _build_plan(config, args)
+    # every config check runs before the first file is written
+    try:
+        pools = checked_pools(plan, config)
+        jobs = resolve_jobs(args.jobs)
+    except ConfigError as exc:
+        raise CliFailure(EXIT_CONFIG, str(exc)) from None
     write_plan_csv(plan, config.output_dir / "plan.csv")
     atomic_write_text(config.output_dir / "run_metadata.json",
                       json.dumps(_run_metadata(config), indent=2) + "\n")
-    try:
-        outcomes, failures = simulate_plan(plan, config, jobs=resolve_jobs(args.jobs))
-    except ConfigError as exc:
-        raise CliFailure(EXIT_CONFIG, str(exc)) from None
+    outcomes, failures = simulate_plan(plan, config, jobs=jobs, pools=pools)
     path = config.output_dir / "outcomes.csv"
     write_outcomes_csv(outcomes, config.design.m, config.design.h, path)
     print(f"wrote {path} ({len(outcomes)} outcomes)")

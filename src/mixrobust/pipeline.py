@@ -3,8 +3,9 @@
 Each run instance samples its split, trains the classifier mapped to its
 algorithm covariate level on the pool mapped to its dataset covariate
 level, and scores the test set into per-class AUCs. Instances derive all
-randomness from their own seed, so any run reproduces in isolation and
-the worker pool's scheduling cannot change results.
+randomness from their own seed, so any run reproduces in isolation, and
+neither the batch a run executes in nor the worker pool's scheduling can
+change results.
 """
 
 from __future__ import annotations
@@ -14,15 +15,18 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .classifiers import (ClassifierError, ClassifierKind, ExternalRunnerError,
-                          SyntheticDataConfig, default_class_means, generate_pool,
-                          resolve_hyper, train_and_score)
+from .classifiers import (ClassifierError, ClassifierKind, SyntheticDataConfig,
+                          default_class_means, generate_pool, resolve_hyper,
+                          train_and_score, train_and_score_batch)
 from .design import ALL_SCENARIOS, DesignConfig, DesignError, RunPlan, RunSpec, TestScenario
 from .metrics import MetricsError, RunOutcome, auc_ovr
 from .sampling import DatasetPool, SamplingConfig, SamplingError, compose_split, load_pool_csv
 from .seeding import generator
 
 JOBS_ENV_VAR = "MIXROBUST_JOBS"
+# runs of one (classifier, pool) group that execute together, one batch per
+# worker task
+BATCH_SIZE = 8
 
 
 class ConfigError(ValueError):
@@ -91,16 +95,56 @@ class RunFailure:
 def execute_run(spec: RunSpec, pool: DatasetPool, classifier: ClassifierSpec,
                 sampling: SamplingConfig) -> RunOutcome:
     """Sample, train, score and reduce one run instance to its outcome."""
-    split = compose_split(pool, spec.train_mixture, spec.test_mixture, sampling,
-                          train_rng=generator(spec.seed, "train"),
-                          test_rng=generator(spec.seed, "test"))
+    split = _draw(spec, pool, sampling)
     scores = train_and_score(classifier.kind, split, pool,
                              hyper=classifier.hyper_dict,
                              command=classifier.command)
+    return _outcome(spec, split, scores, pool)
+
+
+def execute_batch(specs, pool: DatasetPool, classifier: ClassifierSpec,
+                  sampling: SamplingConfig):
+    """`execute_run` for runs that share the classifier and the pool.
+
+    Every run samples with its own seeds, the splits that survive train
+    together, and each run's AUCs come from its own scores. Returns one
+    RunOutcome, or a RunFailure naming the error that run raised, per spec.
+    """
+    results = [None] * len(specs)
+    drawn = []
+    for i, spec in enumerate(specs):
+        try:
+            drawn.append((i, _draw(spec, pool, sampling)))
+        except SamplingError as exc:
+            results[i] = _failure(spec, exc)
+    scored = train_and_score_batch(classifier.kind, [split for _, split in drawn], pool,
+                                   hyper=classifier.hyper_dict, command=classifier.command)
+    for (i, split), scores in zip(drawn, scored):
+        if isinstance(scores, Exception):
+            results[i] = _failure(specs[i], scores)
+            continue
+        try:
+            results[i] = _outcome(specs[i], split, scores, pool)
+        except MetricsError as exc:
+            results[i] = _failure(specs[i], exc)
+    return results
+
+
+def _draw(spec, pool, sampling):
+    return compose_split(pool, spec.train_mixture, spec.test_mixture, sampling,
+                         train_rng=generator(spec.seed, "train"),
+                         test_rng=generator(spec.seed, "test"))
+
+
+def _outcome(spec, split, scores, pool):
     test_labels = pool.labels[split.test_indices]
     aucs = [auc_ovr(scores, test_labels, j) for j in range(1, pool.m + 1)]
     return RunOutcome.from_aucs(spec.run_id, spec.replicate, spec.scenario,
                                 spec.covariates, spec.train_mixture, aucs)
+
+
+def _failure(spec, exc):
+    return RunFailure(spec.run_id, spec.replicate, spec.scenario, str(exc))
 
 
 def resolve_jobs(jobs=None):
@@ -128,19 +172,20 @@ def _init_worker(pools, classifiers, sampling):
     _WORKER_STATE["sampling"] = sampling
 
 
-def _run_in_worker(spec: RunSpec):
-    pools = _WORKER_STATE["pools"]
-    classifiers = _WORKER_STATE["classifiers"]
-    sampling = _WORKER_STATE["sampling"]
-    return _execute_guarded(spec, pools[spec.covariates[1]],
-                            classifiers[spec.covariates[0]], sampling)
+def _execute_batch_in_worker(specs):
+    z1, z2 = specs[0].covariates[:2]
+    return execute_batch(specs, _WORKER_STATE["pools"][z2],
+                         _WORKER_STATE["classifiers"][z1], _WORKER_STATE["sampling"])
 
 
-def _execute_guarded(spec, pool, classifier, sampling):
-    try:
-        return execute_run(spec, pool, classifier, sampling)
-    except (SamplingError, ClassifierError, MetricsError, ExternalRunnerError) as exc:
-        return RunFailure(spec.run_id, spec.replicate, spec.scenario, str(exc))
+def plan_batches(runs):
+    """The runs grouped by (classifier level, pool level) in plan order, each
+    group cut into batches of BATCH_SIZE."""
+    groups = {}
+    for spec in runs:
+        groups.setdefault(spec.covariates[:2], []).append(spec)
+    return [group[start:start + BATCH_SIZE] for group in groups.values()
+            for start in range(0, len(group), BATCH_SIZE)]
 
 
 def _check_pools(pools, m):
@@ -158,12 +203,10 @@ def _check_pools(pools, m):
             f"z2={level:g} has d={d}" for level, d in sorted(widths.items())))
 
 
-def simulate_plan(plan: RunPlan, config: ExperimentConfig, jobs=1, pools=None):
-    """Execute every run instance; returns (outcomes, failures) by run_id.
-
-    Results are collected and ordered by run_id, so output does not depend
-    on worker scheduling.
-    """
+def checked_pools(plan: RunPlan, config: ExperimentConfig, pools=None):
+    """The pools the plan runs on, materialised unless given, once every run
+    has a classifier, a matching pool and a scenario. Raises ConfigError or
+    DesignError before any run is attempted."""
     if plan.config.h < 2:
         raise ConfigError("the pipeline expects two covariates: the classifier "
                           "level and the pool level")
@@ -175,19 +218,30 @@ def simulate_plan(plan: RunPlan, config: ExperimentConfig, jobs=1, pools=None):
             raise ConfigError(f"no pool assigned to z2={spec.covariates[1]:g}")
         if spec.scenario is None or spec.test_mixture is None:
             raise DesignError(f"run {spec.run_id} has no scenario assignment")
+    return pools
 
+
+def simulate_plan(plan: RunPlan, config: ExperimentConfig, jobs=1, pools=None):
+    """Execute every run instance; returns (outcomes, failures) by run_id.
+
+    Runs execute in `plan_batches`, serially or one batch per worker task.
+    Results are collected and ordered by run_id, so output depends on
+    neither the batches nor worker scheduling.
+    """
+    pools = checked_pools(plan, config, pools)
+    batches = plan_batches(plan.runs)
     jobs = resolve_jobs(jobs)
-    if jobs == 1 or len(plan.runs) <= 1:
-        results = [
-            _execute_guarded(spec, pools[spec.covariates[1]],
-                             config.classifier_for(spec), config.sampling)
-            for spec in plan.runs
-        ]
+    if jobs == 1 or len(batches) <= 1:
+        results = [result for batch in batches
+                   for result in execute_batch(batch, pools[batch[0].covariates[1]],
+                                               config.classifier_for(batch[0]),
+                                               config.sampling)]
     else:
         with ProcessPoolExecutor(
                 max_workers=jobs, initializer=_init_worker,
                 initargs=(pools, config.classifiers, config.sampling)) as executor:
-            results = list(executor.map(_run_in_worker, plan.runs, chunksize=8))
+            results = [result for batch in executor.map(_execute_batch_in_worker, batches)
+                       for result in batch]
 
     outcomes = sorted((r for r in results if isinstance(r, RunOutcome)),
                       key=lambda o: o.run_id)

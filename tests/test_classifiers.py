@@ -6,7 +6,8 @@ from mixrobust import (ClassifierError, ClassifierKind, DatasetPool,
                        auc_ovr, default_class_means, generate_pool, train_and_score)
 from mixrobust.classifiers import (HYPER_DEFAULTS, _softmax, best_stump_split,
                                    boosted_stump_scores, check_score_matrix,
-                                   fit_logistic_ovr, resolve_hyper)
+                                   fit_logistic_ovr, resolve_hyper,
+                                   train_and_score_batch)
 from mixrobust.seeding import generator
 
 
@@ -84,6 +85,102 @@ class TestLogistic:
                                      epochs=500, loss_every=50)
         assert len(losses) == 11
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
+
+
+def oracle_logistic_weights(features, labels, m, epochs=500, step=0.1, l2=1e-4):
+    """The one-fit gradient descent the stacked fit replaced."""
+    n = features.shape[0]
+    features_b = np.hstack([features, np.ones((n, 1))])
+    targets = np.zeros((n, m))
+    targets[np.arange(n), labels - 1] = 1.0
+    weights = np.zeros((features_b.shape[1], m))
+    for _ in range(epochs):
+        probs = 1.0 / (1.0 + np.exp(-(features_b @ weights)))
+        grad = features_b.T @ (probs - targets) / n
+        grad[:-1] += l2 * weights[:-1]
+        weights -= step * grad
+    return weights
+
+
+def overflow_pool():
+    """A two-class pool whose rows 80..159 repeat rows 0..79 scaled by 1e308,
+    so a fit on them overflows."""
+    base = two_class_pool(n_per_class=40)
+    return DatasetPool(features=np.vstack([base.features, base.features * 1e308]),
+                       labels=np.concatenate([base.labels, base.labels]))
+
+
+class TestStackedLogistic:
+    @pytest.mark.parametrize("batch,n,epochs", [(8, 300, 500), (8, 1500, 20), (3, 7, 0)])
+    def test_stack_equals_oracle_bits(self, batch, n, epochs):
+        rng = generator(21, "stack")
+        features = rng.normal(size=(batch, n, 3))
+        labels = rng.integers(1, 4, size=(batch, n))
+        weights, _ = fit_logistic_ovr(features, labels, 3, epochs=epochs)
+        assert weights.shape == (batch, 4, 3)
+        for fit, x, y in zip(weights, features, labels):
+            assert fit.tobytes() == oracle_logistic_weights(x, y, 3, epochs).tobytes()
+
+    def test_stacked_losses_equal_single_fit_losses(self):
+        rng = generator(22, "stack")
+        features = rng.normal(size=(4, 50, 2))
+        labels = rng.integers(1, 3, size=(4, 50))
+        _, losses = fit_logistic_ovr(features, labels, 2, epochs=40, loss_every=10)
+        for i in range(4):
+            _, alone = fit_logistic_ovr(features[i], labels[i], 2, epochs=40, loss_every=10)
+            assert [loss[i] for loss in losses] == alone
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_fit_leaves_neighbours_bits(self):
+        pool = overflow_pool()
+        rows = np.stack([np.arange(80), np.arange(80, 160), np.arange(80)[::-1]])
+        weights, _ = fit_logistic_ovr(pool.features[rows], pool.labels[rows], 2,
+                                      epochs=50)
+        assert not np.isfinite(weights[1]).all()
+        for i in (0, 2):
+            expected = oracle_logistic_weights(pool.features[rows[i]],
+                                               pool.labels[rows[i]], 2, epochs=50)
+            assert weights[i].tobytes() == expected.tobytes()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_batch_fails_only_the_diverged_split(self):
+        pool = overflow_pool()
+        test = np.arange(0, 80, 3)
+        splits = [split_of(np.arange(80), test), split_of(np.arange(80, 160), test),
+                  split_of(np.arange(80)[::-1], test)]
+        results = train_and_score_batch("logistic", splits, pool, hyper={"epochs": 50})
+        assert isinstance(results[1], ClassifierError)
+        assert "logistic weights are not finite" in str(results[1])
+        for i in (0, 2):
+            alone = train_and_score("logistic", splits[i], pool, hyper={"epochs": 50})
+            assert results[i].tobytes() == alone.tobytes()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverging_step_names_the_weights(self):
+        pool = two_class_pool(n_per_class=40)
+        train = np.arange(pool.n)
+        with pytest.raises(ClassifierError, match="logistic weights are not finite"):
+            train_and_score("logistic", split_of(train, train), pool, hyper={"step": 1e300})
+
+    @pytest.mark.parametrize("kind,hyper", [
+        ("logistic", {"epochs": 60}),
+        ("boosted_stumps", {"rounds": 10}),
+    ])
+    def test_batch_equals_one_split_calls(self, kind, hyper):
+        cfg = SyntheticDataConfig(m=3, d=3, n_per_class=40,
+                                  class_means=default_class_means(3, 3), seed=4)
+        pool = generate_pool(cfg)
+        rng = generator(23, "batch")
+        test = np.arange(0, pool.n, 5)
+        splits = [split_of(rng.integers(0, pool.n, size=60), test),
+                  split_of(pool.class_index[1][:60 // 2].repeat(2), test),
+                  split_of(rng.integers(0, pool.n, size=60), test),
+                  split_of(rng.integers(0, pool.n, size=45), test)]
+        results = train_and_score_batch(kind, splits, pool, hyper=hyper)
+        assert str(results[1]) == "training multiset covers fewer than 2 classes"
+        for i in (0, 2, 3):
+            alone = train_and_score(kind, splits[i], pool, hyper=hyper)
+            assert results[i].tobytes() == alone.tobytes()
 
 
 class TestBoostedStumps:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import xml.etree.ElementTree as ET
 
@@ -117,8 +118,8 @@ class TestSimulateCommand:
         config_path = write_config(tmp_path, doc)
         assert main(["simulate", "--config", str(config_path), "--jobs", "1"]) == EXIT_CONFIG
         assert "the design needs exactly 1..3" in capsys.readouterr().err
-        assert not (tmp_path / "out" / "outcomes.csv").exists()
-        assert not (tmp_path / "out" / "failures.csv").exists()
+        for name in ("plan.csv", "run_metadata.json", "outcomes.csv", "failures.csv"):
+            assert not (tmp_path / "out" / name).exists()
 
     def test_external_kind_refused_by_simulate(self, tmp_path):
         doc = small_config_doc()
@@ -129,9 +130,15 @@ class TestSimulateCommand:
     def test_failures_exit_numeric(self, tmp_path):
         doc = small_config_doc(n_per_class=40)
         config_path = write_config(tmp_path, doc)
-        code = main(["simulate", "--config", str(config_path), "--jobs", "1"])
-        assert code == EXIT_NUMERIC
-        assert (tmp_path / "out" / "failures.csv").exists()
+        for jobs in ("1", "2"):
+            out = tmp_path / f"out{jobs}"
+            code = main(["simulate", "--config", str(config_path), "--jobs", jobs,
+                         "--out", str(out)])
+            assert code == EXIT_NUMERIC
+            # the file as the one-run-at-a-time executor wrote it: 64 failures,
+            # 36 single-class training draws and 28 single-class test draws
+            assert hashlib.sha256((out / "failures.csv").read_bytes()).hexdigest() == (
+                "873b352ddfe3a511fbdf3400f4f42359c0f0fea1a737639a94cac7c0fc41d01c")
 
 
 class TestAnalyzeCommand:

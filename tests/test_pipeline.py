@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from mixrobust import (ClassifierKind, ConfigError, DesignConfig, RunFailure,
-                       SamplingConfig, build_run_plan, execute_run,
-                       parse_experiment_config, simulate_plan)
+from mixrobust import (ClassifierError, ClassifierKind, ConfigError, DesignConfig,
+                       MetricsError, RunFailure, SamplingConfig, SamplingError,
+                       build_run_plan, execute_run, parse_experiment_config,
+                       simulate_plan)
 from mixrobust.classifiers import SyntheticDataConfig, default_class_means, generate_pool
-from mixrobust.pipeline import resolve_jobs, with_master_seed
+from mixrobust.pipeline import plan_batches, resolve_jobs, with_master_seed
 
 
 def small_config_doc(n_per_class=400, replicates=1, master_seed=99):
@@ -188,6 +189,60 @@ class TestSimulatePlan:
         plan = build_run_plan(design, config.scenarios)
         with pytest.raises(ConfigError, match="two covariates"):
             simulate_plan(plan, config, jobs=1)
+
+
+class TestBatches:
+    """Runs execute in batches that share a classifier and a pool; results
+    must not depend on batch makeup or on the worker count."""
+
+    def test_batches_group_runs_in_plan_order(self, tmp_path):
+        config = parse_experiment_config(small_config_doc(), tmp_path)
+        plan = build_run_plan(config.design, config.scenarios)
+        batches = plan_batches(plan.runs)
+        assert [len(b) for b in batches] == [8, 8, 5] * 4
+        for batch in batches:
+            assert len({spec.covariates for spec in batch}) == 1
+        for z in {spec.covariates for spec in plan.runs}:
+            group = [spec for spec in plan.runs if spec.covariates == z]
+            assert [s for b in batches if b[0].covariates == z for s in b] == group
+
+    @staticmethod
+    def _alone(spec, pools, config):
+        """("ok", aucs), or the error type and reason, of one execute_run."""
+        try:
+            outcome = execute_run(spec, pools[spec.covariates[1]],
+                                  config.classifier_for(spec), config.sampling)
+        except (SamplingError, ClassifierError, MetricsError) as exc:
+            return type(exc), str(exc)
+        return "ok", outcome.aucs
+
+    def test_mixed_batches_equal_runs_alone(self, tmp_path, monkeypatch):
+        # test rows near the class sizes: some test draws fall short, and
+        # dominant-class training draws miss the rare classes
+        monkeypatch.delenv("MIXROBUST_JOBS", raising=False)
+        doc = small_config_doc(n_per_class=50)
+        doc["sampling"]["test_frac"] = 0.3
+        config = parse_experiment_config(doc, tmp_path)
+        plan = build_run_plan(config.design, config.scenarios)
+        pools = config.materialize_pools()
+        alone = {spec.run_id: self._alone(spec, pools, config) for spec in plan.runs}
+
+        picked = []
+        for z in [(1.0, 1.0), (0.0, 1.0)]:  # logistic, boosted stumps
+            by_status = {}
+            for spec in plan.runs:
+                if spec.covariates == z:
+                    by_status.setdefault(alone[spec.run_id][0], []).append(spec)
+            good = by_status["ok"]
+            picked += [good[0], by_status[SamplingError][0], good[1],
+                       by_status[ClassifierError][0], good[2]]
+        plan.runs = picked
+        assert [len(b) for b in plan_batches(plan.runs)] == [5, 5]
+        for jobs in (1, 2):
+            outcomes, failures = simulate_plan(plan, config, jobs=jobs)
+            got = {o.run_id: o.aucs for o in outcomes}
+            got.update({f.run_id: f.reason for f in failures})
+            assert got == {spec.run_id: alone[spec.run_id][1] for spec in picked}
 
 
 class TestPoolsMatchDesign:

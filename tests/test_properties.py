@@ -4,10 +4,12 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mixrobust import DatasetPool, SamplingConfig, SamplingError, class_counts, compose_split
-from mixrobust.classifiers import boosted_stump_scores
+from mixrobust import (DatasetPool, SamplingConfig, SamplingError, auc_ovr, class_counts,
+                       compose_split)
+from mixrobust.classifiers import boosted_stump_scores, fit_logistic_ovr
+from mixrobust.metrics import midranks
 
-from test_classifiers import oracle_boosted_raw
+from test_classifiers import oracle_boosted_raw, oracle_logistic_weights
 
 fixed = settings(derandomize=True, deadline=None, max_examples=150)
 
@@ -81,3 +83,68 @@ def test_compose_split_test_rows_disjoint_from_training(classes, train_frac, tes
     assert not np.isin(test, split.train_indices).any()
     assert np.bincount(labels[test], minlength=len(sizes) + 1)[1:].tolist() == \
         split.test_counts.tolist()
+
+
+@st.composite
+def logistic_stacks(draw):
+    """B fits of one size; each fit's rows are drawn with replacement from its
+    own normal table, so rows repeat as in a bootstrap training draw."""
+    batch, n = draw(st.integers(1, 8)), draw(st.integers(2, 60))
+    d, m = draw(st.integers(1, 4)), draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    table = rng.normal(size=(batch, n, d)) * draw(st.sampled_from([0.1, 1.0, 10.0]))
+    rows = rng.integers(0, n, size=(batch, n))
+    features = np.take_along_axis(table, rows[..., None], axis=1)
+    labels = rng.integers(1, m + 1, size=(batch, n))
+    return features, labels, m, draw(st.integers(0, 30))
+
+
+@fixed
+@given(logistic_stacks())
+def test_stacked_logistic_fit_equals_per_fit_oracle_bits(problem):
+    features, labels, m, epochs = problem
+    weights, _ = fit_logistic_ovr(features, labels, m, epochs=epochs)
+    for fit, x, y in zip(weights, features, labels):
+        assert fit.tobytes() == oracle_logistic_weights(x, y, m, epochs).tobytes()
+
+
+# coarse integer scores, so ties are common
+scores = st.lists(st.integers(-6, 6), min_size=1, max_size=60).map(
+    lambda v: np.asarray(v, dtype=float))
+
+
+@fixed
+@given(scores, st.randoms(use_true_random=False))
+def test_midranks_sum_and_permutation_equivariance(values, random):
+    n = values.size
+    ranks = midranks(values)
+    assert ranks.sum() == n * (n + 1) / 2
+    perm = np.array(random.sample(range(n), n))
+    assert midranks(values[perm]).tolist() == ranks[perm].tolist()
+
+
+@st.composite
+def labelled_scores(draw):
+    """(n, 2) scores whose first column is coarse, and labels holding both
+    class 1 and class 2."""
+    column = draw(scores.filter(lambda v: v.size >= 2))
+    labels = np.asarray(draw(st.lists(st.sampled_from([1, 2]), min_size=column.size,
+                                      max_size=column.size)
+                             .filter(lambda v: len(set(v)) == 2)))
+    return np.column_stack([column, -column]), labels
+
+
+@fixed
+@given(labelled_scores())
+def test_auc_of_negated_scores_is_one_minus_auc(problem):
+    score_matrix, labels = problem
+    auc = auc_ovr(score_matrix, labels, 1)
+    assert abs(auc_ovr(-score_matrix, labels, 1) - (1.0 - auc)) <= 1e-12
+
+
+@fixed
+@given(labelled_scores(), st.sampled_from([np.exp, np.arctan, lambda v: v ** 3 + v,
+                                           lambda v: 2.5 * v - 7.0]))
+def test_auc_unchanged_under_increasing_transform(problem, transform):
+    score_matrix, labels = problem
+    assert auc_ovr(transform(score_matrix), labels, 1) == auc_ovr(score_matrix, labels, 1)
