@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .sampling import DatasetPool, SampleSplit, pool_header
+from .sampling import DatasetPool, SampleSplit, write_pool_csv
 from .seeding import generator
 
 SCORE_ROW_TOL = 1e-9
@@ -109,15 +109,17 @@ class SyntheticDataConfig:
     def __post_init__(self):
         if self.m < 2 or self.d < 1 or self.n_per_class < 1:
             raise ClassifierError("m, d and n_per_class must be positive (m >= 2)")
-        if self.noise_scale <= 0:
-            raise ClassifierError("noise_scale must be positive")
+        if not 0 < self.noise_scale < math.inf:
+            raise ClassifierError("noise_scale must be finite and positive")
         means = tuple(tuple(float(v) for v in row) for row in self.class_means)
         if len(means) != self.m or any(len(row) != self.d for row in means):
             raise ClassifierError(f"class_means must be {self.m} vectors of length {self.d}")
+        if not np.isfinite(means).all():
+            raise ClassifierError("class_means must be finite")
         boost = self.separability_boost
         boost = tuple(1.0 for _ in range(self.m)) if boost is None else tuple(float(b) for b in boost)
-        if len(boost) != self.m or any(b <= 0 for b in boost):
-            raise ClassifierError("separability_boost needs one positive entry per class")
+        if len(boost) != self.m or not all(0 < b < math.inf for b in boost):
+            raise ClassifierError("separability_boost needs one finite positive entry per class")
         object.__setattr__(self, "class_means", means)
         object.__setattr__(self, "separability_boost", boost)
 
@@ -202,20 +204,21 @@ def fit_logistic_ovr(features, labels, m, epochs=500, step=0.1, l2=1e-4,
     # page faults at large n
     probs = np.empty(targets.shape)
     losses = []
-    for epoch in range(epochs):
-        if loss_every and epoch % loss_every == 0:
-            losses.append(logistic_loss(weights, features_b, targets, l2))
-        # probs = 1 / (1 + exp(-(features_b @ weights))) - targets
-        np.matmul(features_b, weights, out=probs)
-        np.negative(probs, out=probs)
-        np.exp(probs, out=probs)
-        probs += 1.0
-        np.divide(1.0, probs, out=probs)
-        probs -= targets
-        grad = features_t @ probs
-        grad /= n
-        grad[..., :-1, :] += l2 * weights[..., :-1, :]
-        weights -= step * grad
+    with np.errstate(over="ignore", invalid="ignore"):  # a diverged fit fails by name
+        for epoch in range(epochs):
+            if loss_every and epoch % loss_every == 0:
+                losses.append(logistic_loss(weights, features_b, targets, l2))
+            # probs = 1 / (1 + exp(-(features_b @ weights))) - targets
+            np.matmul(features_b, weights, out=probs)
+            np.negative(probs, out=probs)
+            np.exp(probs, out=probs)
+            probs += 1.0
+            np.divide(1.0, probs, out=probs)
+            probs -= targets
+            grad = features_t @ probs
+            grad /= n
+            grad[..., :-1, :] += l2 * weights[..., :-1, :]
+            weights -= step * grad
     if loss_every:
         losses.append(logistic_loss(weights, features_b, targets, l2))
     return weights, losses
@@ -411,14 +414,6 @@ def _logistic_result(weights, split, pool):
                               pool.m)
 
 
-def _write_split_csv(path, pool: DatasetPool, indices):
-    rows = [",".join([str(int(pool.labels[i]))]
-                     + [f"{v:.10g}" for v in pool.features[i]])
-            for i in np.asarray(indices, dtype=int)]
-    header = ",".join(pool_header(pool.d))
-    Path(path).write_text(header + "\n" + "\n".join(rows) + "\n")
-
-
 def run_external(command, split: SampleSplit, pool: DatasetPool, workdir=None):
     """File protocol: write train.csv/test.csv, run `command <workdir>`, read
     scores.csv (header score_1..score_m, one row per test row, rows sum to 1
@@ -432,8 +427,9 @@ def run_external(command, split: SampleSplit, pool: DatasetPool, workdir=None):
     with tempfile.TemporaryDirectory() as tmp:
         base = Path(workdir) if workdir is not None else Path(tmp)
         base.mkdir(parents=True, exist_ok=True)
-        _write_split_csv(base / "train.csv", pool, split.train_indices)
-        _write_split_csv(base / "test.csv", pool, split.test_indices)
+        for name, rows in (("train", split.train_indices), ("test", split.test_indices)):
+            write_pool_csv(DatasetPool(pool.features[rows], pool.labels[rows]),
+                           base / f"{name}.csv")
         proc = subprocess.run(command + [str(base)], capture_output=True, text=True)
         if proc.returncode != 0:
             raise ExternalRunnerError(

@@ -26,8 +26,8 @@ from .pipeline import (ConfigError, ExperimentConfig, checked_pools,
                        parse_experiment_config, resolve_jobs, simulate_plan,
                        with_master_seed)
 from .shapley import shap_report, write_phi_csv, write_shap_json
-from .ternary import (TernaryGrid, grid_predict, simplex_lattice, write_grid_csv,
-                      write_ternary_svg)
+from .ternary import (TernaryGrid, contour_filename, grid_predict, simplex_lattice,
+                      write_grid_csv, write_ternary_svg)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -77,15 +77,10 @@ def build_parser():
 
 def _load_config(args) -> ExperimentConfig:
     path = Path(args.config)
+    # ConfigError, JSONDecodeError and UnicodeDecodeError are ValueErrors
     try:
-        doc = json.loads(path.read_text())
-    except OSError as exc:
-        raise CliFailure(EXIT_CONFIG, f"cannot read config {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise CliFailure(EXIT_CONFIG, f"config {path} is not valid JSON: {exc}") from None
-    try:
-        config = parse_experiment_config(doc, base_dir=path.parent)
-    except ConfigError as exc:
+        config = parse_experiment_config(json.loads(path.read_text()), base_dir=path.parent)
+    except (OSError, ValueError) as exc:
         raise CliFailure(EXIT_CONFIG, f"config {path}: {exc}") from None
     if args.seed is not None:
         config = with_master_seed(config, args.seed)
@@ -262,9 +257,8 @@ def cmd_contour(config, args, q=100, levels=10):
                               response=response, scenario=scenario.value)
             write_grid_csv(surface, config.output_dir / f"grid_{base}.csv")
             if ternary:
-                write_ternary_svg(surface,
-                                  config.output_dir / f"contour_{base}.svg",
-                                  levels=levels)
+                write_ternary_svg(surface, config.output_dir / contour_filename(
+                    response, scenario.value, z), levels=levels)
         print(f"wrote contour outputs for {response} / {scenario.value}")
     return EXIT_OK
 

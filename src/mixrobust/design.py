@@ -272,11 +272,11 @@ def write_plan_csv(plan: RunPlan, path):
     atomic_write_text(path, plan_to_csv(plan))
 
 
-def _renormalize(values, where):
+def renormalize(values, where):
     arr = np.asarray(values, dtype=float)
     total = arr.sum()
     # tiny pad so 6-decimal rounding (3 * 0.333333) sits inside the bound
-    if abs(total - 1.0) > CSV_SUM_TOL + 1e-12:
+    if not abs(total - 1.0) <= CSV_SUM_TOL + 1e-12:
         raise DesignError(f"{where}: stored proportions sum to {total}, "
                           f"outside 1 +/- {CSV_SUM_TOL}")
     return tuple(arr / total)
@@ -300,10 +300,10 @@ def read_plan_csv(path):
             run_id = int(row[0])
             scenario = TestScenario.parse(row[1])
             replicate = int(row[2])
-            train = _renormalize(row[3:3 + m], f"{path} run {run_id} train mixture")
+            train = renormalize(row[3:3 + m], f"{path} run {run_id} train mixture")
             covs = tuple(float(v) for v in row[3 + m:3 + m + h])
-            test = _renormalize(row[3 + m + h:3 + 2 * m + h],
-                                f"{path} run {run_id} test mixture")
+            test = renormalize(row[3 + m + h:3 + 2 * m + h],
+                               f"{path} run {run_id} test mixture")
             seed = int(row[3 + 2 * m + h])
             runs.append(RunSpec(run_id=run_id, train_mixture=train, covariates=covs,
                                 scenario=scenario, test_mixture=test,

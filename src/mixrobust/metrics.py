@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import TestScenario
+from .design import TestScenario, renormalize
 from .fileio import atomic_write_text
 
 SD_FLOOR = 1e-8
@@ -127,7 +127,8 @@ def write_outcomes_csv(outcomes, m, h, path):
 
 
 def read_outcomes_csv(path):
-    """Read outcome rows back as RunOutcome values (mixtures renormalized)."""
+    """Read outcome rows back as RunOutcome values (mixtures renormalized).
+    A malformed row raises MetricsError naming its line."""
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
@@ -141,18 +142,18 @@ def read_outcomes_csv(path):
         for row in reader:
             if not row:
                 continue
-            covs = tuple(float(v) for v in row[3:3 + h])
-            mixture = np.array([float(v) for v in row[3 + h:3 + h + m]])
-            total = mixture.sum()
-            # pad for 6-decimal rounding (3 * 0.333333)
-            if abs(total - 1.0) > 1e-6 + 1e-12:
-                raise MetricsError(f"{path}: run {row[0]} mixture sums to {total}")
-            aucs = tuple(float(v) for v in row[3 + h + m:3 + h + 2 * m])
-            outcomes.append(RunOutcome(
-                run_id=int(row[0]), replicate=int(row[1]),
-                scenario=TestScenario.parse(row[2]), covariates=covs,
-                train_mixture=tuple(mixture / total), aucs=aucs,
-                mean_auc=float(row[3 + h + 2 * m]),
-                log_sd=float(row[4 + h + 2 * m]),
-                degenerate_sd=bool(int(row[5 + h + 2 * m]))))
+            try:
+                if len(row) != len(header):
+                    raise MetricsError(f"expected {len(header)} fields, got {len(row)}")
+                outcomes.append(RunOutcome(
+                    run_id=int(row[0]), replicate=int(row[1]),
+                    scenario=TestScenario.parse(row[2]),
+                    covariates=tuple(float(v) for v in row[3:3 + h]),
+                    train_mixture=renormalize(row[3 + h:3 + h + m], f"run {row[0]} mixture"),
+                    aucs=tuple(float(v) for v in row[3 + h + m:3 + h + 2 * m]),
+                    mean_auc=float(row[3 + h + 2 * m]),
+                    log_sd=float(row[4 + h + 2 * m]),
+                    degenerate_sd=bool(int(row[5 + h + 2 * m]))))
+            except ValueError as exc:
+                raise MetricsError(f"{path}:{reader.line_num}: {exc}") from None
     return outcomes

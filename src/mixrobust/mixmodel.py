@@ -230,12 +230,12 @@ def fit_ols(matrix: ModelMatrix, y, allow_saturated=False) -> MixtureModelFit:
     minimum = p if allow_saturated else p + 1
     if n < minimum:
         raise ModelError(f"need at least {minimum} observations for p={p} terms, got {n}")
-    singvals = np.linalg.svd(values, compute_uv=False)
+    q, r = np.linalg.qr(values)
+    singvals = np.linalg.svd(r, compute_uv=False)  # the singular values of X
     if singvals[-1] <= RANK_RTOL * singvals[0]:
         dependent = _dependent_columns(values, matrix.labels)
         raise ModelError("model matrix is rank deficient; dependent columns: "
                          + ", ".join(dependent))
-    q, r = np.linalg.qr(values)
     beta = linalg.solve_triangular(r, q.T @ y)
     residuals = y - values @ beta
     rss = float(residuals @ residuals)

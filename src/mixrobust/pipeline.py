@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .classifiers import (ClassifierError, ClassifierKind, SyntheticDataConfig,
+from .classifiers import (ClassifierKind, SyntheticDataConfig, _as_float,
                           default_class_means, generate_pool, resolve_hyper,
                           train_and_score, train_and_score_batch)
 from .design import ALL_SCENARIOS, DesignConfig, DesignError, RunPlan, RunSpec, TestScenario
@@ -77,11 +78,12 @@ class ExperimentConfig:
         except KeyError:
             raise ConfigError(f"no classifier assigned to z1={level:g}") from None
 
-    def pool_level(self, spec: RunSpec):
-        return spec.covariates[1]
-
     def materialize_pools(self):
-        return {level: spec.materialize() for level, spec in self.pool_specs.items()}
+        pools = {}
+        for level, spec in self.pool_specs.items():
+            with _section(f"pools[{level:g}]"):
+                pools[level] = spec.materialize()
+        return pools
 
 
 @dataclass
@@ -250,61 +252,71 @@ def simulate_plan(plan: RunPlan, config: ExperimentConfig, jobs=1, pools=None):
     return outcomes, failures
 
 
-def _require(doc, key, where):
+@contextmanager
+def _section(where):
+    """Turn a bad value met while reading config section `where` into one
+    ConfigError naming it; every mixrobust error class is a ValueError."""
+    try:
+        yield
+    except (TypeError, ValueError, KeyError, ArithmeticError, OSError) as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+
+
+def _require(doc, key):
     if key not in doc:
-        raise ConfigError(f"{where}: missing required key {key!r}")
+        raise ConfigError(f"missing required key {key!r}")
     return doc[key]
 
 
-def _parse_level_map(doc, where):
-    try:
-        return {float(level): value for level, value in doc.items()}
-    except (TypeError, ValueError):
-        raise ConfigError(f"{where}: keys must be covariate level values") from None
+def _integer(doc, key, default=None):
+    """doc[key], required without a default, as a whole number, not a bool."""
+    value = _require(doc, key) if default is None else doc.get(key, default)
+    number = _as_float(value)
+    if number is None or not number.is_integer():
+        raise ConfigError(f"{key} must be a whole number, got {value!r}")
+    return int(value)
 
 
-def _parse_classifier(doc, where):
+def _level_map(doc):
+    if not isinstance(doc, dict):
+        raise ConfigError("expected an object keyed by covariate level")
+    return {float(level): value for level, value in doc.items()}
+
+
+def _parse_classifier(doc):
+    kind = ClassifierKind.parse(_require(doc, "kind"))
     hyper = doc.get("hyper", {})
     if not isinstance(hyper, dict):
-        raise ConfigError(f"{where}: hyper must be an object of numbers")
-    try:
-        kind = ClassifierKind.parse(_require(doc, "kind", where))
-        resolve_hyper(kind, hyper)
-    except ClassifierError as exc:
-        raise ConfigError(f"{where}: {exc}") from None
-    hyper = {str(k): float(v) for k, v in hyper.items()}
+        raise ConfigError("hyper must be an object of numbers")
+    resolve_hyper(kind, hyper)
     command = doc.get("command")
     if kind is ClassifierKind.EXTERNAL:
-        if not command:
-            raise ConfigError(f"{where}: external classifier needs a command list")
+        if not command or not isinstance(command, list):
+            raise ConfigError("external classifier needs a command list")
         command = tuple(str(part) for part in command)
     elif command:
-        raise ConfigError(f"{where}: only external classifiers take a command")
-    return ClassifierSpec(kind=kind, hyper=tuple(sorted(hyper.items())),
-                          command=command if kind is ClassifierKind.EXTERNAL else None)
+        raise ConfigError("only external classifiers take a command")
+    return ClassifierSpec(kind=kind, command=command or None,
+                          hyper=tuple(sorted((str(k), float(v)) for k, v in hyper.items())))
 
 
-def _parse_synthetic(doc, where):
-    m = int(_require(doc, "m", where))
-    d = int(_require(doc, "d", where))
-    if "class_means" in doc:
-        means = tuple(tuple(float(v) for v in row) for row in doc["class_means"])
-    else:
-        means = default_class_means(m, d, float(doc.get("separation", 3.0)))
-    boost = doc.get("separability_boost")
+def _parse_synthetic(doc):
+    m, d = _integer(doc, "m"), _integer(doc, "d")
+    means = doc["class_means"] if "class_means" in doc else default_class_means(
+        m, d, float(doc.get("separation", 3.0)))
     return SyntheticDataConfig(
-        m=m, d=d, n_per_class=int(_require(doc, "n_per_class", where)),
-        class_means=means, noise_scale=float(doc.get("noise_scale", 1.0)),
-        separability_boost=tuple(float(b) for b in boost) if boost else None,
-        seed=int(doc.get("seed", 0)))
+        m=m, d=d, n_per_class=_integer(doc, "n_per_class"), class_means=means,
+        noise_scale=float(doc.get("noise_scale", 1.0)),
+        separability_boost=doc.get("separability_boost") or None,
+        seed=_integer(doc, "seed", 0))
 
 
-def _parse_pool(doc, where, base_dir):
+def _parse_pool(doc, base_dir):
     if "synthetic" in doc:
-        return PoolSpec(synthetic=_parse_synthetic(doc["synthetic"], where))
+        return PoolSpec(synthetic=_parse_synthetic(doc["synthetic"]))
     if "csv" in doc:
         return PoolSpec(csv_path=(base_dir / doc["csv"]).resolve())
-    raise ConfigError(f"{where}: pool needs either a 'synthetic' or a 'csv' entry")
+    raise ConfigError("pool needs either a 'synthetic' or a 'csv' entry")
 
 
 def parse_experiment_config(doc: dict, base_dir=Path(".")) -> ExperimentConfig:
@@ -315,31 +327,29 @@ def parse_experiment_config(doc: dict, base_dir=Path(".")) -> ExperimentConfig:
     base_dir = Path(base_dir)
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a JSON object")
-    design_doc = dict(doc.get("design", {}))
-    try:
+    with _section("design"):
+        design_doc = dict(doc.get("design", {}))
         design = DesignConfig(
-            m=int(design_doc.get("m", 3)),
-            covariate_levels=tuple(tuple(float(v) for v in lv)
-                                   for lv in design_doc.get("covariate_levels",
-                                                            ((1, 0), (1, 0)))),
+            m=_integer(design_doc, "m", 3),
+            covariate_levels=design_doc.get("covariate_levels", ((1, 0), (1, 0))),
             min_prop=float(design_doc.get("min_prop", 0.01)),
-            replicates=int(design_doc.get("replicates", 3)),
-            seed=int(doc.get("master_seed", 0)))
-    except DesignError as exc:
-        raise ConfigError(f"design: {exc}") from None
-    sampling_doc = dict(doc.get("sampling", {}))
-    try:
+            replicates=_integer(design_doc, "replicates", 3),
+            seed=_integer(doc, "master_seed", 0))
+    with _section("sampling"):
+        sampling_doc = dict(doc.get("sampling", {}))
         sampling = SamplingConfig(train_frac=float(sampling_doc.get("train_frac", 0.10)),
                                   test_frac=float(sampling_doc.get("test_frac", 0.25)))
-    except SamplingError as exc:
-        raise ConfigError(f"sampling: {exc}") from None
 
-    classifiers = {level: _parse_classifier(sub, f"classifiers[{level:g}]")
-                   for level, sub in _parse_level_map(
-                       _require(doc, "classifiers", "config"), "classifiers").items()}
-    pools = {level: _parse_pool(sub, f"pools[{level:g}]", base_dir)
-             for level, sub in _parse_level_map(
-                 _require(doc, "pools", "config"), "pools").items()}
+    with _section("classifiers"):
+        classifiers = _level_map(_require(doc, "classifiers"))
+    for level, sub in classifiers.items():
+        with _section(f"classifiers[{level:g}]"):
+            classifiers[level] = _parse_classifier(sub)
+    with _section("pools"):
+        pools = _level_map(_require(doc, "pools"))
+    for level, sub in pools.items():
+        with _section(f"pools[{level:g}]"):
+            pools[level] = _parse_pool(sub, base_dir)
 
     if design.h >= 1:
         for level in design.covariate_levels[0]:
@@ -350,15 +360,14 @@ def parse_experiment_config(doc: dict, base_dir=Path(".")) -> ExperimentConfig:
             if level not in pools:
                 raise ConfigError(f"pools: no entry for z2 level {level:g}")
 
-    scenario_names = doc.get("scenarios", [s.value for s in ALL_SCENARIOS])
-    try:
-        scenarios = tuple(TestScenario.parse(name) for name in scenario_names)
-    except DesignError as exc:
-        raise ConfigError(str(exc)) from None
-    if not scenarios:
-        raise ConfigError("scenarios list must be nonempty")
+    with _section("scenarios"):
+        scenarios = tuple(TestScenario.parse(name) for name in
+                          doc.get("scenarios", [s.value for s in ALL_SCENARIOS]))
+        if not scenarios:
+            raise ConfigError("the list must be nonempty")
 
-    output_dir = base_dir / doc.get("output_dir", "out")
+    with _section("output_dir"):
+        output_dir = base_dir / doc.get("output_dir", "out")
     return ExperimentConfig(design=design, sampling=sampling, classifiers=classifiers,
                             pool_specs=pools, scenarios=scenarios,
                             output_dir=output_dir)

@@ -65,8 +65,8 @@ class SamplingConfig:
     test_frac: float = 0.25
 
     def __post_init__(self):
-        if self.train_frac <= 0 or self.test_frac <= 0:
-            raise SamplingError("train_frac and test_frac must be positive")
+        if not (0 < self.train_frac < np.inf and 0 < self.test_frac < np.inf):
+            raise SamplingError("train_frac and test_frac must be finite and positive")
 
 
 @dataclass

@@ -56,6 +56,18 @@ class TestGeneratePool:
             SyntheticDataConfig(m=2, d=2, n_per_class=5,
                                 class_means=((0, 0), (1, 1)), noise_scale=0.0)
 
+    @pytest.mark.parametrize("field,value,match", [
+        ("noise_scale", float("inf"), "noise_scale must be finite"),
+        ("noise_scale", float("nan"), "noise_scale must be finite"),
+        ("class_means", ((0, 0), (1, float("nan"))), "class_means must be finite"),
+        ("separability_boost", (1, float("inf")), "one finite positive entry"),
+    ])
+    def test_rejects_non_finite_settings(self, field, value, match):
+        settings = {"m": 2, "d": 2, "n_per_class": 5, "class_means": ((0, 0), (1, 1)),
+                    field: value}
+        with pytest.raises(ClassifierError, match=match):
+            SyntheticDataConfig(**settings)
+
 
 class TestLogistic:
     def test_separable_classes_reach_high_auc(self):
@@ -106,7 +118,9 @@ def overflow_pool():
     """A two-class pool whose rows 80..159 repeat rows 0..79 scaled by 1e308,
     so a fit on them overflows."""
     base = two_class_pool(n_per_class=40)
-    return DatasetPool(features=np.vstack([base.features, base.features * 1e308]),
+    with np.errstate(over="ignore"):
+        huge = base.features * 1e308
+    return DatasetPool(features=np.vstack([base.features, huge]),
                        labels=np.concatenate([base.labels, base.labels]))
 
 
@@ -130,7 +144,6 @@ class TestStackedLogistic:
             _, alone = fit_logistic_ovr(features[i], labels[i], 2, epochs=40, loss_every=10)
             assert [loss[i] for loss in losses] == alone
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_fit_leaves_neighbours_bits(self):
         pool = overflow_pool()
         rows = np.stack([np.arange(80), np.arange(80, 160), np.arange(80)[::-1]])
@@ -142,7 +155,6 @@ class TestStackedLogistic:
                                                pool.labels[rows[i]], 2, epochs=50)
             assert weights[i].tobytes() == expected.tobytes()
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_batch_fails_only_the_diverged_split(self):
         pool = overflow_pool()
         test = np.arange(0, 80, 3)
@@ -155,7 +167,6 @@ class TestStackedLogistic:
             alone = train_and_score("logistic", splits[i], pool, hyper={"epochs": 50})
             assert results[i].tobytes() == alone.tobytes()
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_diverging_step_names_the_weights(self):
         pool = two_class_pool(n_per_class=40)
         train = np.arange(pool.n)
@@ -482,6 +493,20 @@ class TestExternalRunner:
         # training duplicates materialize as repeated rows
         train_lines = (tmp_path / "work" / "train.csv").read_text().splitlines()
         assert len(train_lines) == 1 + 7
+
+    def test_split_files_in_pool_csv_format(self, tmp_path):
+        runner = tmp_path / "runner.py"
+        runner.write_text(RUNNER_OK)
+        pool = self._pool()
+        split = self._split(pool)
+        train_and_score(ClassifierKind.EXTERNAL, split, pool,
+                        command=["python3", str(runner)], workdir=tmp_path / "work")
+        for name, rows in (("train", split.train_indices), ("test", split.test_indices)):
+            expected = ["label,f1,f2"] + [
+                ",".join([str(pool.labels[i])] + [f"{v:.10g}" for v in pool.features[i]])
+                for i in rows]
+            text = (tmp_path / "work" / f"{name}.csv").read_text()
+            assert text == "\n".join(expected) + "\n"
 
     def test_nonzero_exit_reported(self, tmp_path):
         runner = tmp_path / "runner.py"

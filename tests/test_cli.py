@@ -209,6 +209,31 @@ class TestNonFiniteOutcomes:
         assert "non-finite y in row" in err
 
 
+class TestMalformedOutcomes:
+    @pytest.mark.parametrize("column,value,match", [
+        ("auc_2", "high", "could not convert string to float: 'high'"),
+        ("scenario", "sideways", "unknown scenario 'sideways'"),
+        (None, None, "expected 14 fields, got 6"),
+    ])
+    def test_bad_row_exits_io_naming_the_line(self, experiment_dir, tmp_path, capsys,
+                                              column, value, match):
+        source, _ = experiment_dir
+        lines = (source / "out" / "outcomes.csv").read_text().splitlines()
+        fields = lines[3].split(",")
+        if column is None:
+            del fields[6:]
+        else:
+            fields[lines[0].split(",").index(column)] = value
+        lines[3] = ",".join(fields)
+        path = tmp_path / "out" / "outcomes.csv"
+        path.parent.mkdir()
+        path.write_text("\n".join(lines) + "\n")
+        config_path = write_config(tmp_path)
+        assert main(["analyze", "--config", str(config_path)]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert f"{path}:4: " in err and match in err
+
+
 class TestReportCommand:
     def test_report_text(self, experiment_dir, capsys):
         tmp_path, config_path = experiment_dir
@@ -223,6 +248,69 @@ class TestReportCommand:
     def test_missing_fits_is_io_error(self, tmp_path):
         config_path = write_config(tmp_path)
         assert main(["report", "--config", str(config_path)]) == EXIT_IO
+
+
+def _bad_value(keys, value, section, id):
+    return pytest.param(keys, value, section, id=id)
+
+
+# one malformed value per row: (path of keys into the config, value, section)
+BAD_CONFIG_VALUES = [
+    _bad_value(("pools", "1", "synthetic", "m"), "x", "pools[1]", "pool-m-string"),
+    _bad_value(("pools", "1", "synthetic", "m"), 1, "pools[1]", "pool-m-1"),
+    _bad_value(("pools", "1", "synthetic", "m"), 3.7, "pools[1]", "pool-m-fraction"),
+    _bad_value(("pools", "1", "synthetic", "d"), 2, "pools[1]", "pool-d-below-m"),
+    _bad_value(("pools", "1", "synthetic", "noise_scale"), -1, "pools[1]",
+               "noise-scale-negative"),
+    _bad_value(("pools", "1", "synthetic", "class_means"), [[1, 0, 0], [0, 1, 0]],
+               "pools[1]", "class-means-misshaped"),
+    _bad_value(("pools", "1", "synthetic", "n_per_class"), 99.9, "pools[1]",
+               "n-per-class-fraction"),
+    _bad_value(("pools", "1"), 5, "pools[1]", "pool-not-an-object"),
+    _bad_value(("pools", "1"), {"csv": "missing.csv"}, "pools[1]", "pool-csv-missing"),
+    _bad_value(("sampling", "train_frac"), "abc", "sampling", "train-frac-string"),
+    _bad_value(("sampling", "train_frac"), float("nan"), "sampling", "train-frac-nan"),
+    _bad_value(("sampling", "test_frac"), float("inf"), "sampling", "test-frac-inf"),
+    _bad_value(("design", "m"), "x", "design", "design-m-string"),
+    _bad_value(("design", "m"), 3.7, "design", "design-m-fraction"),
+    _bad_value(("design", "replicates"), 2.5, "design", "replicates-fraction"),
+    _bad_value(("design", "replicates"), True, "design", "replicates-bool"),
+    _bad_value(("master_seed",), 1.5, "design", "master-seed-fraction"),
+    _bad_value(("design", "covariate_levels"), 5, "design", "covariate-levels-number"),
+    _bad_value(("scenarios",), 5, "scenarios", "scenarios-number"),
+]
+
+
+class TestConfigErrorBoundary:
+    @pytest.mark.parametrize("keys,value,section", BAD_CONFIG_VALUES)
+    def test_bad_value_exits_config_naming_section(self, tmp_path, capsys, keys, value,
+                                                   section):
+        doc = small_config_doc(n_per_class=100)
+        *parents, last = keys
+        target = doc
+        for key in parents:
+            target = target[key]
+        target[last] = value
+        out = tmp_path / "run"
+        config_path = write_config(tmp_path, doc)
+        assert main(["simulate", "--config", str(config_path), "--out", str(out),
+                     "--jobs", "1"]) == EXIT_CONFIG
+        assert f"{section}: " in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_malformed_pool_csv_exits_config(self, tmp_path, capsys):
+        (tmp_path / "pool.csv").write_text("label,f1,f2,f3\n1,0.5,x,0.1\n")
+        doc = small_config_doc()
+        doc["pools"]["1"] = {"csv": "pool.csv"}
+        config_path = write_config(tmp_path, doc)
+        assert main(["simulate", "--config", str(config_path), "--jobs", "1"]) == EXIT_CONFIG
+        assert "pools[1]: could not convert string to float" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_undecodable_config_exits_config(self, tmp_path, capsys):
+        path = tmp_path / "binary.json"
+        path.write_bytes(b"\xff\xfe{")
+        assert main(["design", "--config", str(path)]) == EXIT_CONFIG
 
 
 class TestExitCodes:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -144,6 +145,27 @@ class TestOutcomesCsv:
         assert back[1].aucs == (0.91, 0.84, 0.77)
         assert back[1].mean_auc == pytest.approx(mean_auc((0.91, 0.84, 0.77)), abs=1e-9)
         assert not back[0].degenerate_sd
+
+    @pytest.mark.parametrize("field,value,match", [
+        (3, "one", "could not convert string to float: 'one'"),
+        (2, "sideways", "unknown scenario 'sideways'"),
+        (5, "0.5", "run 1 mixture: stored proportions sum to 1.166666"),
+        (5, "nan", "stored proportions sum to nan"),
+        (None, None, "expected 14 fields, got 5"),
+    ])
+    def test_malformed_row_names_its_line(self, tmp_path, field, value, match):
+        path = tmp_path / "outcomes.csv"
+        write_outcomes_csv(self._outcomes(), 3, 2, path)
+        lines = path.read_text().splitlines()
+        fields = lines[1].split(",")
+        if field is None:
+            del fields[5:]
+        else:
+            fields[field] = value
+        lines[1] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(MetricsError, match=rf"^{re.escape(str(path))}:2: .*{match}"):
+            read_outcomes_csv(path)
 
     def test_mean_consistent_with_aucs(self):
         for out in self._outcomes():

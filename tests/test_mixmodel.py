@@ -181,6 +181,13 @@ class TestFitOls:
         assert np.all(hits / reps >= 0.85)
         assert np.all(hits / reps <= 1.0)
 
+    def test_r_factor_keeps_the_singular_values(self, reference_matrix_84):
+        # the rank test reads them off R, not off the full model matrix
+        _, r = np.linalg.qr(reference_matrix_84)
+        assert np.allclose(np.linalg.svd(r, compute_uv=False),
+                           np.linalg.svd(reference_matrix_84, compute_uv=False),
+                           rtol=1e-12, atol=0)
+
     def test_rank_deficiency_names_dependent_columns(self, reference_matrix_84):
         # append the z1 main-effect column, which the interactions span
         labels = term_labels(3, 2) + ["z1"]

@@ -72,6 +72,9 @@ class TestConfigParsing:
         ("1", {"kind": "external", "command": ["true"], "hyper": {"epochs": 5}},
          r"'epochs'; allowed: none"),
         ("1", {"kind": "logistc"}, "unknown classifier kind"),
+        ("1", {"kind": "external", "command": "python3 runner.py"}, "command list"),
+        ("1", {"kind": "external", "command": 5}, "command list"),
+        ("0", ["logistic"], "missing required key 'kind'"),
     ])
     def test_bad_classifier_entry_rejected(self, tmp_path, level, entry, match):
         doc = small_config_doc()
@@ -92,6 +95,38 @@ class TestConfigParsing:
         doc = small_config_doc()
         doc["classifiers"][level] = entry
         with pytest.raises(ConfigError, match=rf"classifiers\[{level}\]: .*{match}"):
+            parse_experiment_config(doc, tmp_path)
+
+    def test_integer_keys_keep_whole_numbers_exactly(self, tmp_path):
+        doc = small_config_doc(replicates=2.0, master_seed=2**60 + 1)
+        doc["pools"]["1"]["synthetic"]["n_per_class"] = 400.0
+        config = parse_experiment_config(doc, tmp_path)
+        assert type(config.design.replicates) is int and config.design.replicates == 2
+        assert config.design.seed == 2**60 + 1
+        assert config.pool_specs[1.0].synthetic.n_per_class == 400
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("design", "replicates", 2.5),
+        ("design", "m", True),
+        (None, "master_seed", "7"),
+        ("synthetic", "seed", 1.5),
+        ("synthetic", "d", float("inf")),
+    ])
+    def test_integer_keys_reject_other_values(self, tmp_path, section, key, value):
+        doc = small_config_doc()
+        target = {None: doc, "design": doc["design"],
+                  "synthetic": doc["pools"]["0"]["synthetic"]}[section]
+        target[key] = value
+        where = r"pools\[0\]" if section == "synthetic" else "design"
+        with pytest.raises(ConfigError, match=rf"^{where}: {key} must be a whole number, "
+                                              rf"got {value!r}$"):
+            parse_experiment_config(doc, tmp_path)
+
+    @pytest.mark.parametrize("scenarios", [5, []])
+    def test_bad_scenarios_name_the_section(self, tmp_path, scenarios):
+        doc = small_config_doc()
+        doc["scenarios"] = scenarios
+        with pytest.raises(ConfigError, match="^scenarios: "):
             parse_experiment_config(doc, tmp_path)
 
     def test_hyper_keeps_only_given_keys(self, tmp_path):
@@ -276,6 +311,13 @@ class TestPoolsMatchDesign:
 
 
 class TestPoolSpecMaterialization:
+    def test_unreadable_pool_names_its_level(self, tmp_path):
+        doc = small_config_doc()
+        doc["pools"]["1"] = {"csv": "missing.csv"}
+        config = parse_experiment_config(doc, tmp_path)
+        with pytest.raises(ConfigError, match=r"^pools\[1\]: .*missing\.csv"):
+            config.materialize_pools()
+
     def test_csv_pool_spec(self, tmp_path):
         from mixrobust import write_pool_csv
         from mixrobust.pipeline import PoolSpec

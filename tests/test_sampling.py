@@ -172,6 +172,14 @@ class TestComposeOracles:
                 compose_training(pool, counts, generator(12, "tr"))
 
 
+class TestSamplingConfig:
+    @pytest.mark.parametrize("fracs", [(float("nan"), 0.25), (0.1, float("inf")),
+                                       (0.0, 0.25), (0.1, -0.5)])
+    def test_rejects_fractions_not_finite_and_positive(self, fracs):
+        with pytest.raises(SamplingError, match="finite and positive"):
+            SamplingConfig(*fracs)
+
+
 class TestComposeSplit:
     def test_fraction_sizing(self):
         pool = toy_pool()
