@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .sampling import DatasetPool, SampleSplit, write_pool_csv
+from .sampling import DatasetPool, SampleSplit, dense_ranks, write_pool_csv
 from .seeding import generator
 
 SCORE_ROW_TOL = 1e-9
@@ -235,93 +235,173 @@ def best_stump_split(values, residuals):
 
     Returns (threshold, left_mean, right_mean, sse); threshold is the
     midpoint between the adjacent sorted values around the best cut, and
-    None when the feature is constant. Needs at least two values.
+    None when the feature is constant. Needs at least two values. This is
+    the one-run, one-class, one-feature call of the booster's split search.
     """
-    values = np.asarray(values, dtype=float)
-    residuals = np.asarray(residuals, dtype=float)
-    split = _best_splits(residuals[None, :], *_presort(values[:, None]))
-    threshold, left, right, sse = (float(table[0, 0]) for table in split)
+    features = np.asarray(values, dtype=float)[None, :, None]
+    search = _StumpSearch(features, dense_ranks(features[0])[:, None], 1, 0)
+    split = search(np.asarray(residuals, dtype=float)[None, None])
+    threshold, left, right, sse = (float(table.item()) for table in split)
     return None if threshold == np.inf else threshold, left, right, sse
 
 
-def _presort(features):
-    """Per-run facts of the (n, d) training features, shared by every round
-    and class: the stable sort order of each feature, shape (d, n); a 0/-inf
-    mask of the n - 1 sorted positions, 0 where a cut between distinct
-    values falls; each cut's midpoint threshold (+inf elsewhere, so a
-    constant feature's stump sends every row left); and the constant flags."""
-    order = np.argsort(features.T, axis=1, kind="mergesort")
-    sv = np.take_along_axis(features.T, order, axis=1)
-    is_cut = sv[:, :-1] < sv[:, 1:]
+def _presort(features, ranks):
+    """Per-run facts of the (B, n, d) training features, shared by every round
+    and class, from their (d, B, n) dense ranks: the stable sort order of each
+    feature, shape (B, d, n); a 0/-inf mask of the n - 1 sorted positions, 0
+    where a cut between distinct values falls; each cut's midpoint threshold
+    (+inf elsewhere, so a constant feature's stump sends every row left); and
+    the (B, d) constant flags. The ranks order like the values, ties
+    included, and sort faster: by radix when they fit in 16 bits."""
+    order = np.argsort(ranks, axis=-1, kind="stable").transpose(1, 0, 2)
+    sv = np.take_along_axis(np.swapaxes(features, -1, -2), order, axis=-1)
+    is_cut = sv[..., :-1] < sv[..., 1:]
     return (order, np.where(is_cut, 0.0, -np.inf),
-            np.where(is_cut, 0.5 * (sv[:, :-1] + sv[:, 1:]), np.inf),
-            ~is_cut.any(axis=1))
+            np.where(is_cut, 0.5 * (sv[..., :-1] + sv[..., 1:]), np.inf),
+            ~is_cut.any(axis=-1))
 
 
-def _best_splits(residuals, order, mask, thresholds, constant):
-    """Every class's best stump on every feature, as four (m, d) tables
-    (threshold, left_mean, right_mean, sse), for the (m, n) residuals.
+def _one_block(*specs):
+    """One array per (shape, dtype) spec, all views of one new block."""
+    sizes = [math.prod(shape) * np.dtype(dtype).itemsize for shape, dtype in specs]
+    # every view starts on an 8-byte boundary
+    starts = np.cumsum([0] + [-(-size // 8) * 8 for size in sizes])
+    block = np.empty(starts[-1], dtype=np.uint8)
+    return [block[start:start + size].view(dtype).reshape(shape)
+            for (shape, dtype), start, size in zip(specs, starts, sizes)]
 
-    One pass scores every cut: the left sums are a cumsum of the residuals
-    gathered in each feature's sorted order. The tie rule downstream
-    compares SSEs within 1e-15, so each must keep the bits of a 1-D
-    `sr @ sr` in that order: `take` gathers into contiguous rows, whose
-    batched matmul sums like `sr @ sr`; a strided gather or einsum does not.
-    The work is done in place, because fresh blocks of this size, freed
-    every round, cost page faults.
+
+class _StumpSearch:
+    """The exact greedy split search over B runs' presorted features, for
+    the m residual columns of each run, and the booster's buffers for those
+    runs' n_rows train and test rows.
+
+    Calling it with (B, m, n) residuals gives every run's and class's best
+    stump on every feature, as four (B, m, d) tables (threshold, left_mean,
+    right_mean, sse). One pass scores every cut: the left sums are a cumsum
+    of the residuals gathered in each feature's sorted order. The tie rule
+    downstream compares SSEs within 1e-15, so each must keep the bits of a
+    1-D `sr @ sr` in that order: one `take` by a flat index gathers the
+    residuals into contiguous (B, m, d, n) rows, whose batched matmul sums
+    like `sr @ sr`; a strided gather or einsum does not.
+
+    The presort and the index are built once, and every round works in
+    place. All the buffers share one block, allocated once per call, because
+    fresh memory costs page faults: glibc's malloc keeps freed heap up to
+    twice the largest separately mapped block it has freed, so after the
+    first call this block comes from the heap without faults, where one
+    smaller block per buffer went back to the system after every call.
     """
-    n = residuals.shape[1]
-    prefix = residuals.take(order, axis=1)
-    total_sq = np.matmul(prefix[..., None, :], prefix[..., :, None])[..., 0, 0]
-    np.cumsum(prefix, axis=-1, out=prefix)
-    left_sum = prefix[..., :-1]
-    k = np.arange(1, n)
-    gain = np.square(left_sum)
-    gain /= k
-    right = prefix[..., -1:] - left_sum
-    np.square(right, out=right)
-    right /= n - k
-    gain += right
-    gain += mask
-    at = (np.arange(residuals.shape[0])[:, None], np.arange(order.shape[0]),
-          gain.argmax(axis=-1))
-    cut = at[2] + 1
-    left = left_sum[at]
-    # a constant feature's stable order is the identity, so this is the
-    # mean of its sorted residuals
-    mean = residuals.mean(axis=1)[:, None]
-    return (thresholds[at[1:]],
-            np.where(constant, mean, left / cut),
-            np.where(constant, mean, (prefix[..., -1] - left) / (n - cut)),
-            total_sq - np.where(constant, n * mean ** 2, gain[at]))
+
+    def __init__(self, features, ranks, m, n_rows):
+        runs, n, d = features.shape
+        order, self.mask, self.thresholds, self.constant = _presort(features, ranks)
+        search, cuts, booster = (runs, m, d, n), (runs, m, d, n - 1), (runs, m, n_rows)
+        (self.index, self.prefix, self.gain, self.right, self.total_sq, self.rows,
+         self.targets, self.residuals, self.current, self.side, self.step) = _one_block(
+            (search, np.intp), (search, float), (cuts, float), (cuts, float),
+            ((runs, m, d, 1, 1), float), ((runs * d, n_rows), float),
+            ((runs, m, n), float), ((runs, m, n), float), (booster, float),
+            (booster, np.intp), (booster, float))
+        # prefix[b, j, f, i] = residuals[b, j, order[b, f, i]], read from the
+        # flat residuals
+        np.add(np.arange(runs * m).reshape(runs, m, 1, 1) * n, order[:, None],
+               out=self.index)
+        self.left_count = np.arange(1.0, n)
+        self.right_count = n - self.left_count
+        self.cells = (np.arange(runs)[:, None, None], np.arange(m)[:, None],
+                      np.arange(d))
+
+    def __call__(self, residuals):
+        n = residuals.shape[-1]
+        prefix, gain, right = self.prefix, self.gain, self.right
+        # mode="clip" skips the bounds check, which would buffer the output
+        np.take(residuals, self.index, out=prefix, mode="clip")
+        np.matmul(prefix[..., None, :], prefix[..., :, None], out=self.total_sq)
+        np.cumsum(prefix, axis=-1, out=prefix)
+        left_sum = prefix[..., :-1]
+        np.square(left_sum, out=gain)
+        gain /= self.left_count
+        np.subtract(prefix[..., -1:], left_sum, out=right)
+        np.square(right, out=right)
+        right /= self.right_count
+        gain += right
+        gain += self.mask[:, None]
+        best = gain.argmax(axis=-1)
+        at = self.cells + (best,)
+        cut = best + 1
+        left = left_sum[at]
+        # a constant feature's stable order is the identity, so this is the
+        # mean of its sorted residuals
+        mean = residuals.mean(axis=-1)[..., None]
+        constant = self.constant[:, None]
+        return (self.thresholds[self.cells[0], self.cells[2], best],
+                np.where(constant, mean, left / cut),
+                np.where(constant, mean, (prefix[..., -1] - left) / (n - cut)),
+                self.total_sq[..., 0, 0] - np.where(constant, n * mean ** 2, gain[at]))
 
 
-# the running best over ascending features moves only for an SSE lower by
-# more than 1e-15, so a feature and its duplicate keep the first-listed one
-_keep_first = np.frompyfunc(lambda best, sse: sse if sse < best - 1e-15 else best, 2, 1)
+def _first_best(sse):
+    """The feature index, per leading cell of the (..., d) SSEs, that a scan
+    over ascending features keeps: it moves only to an SSE lower by more
+    than 1e-15, so a feature and its duplicate keep the first-listed one."""
+    best = sse[..., 0]
+    feature = np.zeros(best.shape, dtype=int)
+    for f in range(1, sse.shape[-1]):
+        lower = sse[..., f] < best - 1e-15
+        best = np.where(lower, sse[..., f], best)
+        feature[lower] = f
+    return feature
 
 
-def boosted_stump_scores(features, targets, test_features, rounds=100, shrinkage=0.1):
-    """(n_test, m) raw scores of additive squared-error stumps, one model per
-    column of the one-hot `targets`. Features are sorted and cut once per
-    run; each round scores every cut of every feature for all classes in one
-    pass and applies the m chosen stumps to the train and test rows at once."""
-    n = features.shape[0]
-    presorted = _presort(features)
-    rows = np.concatenate([features.T, test_features.T], axis=1)
-    targets = np.ascontiguousarray(targets.T)
-    current = np.repeat(targets.mean(axis=1)[:, None], rows.shape[1], axis=1)
-    classes = np.arange(targets.shape[0])
+def boosted_stump_scores(features, targets, test_features, rounds=100, shrinkage=0.1,
+                         ranks=None):
+    """(..., n_test, m) raw scores of additive squared-error stumps, one model
+    per column of the one-hot (..., n, m) `targets`.
+
+    Leading axes stack independent runs of one training and one test size,
+    each equal bit for bit to its own unstacked run. Features are sorted
+    and cut once per call, from `ranks`, the (d, ..., n) dense ranks of the
+    (..., n, d) training features (by default `dense_ranks` of them); each
+    round scores every cut of every feature for all runs and classes in one
+    pass and applies the chosen stumps to the train and test rows at once.
+    """
+    features = np.asarray(features, dtype=float)
+    batch, (n, d) = features.shape[:-2], features.shape[-2:]
+    features = features.reshape(-1, n, d)
+    runs = features.shape[0]
+    targets = np.asarray(targets, dtype=float)
+    test_features = np.asarray(test_features, dtype=float)
+    m, n_test = targets.shape[-1], test_features.shape[-2]
+    targets = targets.reshape(runs, n, m)
+    test_features = test_features.reshape(runs, n_test, d)
+    ranks = (dense_ranks(features.reshape(-1, d)) if ranks is None
+             else np.asarray(ranks)).reshape(d, runs, n)
+
+    search = _StumpSearch(features, ranks, m, n + n_test)
+    rows, goal, current = search.rows, search.targets, search.current
+    residuals, side, step = search.residuals, search.side, search.step
+    # every run's train then test rows, one row of n + n_test values per feature
+    np.concatenate([np.swapaxes(features, -1, -2), np.swapaxes(test_features, -1, -2)],
+                   axis=-1, out=rows.reshape(runs, d, n + n_test))
+    np.copyto(goal, np.swapaxes(targets, -1, -2))
+    current[...] = goal.mean(axis=-1)[..., None]
+    run, cls = search.cells[0][..., 0], search.cells[1][..., 0]
+    # step[b, j, i] = steps[b, j, side[b, j, i]]: side is the flat index of
+    # the row's (right, left) step pair, plus 1 when the row goes left
+    pair = 2 * np.arange(runs * m).reshape(runs, m, 1)
     for _ in range(rounds):
-        threshold, left, right, sse = _best_splits(targets - current[:, :n], *presorted)
-        # the scan's final best SSE first appears at the feature it kept
-        best = _keep_first.reduce(sse, axis=1).astype(float)
-        feature = (sse == best[:, None]).argmax(axis=1)
-        chosen = classes, feature
-        current += np.where(rows[feature] <= threshold[chosen][:, None],
-                            shrinkage * left[chosen][:, None],
-                            shrinkage * right[chosen][:, None])
-    return current[:, n:].T.copy()
+        np.subtract(goal, current[..., :n], out=residuals)
+        threshold, left, right, sse = search(residuals)
+        chosen = run, cls, _first_best(sse)
+        np.take(rows, run * d + chosen[2], axis=0, out=step, mode="clip")
+        np.less_equal(step, threshold[chosen][..., None], out=side)
+        side += pair
+        steps = np.stack([shrinkage * right[chosen], shrinkage * left[chosen]], axis=-1)
+        np.take(steps, side, out=step, mode="clip")
+        current += step
+    scores = np.swapaxes(current[..., n:], -1, -2).copy()
+    return scores.reshape(batch + scores.shape[1:])
 
 
 def train_and_score(kind, split: SampleSplit, pool: DatasetPool, hyper=None,
@@ -346,9 +426,9 @@ def train_and_score_batch(kind, splits, pool: DatasetPool, hyper=None,
     score matrix or the ClassifierError or ExternalRunnerError it raised, so
     one split's failure leaves the others' scores as they would be alone.
 
-    Logistic splits that draw the same number of training rows train as one
-    stacked gradient descent; boosted stumps and external runners go one
-    split at a time.
+    The splits that draw the same numbers of training and test rows train
+    together: logistic ones as one stacked gradient descent, boosted stumps
+    as one stacked booster. External runners go one split at a time.
     """
     try:
         kind = kind if isinstance(kind, ClassifierKind) else ClassifierKind.parse(kind)
@@ -360,23 +440,30 @@ def train_and_score_batch(kind, splits, pool: DatasetPool, hyper=None,
                 for split in splits]
 
     results = [_caught(_training_rows, split, pool) for split in splits]
-    trainable = [i for i, rows in enumerate(results) if not isinstance(rows, Exception)]
-    if kind is ClassifierKind.BOOSTED_STUMPS:
-        for i in trainable:
-            results[i] = _caught(_boosted_stump_result, results[i], splits[i], pool,
-                                 int(settings["rounds"]), float(settings["shrinkage"]))
-        return results
     stacks = {}
-    for i in trainable:
-        stacks.setdefault(results[i].size, []).append(i)
+    for i, rows in enumerate(results):
+        if not isinstance(rows, Exception):
+            stacks.setdefault((rows.size, len(splits[i].test_indices)), []).append(i)
     for stack in stacks.values():
         train = np.stack([results[i] for i in stack])
-        weights, _ = fit_logistic_ovr(pool.features[train], pool.labels[train], pool.m,
-                                      epochs=int(settings["epochs"]),
-                                      step=float(settings["step"]),
-                                      l2=float(settings["l2"]))
-        for i, run_weights in zip(stack, weights):
-            results[i] = _caught(_logistic_result, run_weights, splits[i], pool)
+        if kind is ClassifierKind.BOOSTED_STUMPS:
+            test = np.stack([np.asarray(splits[i].test_indices, dtype=int) for i in stack])
+            raw = boosted_stump_scores(pool.features[train],
+                                       _onehot(pool.labels[train], pool.m),
+                                       pool.features[test], rounds=int(settings["rounds"]),
+                                       shrinkage=float(settings["shrinkage"]),
+                                       ranks=pool.ranks[:, train])
+            scored = [_caught(check_score_matrix, _softmax(run_raw), pool.m)
+                      for run_raw in raw]
+        else:
+            weights, _ = fit_logistic_ovr(pool.features[train], pool.labels[train], pool.m,
+                                          epochs=int(settings["epochs"]),
+                                          step=float(settings["step"]),
+                                          l2=float(settings["l2"]))
+            scored = [_caught(_logistic_result, run_weights, splits[i], pool)
+                      for i, run_weights in zip(stack, weights)]
+        for i, result in zip(stack, scored):
+            results[i] = result
     return results
 
 
@@ -397,13 +484,6 @@ def _training_rows(split: SampleSplit, pool: DatasetPool):
 
 def _test_features(split: SampleSplit, pool: DatasetPool):
     return pool.features[np.asarray(split.test_indices, dtype=int)]
-
-
-def _boosted_stump_result(train, split, pool, rounds, shrinkage):
-    raw = boosted_stump_scores(pool.features[train], _onehot(pool.labels[train], pool.m),
-                               _test_features(split, pool), rounds=rounds,
-                               shrinkage=shrinkage)
-    return check_score_matrix(_softmax(raw), pool.m)
 
 
 def _logistic_result(weights, split, pool):

@@ -283,7 +283,8 @@ def renormalize(values, where):
 
 
 def read_plan_csv(path):
-    """Read run specs back; 6-decimal proportions are renormalized to sum 1."""
+    """Read run specs back; 6-decimal proportions are renormalized to sum 1.
+    A malformed row raises DesignError naming its line."""
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
@@ -297,15 +298,18 @@ def read_plan_csv(path):
         for row in reader:
             if not row:
                 continue
-            run_id = int(row[0])
-            scenario = TestScenario.parse(row[1])
-            replicate = int(row[2])
-            train = renormalize(row[3:3 + m], f"{path} run {run_id} train mixture")
-            covs = tuple(float(v) for v in row[3 + m:3 + m + h])
-            test = renormalize(row[3 + m + h:3 + 2 * m + h],
-                               f"{path} run {run_id} test mixture")
-            seed = int(row[3 + 2 * m + h])
-            runs.append(RunSpec(run_id=run_id, train_mixture=train, covariates=covs,
-                                scenario=scenario, test_mixture=test,
-                                replicate=replicate, seed=seed))
+            try:
+                if len(row) != len(header):
+                    raise DesignError(f"expected {len(header)} fields, got {len(row)}")
+                run_id = int(row[0])
+                runs.append(RunSpec(
+                    run_id=run_id, scenario=TestScenario.parse(row[1]),
+                    replicate=int(row[2]),
+                    train_mixture=renormalize(row[3:3 + m], f"run {run_id} train mixture"),
+                    covariates=tuple(float(v) for v in row[3 + m:3 + m + h]),
+                    test_mixture=renormalize(row[3 + m + h:3 + 2 * m + h],
+                                             f"run {run_id} test mixture"),
+                    seed=int(row[3 + 2 * m + h])))
+            except ValueError as exc:
+                raise DesignError(f"{path}:{reader.line_num}: {exc}") from None
     return runs

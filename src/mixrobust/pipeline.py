@@ -277,6 +277,26 @@ def _integer(doc, key, default=None):
     return int(value)
 
 
+def _real(value, key):
+    """`value` as a float, under the rule `hyper` and the integer keys use:
+    a real number, not a bool or a string."""
+    number = _as_float(value)
+    if number is None:
+        raise ConfigError(f"{key} must be a number, got {value!r}")
+    return number
+
+
+def _reals(value, key, depth=1):
+    """A list of numbers (depth 1) or a list of such lists (depth 2), as
+    nested tuples of floats."""
+    if not isinstance(value, (list, tuple)):
+        kind = "a list of " * depth + "numbers"
+        raise ConfigError(f"{key} must be {kind}, got {value!r}")
+    if depth == 1:
+        return tuple(_real(item, key) for item in value)
+    return tuple(_reals(item, key, depth - 1) for item in value)
+
+
 def _level_map(doc):
     if not isinstance(doc, dict):
         raise ConfigError("expected an object keyed by covariate level")
@@ -302,12 +322,15 @@ def _parse_classifier(doc):
 
 def _parse_synthetic(doc):
     m, d = _integer(doc, "m"), _integer(doc, "d")
-    means = doc["class_means"] if "class_means" in doc else default_class_means(
-        m, d, float(doc.get("separation", 3.0)))
+    if "class_means" in doc:
+        means = _reals(doc["class_means"], "class_means", depth=2)
+    else:
+        means = default_class_means(m, d, _real(doc.get("separation", 3.0), "separation"))
+    boost = doc.get("separability_boost") or None
     return SyntheticDataConfig(
         m=m, d=d, n_per_class=_integer(doc, "n_per_class"), class_means=means,
-        noise_scale=float(doc.get("noise_scale", 1.0)),
-        separability_boost=doc.get("separability_boost") or None,
+        noise_scale=_real(doc.get("noise_scale", 1.0), "noise_scale"),
+        separability_boost=None if boost is None else _reals(boost, "separability_boost"),
         seed=_integer(doc, "seed", 0))
 
 
@@ -331,14 +354,16 @@ def parse_experiment_config(doc: dict, base_dir=Path(".")) -> ExperimentConfig:
         design_doc = dict(doc.get("design", {}))
         design = DesignConfig(
             m=_integer(design_doc, "m", 3),
-            covariate_levels=design_doc.get("covariate_levels", ((1, 0), (1, 0))),
-            min_prop=float(design_doc.get("min_prop", 0.01)),
+            covariate_levels=_reals(design_doc.get("covariate_levels", ((1, 0), (1, 0))),
+                                    "covariate_levels", depth=2),
+            min_prop=_real(design_doc.get("min_prop", 0.01), "min_prop"),
             replicates=_integer(design_doc, "replicates", 3),
             seed=_integer(doc, "master_seed", 0))
     with _section("sampling"):
         sampling_doc = dict(doc.get("sampling", {}))
-        sampling = SamplingConfig(train_frac=float(sampling_doc.get("train_frac", 0.10)),
-                                  test_frac=float(sampling_doc.get("test_frac", 0.25)))
+        sampling = SamplingConfig(
+            train_frac=_real(sampling_doc.get("train_frac", 0.10), "train_frac"),
+            test_frac=_real(sampling_doc.get("test_frac", 0.25), "test_frac"))
 
     with _section("classifiers"):
         classifiers = _level_map(_require(doc, "classifiers"))

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,12 +28,17 @@ class DatasetPool:
     features: np.ndarray
     labels: np.ndarray
     class_index: list = field(default_factory=list)
+    _ranks: np.ndarray = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=float)
         self.labels = np.asarray(self.labels)
         if self.features.ndim != 2:
             raise SamplingError("features must be a 2-d table")
+        bad = np.flatnonzero(~np.isfinite(self.features).all(axis=1))
+        if bad.size:
+            raise SamplingError(f"features must be finite; row {bad[0]} holds "
+                                f"{self.features[bad[0]].tolist()}")
         if self.labels.shape != (self.features.shape[0],):
             raise SamplingError("labels must align with feature rows")
         if not np.issubdtype(self.labels.dtype, np.integer):
@@ -54,6 +60,26 @@ class DatasetPool:
     @property
     def m(self):
         return len(self.class_index)
+
+    @property
+    def ranks(self):
+        """The (d, n) `dense_ranks` of the features, computed on first use."""
+        if self._ranks is None:
+            self._ranks = dense_ranks(self.features)
+        return self._ranks
+
+
+def dense_ranks(features):
+    """(d, n) dense ranks of the columns of the finite (n, d) `features`: a
+    column's distinct values rank 0, 1, ... in ascending order, and equal
+    values (-0.0 and 0.0 too) share a rank. So a stable argsort of a
+    column's ranks is the stable argsort of its values, ties included. The
+    ranks take the smallest unsigned dtype that holds them, because numpy's
+    stable argsort is a radix sort only up to 16 bits."""
+    features = np.asarray(features, dtype=float)
+    columns = [np.unique(column, return_inverse=True)[1] for column in features.T]
+    top = max((int(ranks.max()) for ranks in columns if ranks.size), default=0)
+    return np.array(columns, dtype=np.min_scalar_type(top)).reshape(features.shape[::-1])
 
 
 @dataclass(frozen=True)
@@ -176,7 +202,8 @@ def write_pool_csv(pool: DatasetPool, path):
 
 
 def load_pool_csv(path) -> DatasetPool:
-    """Read a `label,f1..fd` table; validates labels and rectangular width."""
+    """Read a `label,f1..fd` table; validates labels, finite features and
+    rectangular width."""
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
@@ -199,8 +226,12 @@ def load_pool_csv(path) -> DatasetPool:
                                     "integer") from None
             if label < 1:
                 raise SamplingError(f"{path}:{lineno}: labels are 1-based")
+            features = [float(v) for v in row[1:]]
+            if not all(map(math.isfinite, features)):
+                raise SamplingError(f"{path}:{lineno}: features must be finite, got "
+                                    f"{row[1:]}")
             labels.append(label)
-            rows.append([float(v) for v in row[1:]])
+            rows.append(features)
     if not rows:
         raise SamplingError(f"{path}: pool file has no observations")
     return DatasetPool(features=np.array(rows), labels=np.array(labels, dtype=int))

@@ -4,10 +4,11 @@ import pytest
 from mixrobust import (ClassifierError, ClassifierKind, DatasetPool,
                        ExternalRunnerError, SampleSplit, SyntheticDataConfig,
                        auc_ovr, default_class_means, generate_pool, train_and_score)
-from mixrobust.classifiers import (HYPER_DEFAULTS, _softmax, best_stump_split,
+from mixrobust.classifiers import (HYPER_DEFAULTS, _presort, _softmax, best_stump_split,
                                    boosted_stump_scores, check_score_matrix,
                                    fit_logistic_ovr, resolve_hyper,
                                    train_and_score_batch)
+from mixrobust.sampling import dense_ranks
 from mixrobust.seeding import generator
 
 
@@ -115,11 +116,10 @@ def oracle_logistic_weights(features, labels, m, epochs=500, step=0.1, l2=1e-4):
 
 
 def overflow_pool():
-    """A two-class pool whose rows 80..159 repeat rows 0..79 scaled by 1e308,
-    so a fit on them overflows."""
+    """A two-class pool whose rows 80..159 repeat rows 0..79 scaled by 1e307:
+    still finite, as a pool must be, but a fit on them overflows."""
     base = two_class_pool(n_per_class=40)
-    with np.errstate(over="ignore"):
-        huge = base.features * 1e308
+    huge = base.features * 1e307
     return DatasetPool(features=np.vstack([base.features, huge]),
                        labels=np.concatenate([base.labels, base.labels]))
 
@@ -363,6 +363,74 @@ class TestBoostedStumpsOracle:
                                  pool, hyper={"rounds": 5})
         expected = _softmax(oracle_boosted_raw(features, labels, features, 3, 5))
         assert scores.tobytes() == expected.tobytes()
+
+
+def oracle_presort(features):
+    """The per-run presort the rank presort replaced: a stable mergesort of
+    each (n, d) feature column's values."""
+    order = np.argsort(features.T, axis=1, kind="mergesort")
+    sv = np.take_along_axis(features.T, order, axis=1)
+    is_cut = sv[:, :-1] < sv[:, 1:]
+    return (order, np.where(is_cut, 0.0, -np.inf),
+            np.where(is_cut, 0.5 * (sv[:, :-1] + sv[:, 1:]), np.inf),
+            ~is_cut.any(axis=1))
+
+
+class TestRankPresort:
+    # 70,000 distinct values need uint32 ranks, which numpy sorts without radix
+    @pytest.mark.parametrize("decimals,n_pool", [(None, 3000), (1, 3000), (0, 3000),
+                                                 (None, 70000)])
+    def test_pool_ranks_give_the_value_sort_bytes(self, decimals, n_pool):
+        rng = generator(31, "presort")
+        values = rng.normal(size=(n_pool, 3)) * 3
+        # a duplicated and a negated column; rounding adds ties and signed zeros
+        values = np.column_stack([values, values[:, 0], -values[:, 1]])
+        pool = DatasetPool(features=values if decimals is None else np.round(values, decimals),
+                           labels=rng.integers(1, 4, size=n_pool))
+        assert (pool.ranks.dtype == np.uint32) == (n_pool > 65536)
+        train = rng.integers(0, pool.n, size=(4, 300))  # duplicates on purpose
+        stacked = _presort(pool.features[train], pool.ranks[:, train])
+        for run, rows in enumerate(train):
+            expected = oracle_presort(pool.features[rows])
+            for got, want in zip(stacked, expected):
+                assert got[run].dtype == want.dtype
+                assert got[run].tobytes() == want.tobytes()
+
+    def test_own_ranks_give_the_value_sort_bytes(self):
+        features = np.array([[0.0, 2.0], [-0.0, 2.0], [1.5, 2.0], [0.0, 2.0], [-1.0, 2.0]])
+        stacked = _presort(features[None], dense_ranks(features)[:, None])
+        for got, want in zip(stacked, oracle_presort(features)):
+            assert got[0].tobytes() == want.tobytes()
+
+
+class TestStackedBoostedStumps:
+    def test_stack_equals_oracle_bits(self):
+        rng = generator(32, "stump-stack")
+        features = np.round(rng.normal(size=(6, 150, 3)), 1)
+        labels = rng.integers(1, 4, size=(6, 150))
+        test = rng.normal(size=(6, 40, 3))
+        onehot = (labels[..., None] == np.arange(1, 4)).astype(float)
+        raw = boosted_stump_scores(features, onehot, test, rounds=25)
+        assert raw.shape == (6, 40, 3)
+        for run in range(6):
+            expected = oracle_boosted_raw(features[run], labels[run], test[run], 3, 25)
+            assert raw[run].tobytes() == expected.tobytes()
+
+    def test_batch_with_single_class_split_in_the_middle_equals_one_split_calls(self):
+        cfg = SyntheticDataConfig(m=3, d=3, n_per_class=200,
+                                  class_means=default_class_means(3, 3), seed=5)
+        pool = generate_pool(cfg)
+        rng = generator(33, "stump-batch")
+        splits = [split_of(rng.integers(0, pool.n, size=90), rng.choice(pool.n, 30))
+                  for _ in range(8)]
+        splits[4] = split_of(pool.class_index[2][:90], np.arange(30))
+        # a different test size stacks apart
+        splits[6] = split_of(splits[6].train_indices, np.arange(0, pool.n, 25))
+        results = train_and_score_batch("boosted_stumps", splits, pool, hyper={"rounds": 30})
+        assert str(results[4]) == "training multiset covers fewer than 2 classes"
+        for i in (0, 1, 2, 3, 5, 6, 7):
+            alone = train_and_score("boosted_stumps", splits[i], pool, hyper={"rounds": 30})
+            assert results[i].tobytes() == alone.tobytes()
 
 
 class TestHyperKeys:

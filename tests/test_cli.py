@@ -278,6 +278,20 @@ BAD_CONFIG_VALUES = [
     _bad_value(("master_seed",), 1.5, "design", "master-seed-fraction"),
     _bad_value(("design", "covariate_levels"), 5, "design", "covariate-levels-number"),
     _bad_value(("scenarios",), 5, "scenarios", "scenarios-number"),
+    # float keys take real numbers only, as `hyper` and the integer keys do
+    _bad_value(("design", "min_prop"), "0.01", "design", "min-prop-string"),
+    _bad_value(("design", "covariate_levels"), [["1", "0"], [1, 0]], "design",
+               "covariate-levels-strings"),
+    _bad_value(("sampling", "train_frac"), "0.1", "sampling", "train-frac-numeric-string"),
+    _bad_value(("sampling", "test_frac"), True, "sampling", "test-frac-bool"),
+    _bad_value(("pools", "1", "synthetic", "separation"), "2.5", "pools[1]",
+               "separation-string"),
+    _bad_value(("pools", "1", "synthetic", "noise_scale"), True, "pools[1]",
+               "noise-scale-bool"),
+    _bad_value(("pools", "1", "synthetic", "class_means"),
+               [["2.5", 0, 0], [0, 2.5, 0], [0, 0, 2.5]], "pools[1]", "class-means-string"),
+    _bad_value(("pools", "1", "synthetic", "separability_boost"), [1, True, 1], "pools[1]",
+               "separability-boost-bool"),
 ]
 
 
@@ -305,6 +319,19 @@ class TestConfigErrorBoundary:
         config_path = write_config(tmp_path, doc)
         assert main(["simulate", "--config", str(config_path), "--jobs", "1"]) == EXIT_CONFIG
         assert "pools[1]: could not convert string to float" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
+    def test_non_finite_pool_csv_exits_config(self, tmp_path, capsys, value):
+        rows = [f"{j},{j}.5,0.25,{value if i == 1 and j == 2 else 0.5}"
+                for i in range(2) for j in (1, 2, 3)]
+        (tmp_path / "pool.csv").write_text("label,f1,f2,f3\n" + "\n".join(rows) + "\n")
+        doc = small_config_doc()
+        doc["pools"]["1"] = {"csv": "pool.csv"}
+        config_path = write_config(tmp_path, doc)
+        assert main(["simulate", "--config", str(config_path), "--jobs", "1"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "pools[1]: " in err and "pool.csv:6: features must be finite" in err
         assert not (tmp_path / "out").exists()
 
     def test_undecodable_config_exits_config(self, tmp_path, capsys):

@@ -188,6 +188,26 @@ class TestPlanCsv:
     def test_byte_stable(self, reference_instance_plan):
         assert plan_to_csv(reference_instance_plan) == plan_to_csv(reference_instance_plan)
 
+    @staticmethod
+    def _two_class_plan(tmp_path, last_row):
+        path = tmp_path / "plan.csv"
+        path.write_text("run_id,scenario,replicate,x1,x2,z1,test_x1,test_x2,seed\n"
+                        "1,balanced,1,0.990000,0.010000,1,0.500000,0.500000,7\n"
+                        + last_row + "\n")
+        return path
+
+    def test_non_numeric_field_names_path_and_line(self, tmp_path):
+        path = self._two_class_plan(
+            tmp_path, "2,balanced,1,abc,0.010000,1,0.500000,0.500000,8")
+        with pytest.raises(DesignError, match=r"plan\.csv:3: could not convert string "
+                                              r"to float: 'abc'"):
+            read_plan_csv(path)
+
+    def test_short_row_names_path_line_and_field_count(self, tmp_path):
+        path = self._two_class_plan(tmp_path, "2,balanced,1,0.990000,0.010000,1")
+        with pytest.raises(DesignError, match=r"plan\.csv:3: expected 9 fields, got 6$"):
+            read_plan_csv(path)
+
 
 class TestConfigValidation:
     def test_rejects_bad_m(self):

@@ -48,6 +48,42 @@ def test_boosted_stumps_equal_per_class_oracle_bits(problem):
 
 
 @st.composite
+def stump_stacks(draw):
+    """B runs of one training and one test size. Each column kind is shared
+    by the runs, its values are each run's own: continuous, rounded to one
+    decimal, constant, a copy of an earlier column, or signed zeros."""
+    batch, n = draw(st.integers(1, 8)), draw(st.integers(2, 60))
+    d, m = draw(st.integers(1, 5)), draw(st.integers(2, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    columns = []
+    for kind in draw(st.lists(st.sampled_from(["normal", "rounded", "constant", "copy",
+                                               "zeros"]), min_size=d, max_size=d)):
+        if kind == "copy" and columns:
+            columns.append(columns[rng.integers(len(columns))])
+        elif kind == "constant":
+            columns.append(np.full((batch, n), rng.normal()))
+        elif kind == "zeros":
+            columns.append(rng.choice([-0.0, 0.0, 1.0], size=(batch, n)))
+        else:
+            values = rng.normal(size=(batch, n))
+            columns.append(np.round(values, 1) if kind == "rounded" else values)
+    features = np.stack(columns, axis=-1)
+    labels = rng.integers(1, m + 1, size=(batch, n))
+    test = np.concatenate([features[:, : n // 2], rng.normal(size=(batch, 5, d))], axis=1)
+    return features, labels, test, m, draw(st.integers(0, 10))
+
+
+@fixed
+@given(stump_stacks())
+def test_stacked_boosted_stumps_equal_per_run_oracle_bits(problem):
+    features, labels, test, m, rounds = problem
+    onehot = (labels[..., None] == np.arange(1, m + 1)).astype(float)
+    raw = boosted_stump_scores(features, onehot, test, rounds=rounds)
+    for run, x, y, t in zip(raw, features, labels, test):
+        assert run.tobytes() == oracle_boosted_raw(x, y, t, m, rounds).tobytes()
+
+
+@st.composite
 def mixtures(draw, min_size=2, max_size=6):
     weights = draw(st.lists(st.floats(0, 1), min_size=min_size, max_size=max_size)
                    .filter(lambda w: sum(w) > 0))

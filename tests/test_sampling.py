@@ -5,6 +5,7 @@ from scipy import stats
 from mixrobust import (DatasetPool, SamplingConfig, SamplingError, class_counts,
                        compose_split, compose_test, compose_training,
                        load_pool_csv, write_pool_csv)
+from mixrobust.sampling import dense_ranks
 from mixrobust.seeding import generator
 
 
@@ -239,3 +240,31 @@ class TestPoolCsv:
         path.write_text("label,f1\n0,0.5\n")
         with pytest.raises(SamplingError, match="1-based"):
             load_pool_csv(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_rejects_non_finite_feature_naming_line(self, tmp_path, value):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"label,f1,f2\n1,0.5,0.25\n2,0.5,{value}\n")
+        with pytest.raises(SamplingError, match=r"bad\.csv:3: features must be finite"):
+            load_pool_csv(path)
+
+
+class TestDatasetPool:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_feature(self, value):
+        features = np.zeros((4, 2))
+        features[2, 1] = value
+        with pytest.raises(SamplingError, match="features must be finite; row 2"):
+            DatasetPool(features=features, labels=np.array([1, 2, 1, 2]))
+
+    def test_ranks_are_dense_and_shared_by_equal_values(self):
+        features = np.array([[0.5, 3.0], [-1.0, 3.0], [0.5, -0.0], [2.0, 0.0]])
+        pool = DatasetPool(features=features, labels=np.array([1, 2, 1, 2]))
+        assert pool.ranks.tolist() == [[1, 0, 1, 2], [1, 1, 0, 0]]
+        assert pool.ranks.dtype == np.uint8
+        assert pool.ranks is pool.ranks
+
+    @pytest.mark.parametrize("distinct,dtype", [(256, np.uint8), (257, np.uint16),
+                                                (65537, np.uint32)])
+    def test_ranks_take_the_smallest_unsigned_dtype(self, distinct, dtype):
+        assert dense_ranks(np.arange(float(distinct))[:, None]).dtype == dtype
