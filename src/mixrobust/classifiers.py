@@ -8,7 +8,6 @@ covariate. Real trainers attach through the external-runner protocol.
 
 from __future__ import annotations
 
-import csv
 import math
 import numbers
 import subprocess
@@ -18,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .fileio import read_csv
 from .sampling import DatasetPool, SampleSplit, dense_ranks, write_pool_csv
 from .seeding import generator
 
@@ -518,26 +518,16 @@ def run_external(command, split: SampleSplit, pool: DatasetPool, workdir=None):
         scores_path = base / "scores.csv"
         if not scores_path.exists():
             raise ExternalRunnerError(f"external runner wrote no {scores_path}")
-        scores = _read_scores_csv(scores_path, pool.m, len(split.test_indices))
-    return scores
+        return _read_scores_csv(scores_path, pool.m, len(split.test_indices))
 
 
 def _read_scores_csv(path, m, n_expected):
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        expected = [f"score_{j}" for j in range(1, m + 1)]
-        if header != expected:
-            raise ExternalRunnerError(f"{path}: expected header {expected}, got {header}")
-        rows = [row for row in reader if row]
+    header = [f"score_{j}" for j in range(1, m + 1)]
+    rows = read_csv(path, ExternalRunnerError,
+                    lambda _: (header, lambda row: [float(v) for v in row]))
     if len(rows) != n_expected:
         raise ExternalRunnerError(f"{path}: expected {n_expected} rows, got {len(rows)}")
-    try:
-        scores = np.array([[float(v) for v in row] for row in rows])
-    except ValueError as exc:
-        raise ExternalRunnerError(f"{path}: non-numeric score: {exc}") from None
-    if scores.shape != (n_expected, m):
-        raise ExternalRunnerError(f"{path}: ragged score rows")
+    scores = np.array(rows, dtype=float).reshape(n_expected, m)
     sums = scores.sum(axis=1)
     if np.max(np.abs(sums - 1.0)) > EXTERNAL_ROW_TOL:
         raise ExternalRunnerError(f"{path}: score rows must sum to 1 within "

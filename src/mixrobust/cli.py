@@ -8,17 +8,16 @@ through the CSV/JSON files written under the output directory. Exit codes:
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import itertools
 import json
 import sys
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 from .classifiers import ClassifierKind, resolve_hyper
 from .design import DesignError, TestScenario, build_run_plan, write_plan_csv
-from .fileio import atomic_write_text
+from .fileio import atomic_write_text, csv_text, write_json
 from .metrics import MetricsError, read_outcomes_csv, write_outcomes_csv
 from .mixmodel import (ModelError, build_design_matrix, dataset_from_outcomes,
                        fit_ols, fit_report, write_fit_report)
@@ -118,13 +117,9 @@ def cmd_design(config, args):
 
 
 def _write_failures(failures, path):
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["run_id", "replicate", "scenario", "reason"])
-    for failure in failures:
-        writer.writerow([failure.run_id, failure.replicate,
-                         failure.scenario.value, failure.reason])
-    atomic_write_text(path, buf.getvalue())
+    atomic_write_text(path, csv_text(
+        ["run_id", "replicate", "scenario", "reason"],
+        ([f.run_id, f.replicate, f.scenario.value, f.reason] for f in failures)))
 
 
 def _run_metadata(config):
@@ -163,8 +158,7 @@ def _execute(config, args, allow_external):
     except ConfigError as exc:
         raise CliFailure(EXIT_CONFIG, str(exc)) from None
     write_plan_csv(plan, config.output_dir / "plan.csv")
-    atomic_write_text(config.output_dir / "run_metadata.json",
-                      json.dumps(_run_metadata(config), indent=2) + "\n")
+    write_json(config.output_dir / "run_metadata.json", _run_metadata(config))
     outcomes, failures = simulate_plan(plan, config, jobs=jobs, pools=pools)
     path = config.output_dir / "outcomes.csv"
     write_outcomes_csv(outcomes, config.design.m, config.design.h, path)
@@ -273,14 +267,12 @@ def _fmt_t(t):
     return "    n/a" if t is None else f"{t:8.3f}"
 
 
-def _report_block(reports, scenario):
+def _report_block(scenario, mean_rep, sd_rep):
     lines = [f"== {scenario.value.capitalize()} scenario " + "=" * 50]
     header = (f"{'Term':<8}" + f"{'Est':>10}{'SE':>10}{'t':>9}{'p':>8}"
               + "   |" + f"{'Est':>10}{'SE':>10}{'t':>9}{'p':>8}")
     lines.append(f"{'':8}{'Mean AUC':>28}{'':9}{'Log SD':>31}")
     lines.append(header)
-    by_response = {rep["response"]: rep for rep in reports}
-    mean_rep, sd_rep = by_response["mean_auc"], by_response["log_sd"]
 
     def _row(name, left, right):
         return (f"{name:<8}"
@@ -298,26 +290,39 @@ def _report_block(reports, scenario):
     return lines
 
 
+def _report_lines(paths, format_docs):
+    """format_docs(*docs) for the JSON files at paths; a file that cannot be
+    read, decoded or formatted exits 3 naming it."""
+    docs = []
+    for path in paths:
+        try:
+            docs.append(json.loads(path.read_text()))
+        except (OSError, ValueError) as exc:
+            raise CliFailure(EXIT_IO, f"cannot read {path}: {exc}; "
+                             "run `analyze` first") from None
+    try:
+        return format_docs(*docs)
+    except (KeyError, TypeError, ValueError) as exc:
+        names = " / ".join(map(str, paths))
+        raise CliFailure(EXIT_IO, f"malformed report file {names}: {exc!r}") from None
+
+
+def _shap_lines(doc):
+    return (["Attribution (mean AUC), descending:"]
+            + [f"  {entry['label']:<8}{entry['importance']:>10.4f}"
+               for entry in doc["importances"]] + [""])
+
+
 def cmd_report(config, args):
     lines = ["mixrobust experiment summary", ""]
     for scenario in _scenarios(config, args):
-        reports = []
-        for response in RESPONSES:
-            path = config.output_dir / f"fit_{response}_{scenario.value}.json"
-            try:
-                reports.append(json.loads(path.read_text()))
-            except OSError as exc:
-                raise CliFailure(EXIT_IO, f"cannot read fit report {path}: {exc}; "
-                                 "run `analyze` first") from None
-        lines.extend(_report_block(reports, scenario))
+        fit_paths = [config.output_dir / f"fit_{response}_{scenario.value}.json"
+                     for response in RESPONSES]
+        lines.extend(_report_lines(fit_paths, partial(_report_block, scenario)))
         lines.append("")
         shap_path = config.output_dir / f"shap_mean_auc_{scenario.value}.json"
         if shap_path.exists():
-            shap_doc = json.loads(shap_path.read_text())
-            lines.append("Attribution (mean AUC), descending:")
-            for entry in shap_doc["importances"]:
-                lines.append(f"  {entry['label']:<8}{entry['importance']:>10.4f}")
-            lines.append("")
+            lines.extend(_report_lines([shap_path], _shap_lines))
     text = "\n".join(lines) + "\n"
     path = config.output_dir / "report.txt"
     atomic_write_text(path, text)

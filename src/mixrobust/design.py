@@ -8,15 +8,13 @@ and replicates into a seeded, serializable run plan.
 
 from __future__ import annotations
 
-import csv
-import io
 import itertools
 from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
 
-from .fileio import atomic_write_text
+from .fileio import atomic_write_text, csv_text, read_csv
 from .seeding import derive_seed, generator
 
 MIXTURE_SUM_TOL = 1e-12
@@ -245,27 +243,20 @@ def plan_header(m, h):
             + ["seed"])
 
 
-def _fmt_level(v):
-    return f"{v:g}"
-
-
 def plan_to_csv(plan: RunPlan) -> str:
     """Serialize an expanded plan; proportions print with 6 decimals."""
-    cfg = plan.config
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(plan_header(cfg.m, cfg.h))
-    for run in plan.runs:
-        if run.scenario is None or run.test_mixture is None:
-            raise DesignError(f"run {run.run_id} has no scenario assignment; "
-                              "expand the plan before writing it")
-        writer.writerow(
-            [run.run_id, run.scenario.value, run.replicate]
+    return csv_text(plan_header(plan.config.m, plan.config.h), map(_plan_row, plan.runs))
+
+
+def _plan_row(run: RunSpec):
+    if run.scenario is None or run.test_mixture is None:
+        raise DesignError(f"run {run.run_id} has no scenario assignment; "
+                          "expand the plan before writing it")
+    return ([run.run_id, run.scenario.value, run.replicate]
             + [f"{v:.6f}" for v in run.train_mixture]
-            + [_fmt_level(v) for v in run.covariates]
+            + [f"{v:g}" for v in run.covariates]
             + [f"{v:.6f}" for v in run.test_mixture]
             + [run.seed])
-    return buf.getvalue()
 
 
 def write_plan_csv(plan: RunPlan, path):
@@ -284,32 +275,21 @@ def renormalize(values, where):
 
 def read_plan_csv(path):
     """Read run specs back; 6-decimal proportions are renormalized to sum 1.
-    A malformed row raises DesignError naming its line."""
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None:
-            raise DesignError(f"{path}: empty plan file")
-        m = sum(1 for name in header if name.startswith("x"))
-        h = sum(1 for name in header if name.startswith("z") and not name.startswith("z_"))
-        if header != plan_header(m, h):
-            raise DesignError(f"{path}: unexpected plan header {header}")
-        runs = []
-        for row in reader:
-            if not row:
-                continue
-            try:
-                if len(row) != len(header):
-                    raise DesignError(f"expected {len(header)} fields, got {len(row)}")
-                run_id = int(row[0])
-                runs.append(RunSpec(
-                    run_id=run_id, scenario=TestScenario.parse(row[1]),
-                    replicate=int(row[2]),
-                    train_mixture=renormalize(row[3:3 + m], f"run {run_id} train mixture"),
-                    covariates=tuple(float(v) for v in row[3 + m:3 + m + h]),
-                    test_mixture=renormalize(row[3 + m + h:3 + 2 * m + h],
-                                             f"run {run_id} test mixture"),
-                    seed=int(row[3 + 2 * m + h])))
-            except ValueError as exc:
-                raise DesignError(f"{path}:{reader.line_num}: {exc}") from None
-    return runs
+    A malformed file or row raises DesignError naming it."""
+    return read_csv(path, DesignError, _plan_layout)
+
+
+def _plan_layout(header):
+    m = sum(1 for name in header if name.startswith("x"))
+    h = sum(1 for name in header if name.startswith("z") and not name.startswith("z_"))
+
+    def parse(row):
+        run_id = int(row[0])
+        return RunSpec(
+            run_id=run_id, scenario=TestScenario.parse(row[1]), replicate=int(row[2]),
+            train_mixture=renormalize(row[3:3 + m], f"run {run_id} train mixture"),
+            covariates=tuple(float(v) for v in row[3 + m:3 + m + h]),
+            test_mixture=renormalize(row[3 + m + h:3 + 2 * m + h],
+                                     f"run {run_id} test mixture"),
+            seed=int(row[3 + 2 * m + h]))
+    return plan_header(m, h), parse

@@ -1,5 +1,8 @@
-"""Atomic file emission shared by the CSV/JSON/SVG writers."""
+"""The files the stages exchange: atomic emission, headed CSV tables, JSON."""
 
+import csv
+import io
+import json
 import os
 import tempfile
 from pathlib import Path
@@ -22,3 +25,44 @@ def atomic_write_bytes(path, data: bytes):
 
 def atomic_write_text(path, text: str):
     atomic_write_bytes(path, text.encode("utf-8"))
+
+
+def write_json(path, doc):
+    """Atomically write doc as 2-space-indented JSON plus a final newline."""
+    atomic_write_text(path, json.dumps(doc, indent=2) + "\n")
+
+
+def csv_text(header, rows) -> str:
+    """A headed CSV table as text, one "\\n"-terminated line per row."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def read_csv(path, error, layout):
+    """parse_row(row) for each non-blank row of the headed CSV table at path.
+
+    layout(header) returns (expected_header, parse_row). An empty file or a
+    wrong header raises error("<path>: <reason>"); a row of the wrong width,
+    or a ValueError from parse_row, raises error("<path>:<line>: <reason>").
+    """
+    with open(path, newline="") as handle:
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        if header is None:
+            raise error(f"{path}: empty file, expected a header line")
+        expected, parse_row = layout(header)
+        if header != expected:
+            raise error(f"{path}: expected header {','.join(expected)}, "
+                        f"got {','.join(header)}")
+        rows = []
+        for row in filter(None, reader):
+            try:
+                if len(row) != len(header):
+                    raise ValueError(f"expected {len(header)} fields, got {len(row)}")
+                rows.append(parse_row(row))
+            except ValueError as exc:
+                raise error(f"{path}:{reader.line_num}: {exc}") from None
+    return rows

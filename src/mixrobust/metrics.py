@@ -7,15 +7,13 @@ the class's score column, ties counting one half.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .design import TestScenario, renormalize
-from .fileio import atomic_write_text
+from .fileio import atomic_write_text, csv_text, read_csv
 
 SD_FLOOR = 1e-8
 
@@ -108,18 +106,13 @@ def outcomes_header(m, h):
 
 
 def outcomes_to_csv(outcomes, m, h) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(outcomes_header(m, h))
-    for out in sorted(outcomes, key=lambda o: o.run_id):
-        writer.writerow(
-            [out.run_id, out.replicate, out.scenario.value]
-            + [f"{v:g}" for v in out.covariates]
-            + [f"{v:.6f}" for v in out.train_mixture]
-            + [f"{v:.10g}" for v in out.aucs]
-            + [f"{out.mean_auc:.10g}", f"{out.log_sd:.10g}",
-               int(out.degenerate_sd)])
-    return buf.getvalue()
+    return csv_text(outcomes_header(m, h), (
+        [out.run_id, out.replicate, out.scenario.value]
+        + [f"{v:g}" for v in out.covariates]
+        + [f"{v:.6f}" for v in out.train_mixture]
+        + [f"{v:.10g}" for v in out.aucs]
+        + [f"{out.mean_auc:.10g}", f"{out.log_sd:.10g}", int(out.degenerate_sd)]
+        for out in sorted(outcomes, key=lambda o: o.run_id)))
 
 
 def write_outcomes_csv(outcomes, m, h, path):
@@ -128,32 +121,20 @@ def write_outcomes_csv(outcomes, m, h, path):
 
 def read_outcomes_csv(path):
     """Read outcome rows back as RunOutcome values (mixtures renormalized).
-    A malformed row raises MetricsError naming its line."""
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None:
-            raise MetricsError(f"{path}: empty outcomes file")
-        m = sum(1 for name in header if name.startswith("auc_"))
-        h = sum(1 for name in header if name.startswith("z"))
-        if header != outcomes_header(m, h):
-            raise MetricsError(f"{path}: unexpected outcomes header {header}")
-        outcomes = []
-        for row in reader:
-            if not row:
-                continue
-            try:
-                if len(row) != len(header):
-                    raise MetricsError(f"expected {len(header)} fields, got {len(row)}")
-                outcomes.append(RunOutcome(
-                    run_id=int(row[0]), replicate=int(row[1]),
-                    scenario=TestScenario.parse(row[2]),
-                    covariates=tuple(float(v) for v in row[3:3 + h]),
-                    train_mixture=renormalize(row[3 + h:3 + h + m], f"run {row[0]} mixture"),
-                    aucs=tuple(float(v) for v in row[3 + h + m:3 + h + 2 * m]),
-                    mean_auc=float(row[3 + h + 2 * m]),
-                    log_sd=float(row[4 + h + 2 * m]),
-                    degenerate_sd=bool(int(row[5 + h + 2 * m]))))
-            except ValueError as exc:
-                raise MetricsError(f"{path}:{reader.line_num}: {exc}") from None
-    return outcomes
+    A malformed file or row raises MetricsError naming it."""
+    return read_csv(path, MetricsError, _outcomes_layout)
+
+
+def _outcomes_layout(header):
+    m = sum(1 for name in header if name.startswith("auc_"))
+    h = sum(1 for name in header if name.startswith("z"))
+
+    def parse(row):
+        return RunOutcome(
+            run_id=int(row[0]), replicate=int(row[1]), scenario=TestScenario.parse(row[2]),
+            covariates=tuple(float(v) for v in row[3:3 + h]),
+            train_mixture=renormalize(row[3 + h:3 + h + m], f"run {row[0]} mixture"),
+            aucs=tuple(float(v) for v in row[3 + h + m:3 + h + 2 * m]),
+            mean_auc=float(row[3 + h + 2 * m]), log_sd=float(row[4 + h + 2 * m]),
+            degenerate_sd=bool(int(row[5 + h + 2 * m])))
+    return outcomes_header(m, h), parse

@@ -11,8 +11,6 @@ mixture-interaction coefficients.
 
 from __future__ import annotations
 
-import io
-import json
 import math
 from dataclasses import dataclass
 
@@ -20,7 +18,7 @@ import numpy as np
 from scipy import linalg
 
 from .design import TestScenario
-from .fileio import atomic_write_text
+from .fileio import write_json
 from .studentt import two_sided_p
 
 RANK_RTOL = 1e-10
@@ -261,12 +259,16 @@ def term_inference(fit: MixtureModelFit):
     for i, label in enumerate(fit.labels):
         est = float(fit.coefficients[i])
         se = float(np.sqrt(fit.covariance[i, i]))
-        if se <= 0 or not math.isfinite(se):
-            rows.append(TermInference(label, est, se, float("nan"), float("nan")))
-            continue
-        t = est / se
-        rows.append(TermInference(label, est, se, t, float(two_sided_p(t, fit.df))))
+        rows.append(TermInference(label, est, se, *_t_and_p(est, se, fit.df)))
     return rows
+
+
+def _t_and_p(estimate, se, df):
+    """t and two-sided p of an estimate; both NaN unless the SE is finite and > 0."""
+    if se <= 0 or not math.isfinite(se):
+        return float("nan"), float("nan")
+    t = estimate / se
+    return t, float(two_sided_p(t, df))
 
 
 def implied_covariate_effect(fit: MixtureModelFit, k) -> ImpliedEffect:
@@ -282,10 +284,7 @@ def implied_covariate_effect(fit: MixtureModelFit, k) -> ImpliedEffect:
     estimate = float(contrast @ fit.coefficients)
     variance = float(contrast @ fit.covariance @ contrast)
     se = float(np.sqrt(variance))
-    if se <= 0 or not math.isfinite(se):
-        return ImpliedEffect(k, estimate, se, float("nan"), float("nan"))
-    t = estimate / se
-    return ImpliedEffect(k, estimate, se, t, float(two_sided_p(t, fit.df)))
+    return ImpliedEffect(k, estimate, se, *_t_and_p(estimate, se, fit.df))
 
 
 def predict_rows(fit: MixtureModelFit, mixtures, covariates):
@@ -337,7 +336,4 @@ def fit_report(fit: MixtureModelFit, scenario, response):
 
 
 def write_fit_report(report, path):
-    buf = io.StringIO()
-    json.dump(report, buf, indent=2)
-    buf.write("\n")
-    atomic_write_text(path, buf.getvalue())
+    write_json(path, report)

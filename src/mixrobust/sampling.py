@@ -7,14 +7,12 @@ so no observation appears on both sides of a split.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fileio import atomic_write_text
+from .fileio import atomic_write_text, csv_text, read_csv
 
 
 class SamplingError(ValueError):
@@ -189,12 +187,8 @@ def pool_header(d):
 
 
 def pool_to_csv(pool: DatasetPool) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(pool_header(pool.d))
-    for label, row in zip(pool.labels, pool.features):
-        writer.writerow([int(label)] + [f"{v:.10g}" for v in row])
-    return buf.getvalue()
+    return csv_text(pool_header(pool.d), ([int(label)] + [f"{v:.10g}" for v in row]
+                                          for label, row in zip(pool.labels, pool.features)))
 
 
 def write_pool_csv(pool: DatasetPool, path):
@@ -204,34 +198,18 @@ def write_pool_csv(pool: DatasetPool, path):
 def load_pool_csv(path) -> DatasetPool:
     """Read a `label,f1..fd` table; validates labels, finite features and
     rectangular width."""
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or len(header) < 2 or header[0] != "label":
-            raise SamplingError(f"{path}: expected header label,f1..fd")
-        d = len(header) - 1
-        if header != pool_header(d):
-            raise SamplingError(f"{path}: unexpected pool header {header}")
-        labels, rows = [], []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != d + 1:
-                raise SamplingError(f"{path}:{lineno}: expected {d + 1} fields, "
-                                    f"got {len(row)}")
-            try:
-                label = int(row[0])
-            except ValueError:
-                raise SamplingError(f"{path}:{lineno}: label {row[0]!r} is not an "
-                                    "integer") from None
-            if label < 1:
-                raise SamplingError(f"{path}:{lineno}: labels are 1-based")
-            features = [float(v) for v in row[1:]]
-            if not all(map(math.isfinite, features)):
-                raise SamplingError(f"{path}:{lineno}: features must be finite, got "
-                                    f"{row[1:]}")
-            labels.append(label)
-            rows.append(features)
+    rows = read_csv(path, SamplingError,
+                    lambda header: (pool_header(max(len(header) - 1, 1)), _pool_row))
     if not rows:
         raise SamplingError(f"{path}: pool file has no observations")
-    return DatasetPool(features=np.array(rows), labels=np.array(labels, dtype=int))
+    labels, features = zip(*rows)
+    return DatasetPool(features=np.array(features), labels=np.array(labels, dtype=int))
+
+
+def _pool_row(row):
+    label, features = int(row[0]), [float(v) for v in row[1:]]
+    if label < 1:
+        raise ValueError("labels are 1-based")
+    if not all(map(math.isfinite, features)):
+        raise ValueError(f"features must be finite, got {row[1:]}")
+    return label, features

@@ -10,13 +10,12 @@ closed form can be tested rather than trusted.
 from __future__ import annotations
 
 import io
-import json
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import comb
 
-from .fileio import atomic_write_text
+from .fileio import atomic_write_text, write_json
 from .mixmodel import MixtureModelFit, ModelMatrix
 
 MAX_ORACLE_FEATURES = 20
@@ -100,10 +99,7 @@ def write_shap_json(report: ShapReport, path, scenario=None, response=None):
                          "importance": float(report.importance[i])}
                         for i in order],
     }
-    buf = io.StringIO()
-    json.dump(payload, buf, indent=2)
-    buf.write("\n")
-    atomic_write_text(path, buf.getvalue())
+    write_json(path, payload)
 
 
 def write_phi_csv(report: ShapReport, path):

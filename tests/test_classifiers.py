@@ -536,6 +536,15 @@ workdir = Path(sys.argv[1])
 (workdir / "scores.csv").write_text("score_1,score_2\\n0.9,0.2\\n")
 """
 
+RUNNER_MALFORMED_ROW = """\
+import sys
+from pathlib import Path
+workdir = Path(sys.argv[2])
+rows = ["0.5,0.5"] * 10
+rows[3] = sys.argv[1]
+(workdir / "scores.csv").write_text("score_1,score_2\\n" + "\\n".join(rows) + "\\n")
+"""
+
 
 class TestExternalRunner:
     def _pool(self):
@@ -591,6 +600,18 @@ class TestExternalRunner:
         with pytest.raises(ExternalRunnerError, match="expected 10 rows"):
             train_and_score(ClassifierKind.EXTERNAL, self._split(pool), pool,
                             command=["python3", str(runner)])
+
+    @pytest.mark.parametrize("row,match", [
+        ("0.5,high", "could not convert string to float: 'high'"),
+        ("0.25,0.25,0.5", "expected 2 fields, got 3"),
+    ])
+    def test_malformed_score_row_names_its_line(self, tmp_path, row, match):
+        runner = tmp_path / "runner.py"
+        runner.write_text(RUNNER_MALFORMED_ROW)
+        pool = self._pool()
+        with pytest.raises(ExternalRunnerError, match=r"scores\.csv:5: " + match):
+            train_and_score(ClassifierKind.EXTERNAL, self._split(pool), pool,
+                            command=["python3", str(runner), row])
 
     def test_nan_scores_rejected(self, tmp_path):
         runner = tmp_path / "runner.py"

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import shutil
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -249,6 +250,28 @@ class TestReportCommand:
         config_path = write_config(tmp_path)
         assert main(["report", "--config", str(config_path)]) == EXIT_IO
 
+    def _copied_outputs(self, experiment_dir, tmp_path):
+        source, _ = experiment_dir
+        shutil.copytree(source / "out", tmp_path / "out")
+        return tmp_path / "out", write_config(tmp_path)
+
+    def test_truncated_fit_report_exits_io_naming_it(self, experiment_dir, tmp_path,
+                                                       capsys):
+        out, config_path = self._copied_outputs(experiment_dir, tmp_path)
+        path = out / "fit_log_sd_consistent.json"
+        path.write_text(path.read_text()[:100])
+        assert main(["report", "--config", str(config_path)]) == EXIT_IO
+        assert f"cannot read {path}: " in capsys.readouterr().err
+
+    def test_shap_entry_without_importance_exits_io_naming_it(self, experiment_dir,
+                                                               tmp_path, capsys):
+        out, config_path = self._copied_outputs(experiment_dir, tmp_path)
+        path = out / "shap_mean_auc_balanced.json"
+        path.write_text(json.dumps({"importances": [{"label": "x1"}]}))
+        assert main(["report", "--config", str(config_path)]) == EXIT_IO
+        assert f"malformed report file {path}: KeyError('importance')" in (
+            capsys.readouterr().err)
+
 
 def _bad_value(keys, value, section, id):
     return pytest.param(keys, value, section, id=id)
@@ -318,7 +341,8 @@ class TestConfigErrorBoundary:
         doc["pools"]["1"] = {"csv": "pool.csv"}
         config_path = write_config(tmp_path, doc)
         assert main(["simulate", "--config", str(config_path), "--jobs", "1"]) == EXIT_CONFIG
-        assert "pools[1]: could not convert string to float" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "pools[1]: " in err and "pool.csv:2: could not convert string to float" in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
