@@ -145,22 +145,24 @@ def generate_pool(config: SyntheticDataConfig) -> DatasetPool:
     return DatasetPool(features=np.vstack(blocks), labels=np.concatenate(labels))
 
 
-def check_score_matrix(scores, m=None, tol=SCORE_ROW_TOL):
+def check_score_matrix(scores, m):
     scores = np.asarray(scores, dtype=float)
-    if scores.ndim != 2 or (m is not None and scores.shape[1] != m):
+    if scores.ndim != 2 or scores.shape[1] != m:
         raise ClassifierError(f"score matrix has shape {scores.shape}")
     if not np.isfinite(scores).all():
         raise ClassifierError("scores must be finite")
-    if scores.size and (scores.min() < -tol or scores.max() > 1 + tol):
+    if scores.size and (scores.min() < -SCORE_ROW_TOL or scores.max() > 1 + SCORE_ROW_TOL):
         raise ClassifierError("scores must lie in [0, 1]")
-    if scores.size and np.max(np.abs(scores.sum(axis=1) - 1.0)) > tol:
-        raise ClassifierError(f"score rows must sum to 1 within {tol}")
+    if scores.size and np.max(np.abs(scores.sum(axis=1) - 1.0)) > SCORE_ROW_TOL:
+        raise ClassifierError(f"score rows must sum to 1 within {SCORE_ROW_TOL}")
     return scores
 
 
 def _softmax(logits):
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    expd = np.exp(shifted)
+    # logits spanning more than the float range shift to -inf, whose exp is 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        expd = np.exp(shifted)
     # canonical (sorted) summation order so relabeling classes permutes the
     # scores exactly, not just to rounding
     totals = np.sort(expd, axis=1).sum(axis=1, keepdims=True)
@@ -222,12 +224,6 @@ def fit_logistic_ovr(features, labels, m, epochs=500, step=0.1, l2=1e-4,
     if loss_every:
         losses.append(logistic_loss(weights, features_b, targets, l2))
     return weights, losses
-
-
-def logistic_scores(weights, features):
-    features = np.asarray(features, dtype=float)
-    features_b = np.hstack([features, np.ones((features.shape[0], 1))])
-    return _softmax(features_b @ weights)
 
 
 def best_stump_split(values, residuals):
@@ -428,7 +424,8 @@ def train_and_score_batch(kind, splits, pool: DatasetPool, hyper=None,
 
     The splits that draw the same numbers of training and test rows train
     together: logistic ones as one stacked gradient descent, boosted stumps
-    as one stacked booster. External runners go one split at a time.
+    as one stacked booster, and each run's scores are the checked softmax of
+    its raw scores. External runners go one split at a time.
     """
     try:
         kind = kind if isinstance(kind, ClassifierKind) else ClassifierKind.parse(kind)
@@ -446,24 +443,27 @@ def train_and_score_batch(kind, splits, pool: DatasetPool, hyper=None,
             stacks.setdefault((rows.size, len(splits[i].test_indices)), []).append(i)
     for stack in stacks.values():
         train = np.stack([results[i] for i in stack])
+        test = pool.features[np.array([splits[i].test_indices for i in stack], dtype=int)]
+        diverged = np.zeros(len(stack), dtype=bool)
         if kind is ClassifierKind.BOOSTED_STUMPS:
-            test = np.stack([np.asarray(splits[i].test_indices, dtype=int) for i in stack])
             raw = boosted_stump_scores(pool.features[train],
                                        _onehot(pool.labels[train], pool.m),
-                                       pool.features[test], rounds=int(settings["rounds"]),
+                                       test, rounds=int(settings["rounds"]),
                                        shrinkage=float(settings["shrinkage"]),
                                        ranks=pool.ranks[:, train])
-            scored = [_caught(check_score_matrix, _softmax(run_raw), pool.m)
-                      for run_raw in raw]
         else:
             weights, _ = fit_logistic_ovr(pool.features[train], pool.labels[train], pool.m,
                                           epochs=int(settings["epochs"]),
                                           step=float(settings["step"]),
                                           l2=float(settings["l2"]))
-            scored = [_caught(_logistic_result, run_weights, splits[i], pool)
-                      for i, run_weights in zip(stack, weights)]
-        for i, result in zip(stack, scored):
-            results[i] = result
+            diverged = ~np.isfinite(weights).all(axis=(-2, -1))
+            weights[diverged] = 0.0  # those runs fail by name below
+            # one gemm per run, with the bits of that run's unstacked product
+            raw = np.concatenate([test, np.ones(test.shape[:-1] + (1,))], axis=-1) @ weights
+        for i, run_raw, run_diverged in zip(stack, raw, diverged):
+            results[i] = (ClassifierError("logistic weights are not finite; the gradient "
+                                          "descent diverged") if run_diverged
+                          else _caught(check_score_matrix, _softmax(run_raw), pool.m))
     return results
 
 
@@ -480,18 +480,6 @@ def _training_rows(split: SampleSplit, pool: DatasetPool):
     if np.unique(pool.labels[train]).size < 2:
         raise ClassifierError("training multiset covers fewer than 2 classes")
     return train
-
-
-def _test_features(split: SampleSplit, pool: DatasetPool):
-    return pool.features[np.asarray(split.test_indices, dtype=int)]
-
-
-def _logistic_result(weights, split, pool):
-    if not np.isfinite(weights).all():
-        raise ClassifierError("logistic weights are not finite; the gradient "
-                              "descent diverged")
-    return check_score_matrix(logistic_scores(weights, _test_features(split, pool)),
-                              pool.m)
 
 
 def run_external(command, split: SampleSplit, pool: DatasetPool, workdir=None):

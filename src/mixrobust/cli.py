@@ -35,6 +35,7 @@ EXIT_IO = 3
 EXIT_NUMERIC = 4
 
 RESPONSES = ("mean_auc", "log_sd")
+CONTOUR_Q, CONTOUR_LEVELS = 100, 10  # grid steps per simplex edge, ternary bands
 
 
 class CliFailure(Exception):
@@ -66,8 +67,7 @@ def build_parser():
         cmd.add_argument("--config", required=True, help="experiment config JSON")
         cmd.add_argument("--out", default=None, help="output directory override")
         cmd.add_argument("--seed", type=int, default=None, help="master seed override")
-        cmd.add_argument("--jobs", type=int, default=None,
-                         help="worker pool size (MIXROBUST_JOBS overrides)")
+        cmd.add_argument("--jobs", type=int, default=None, help="worker pool size")
         cmd.add_argument("--scenario", default=None,
                          choices=[s.value for s in TestScenario],
                          help="restrict to one test scenario")
@@ -232,14 +232,14 @@ def cmd_shap(config, args):
     return EXIT_OK
 
 
-def cmd_contour(config, args, q=100, levels=10):
+def cmd_contour(config, args):
     design = config.design
     ternary = design.m == 3
     if ternary:
-        grid = TernaryGrid.build(q=q, min_prop=design.min_prop)
+        grid = TernaryGrid.build(q=CONTOUR_Q, min_prop=design.min_prop)
     else:
         # no ternary projection beyond 3 classes: coarse lattice, CSV only
-        lattice_q = min(q, 20)
+        lattice_q = min(CONTOUR_Q, 20)
         grid = TernaryGrid(q=lattice_q, min_prop=design.min_prop,
                            points=simplex_lattice(lattice_q, design.m,
                                                   design.min_prop))
@@ -252,7 +252,7 @@ def cmd_contour(config, args, q=100, levels=10):
             write_grid_csv(surface, config.output_dir / f"grid_{base}.csv")
             if ternary:
                 write_ternary_svg(surface, config.output_dir / contour_filename(
-                    response, scenario.value, z), levels=levels)
+                    response, scenario.value, z), levels=CONTOUR_LEVELS)
         print(f"wrote contour outputs for {response} / {scenario.value}")
     return EXIT_OK
 

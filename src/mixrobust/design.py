@@ -104,10 +104,10 @@ class RunPlan:
         return iter(self.runs)
 
 
-def check_mixture(x, min_prop=0.0, tol=MIXTURE_SUM_TOL):
+def check_mixture(x, min_prop=0.0):
     """Validate a proportion vector: sums to one, respects the floor."""
     arr = np.asarray(x, dtype=float)
-    if abs(arr.sum() - 1.0) > tol:
+    if abs(arr.sum() - 1.0) > MIXTURE_SUM_TOL:
         raise DesignError(f"proportions sum to {arr.sum()!r}, not 1")
     if arr.min() < min_prop - 1e-12:
         raise DesignError(f"proportion {arr.min()} below the floor {min_prop}")

@@ -44,25 +44,30 @@ def csv_text(header, rows) -> str:
 def read_csv(path, error, layout):
     """parse_row(row) for each non-blank row of the headed CSV table at path.
 
-    layout(header) returns (expected_header, parse_row). An empty file or a
-    wrong header raises error("<path>: <reason>"); a row of the wrong width,
-    or a ValueError from parse_row, raises error("<path>:<line>: <reason>").
+    layout(header) returns (expected_header, parse_row). An empty file, a bad
+    header or an undecodable byte raises error("<path>: <reason>"); a bad row
+    (wrong width, csv.Error, ValueError from parse_row) error("<path>:<line>: <reason>").
     """
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None:
-            raise error(f"{path}: empty file, expected a header line")
-        expected, parse_row = layout(header)
-        if header != expected:
-            raise error(f"{path}: expected header {','.join(expected)}, "
-                        f"got {','.join(header)}")
-        rows = []
-        for row in filter(None, reader):
-            try:
-                if len(row) != len(header):
-                    raise ValueError(f"expected {len(header)} fields, got {len(row)}")
-                rows.append(parse_row(row))
-            except ValueError as exc:
-                raise error(f"{path}:{reader.line_num}: {exc}") from None
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise error(f"{path}: empty file, expected a header line")
+            expected, parse_row = layout(header)
+            if header != expected:
+                raise error(f"{path}: expected header {','.join(expected)}, "
+                            f"got {','.join(header)}")
+            rows = []
+            for row in filter(None, reader):
+                try:
+                    if len(row) != len(header):
+                        raise ValueError(f"expected {len(header)} fields, got {len(row)}")
+                    rows.append(parse_row(row))
+                except ValueError as exc:
+                    raise error(f"{path}:{reader.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise error(f"{path}: {exc}") from None
+        except csv.Error as exc:
+            raise error(f"{path}:{reader.line_num}: {exc}") from None
     return rows

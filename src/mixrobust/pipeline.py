@@ -24,7 +24,6 @@ from .metrics import MetricsError, RunOutcome, auc_ovr
 from .sampling import DatasetPool, SamplingConfig, SamplingError, compose_split, load_pool_csv
 from .seeding import generator
 
-JOBS_ENV_VAR = "MIXROBUST_JOBS"
 # runs of one (classifier, pool) group that execute together, one batch per
 # worker task
 BATCH_SIZE = 8
@@ -150,14 +149,7 @@ def _failure(spec, exc):
 
 
 def resolve_jobs(jobs=None):
-    """Worker count: MIXROBUST_JOBS env overrides the argument; default is
-    the available parallelism."""
-    env = os.environ.get(JOBS_ENV_VAR)
-    if env is not None:
-        try:
-            jobs = int(env)
-        except ValueError:
-            raise ConfigError(f"{JOBS_ENV_VAR}={env!r} is not an integer") from None
+    """Worker count: the argument, by default the CPU count."""
     if jobs is None:
         jobs = os.cpu_count() or 1
     if jobs < 1:

@@ -167,6 +167,31 @@ class TestStackedLogistic:
             alone = train_and_score("logistic", splits[i], pool, hyper={"epochs": 50})
             assert results[i].tobytes() == alone.tobytes()
 
+    def test_batch_scores_equal_oracle_softmax_bits(self):
+        cfg = SyntheticDataConfig(m=3, d=3, n_per_class=40,
+                                  class_means=default_class_means(3, 3), seed=5)
+        pool = generate_pool(cfg)
+        rng = generator(24, "batch")
+        splits = [split_of(rng.integers(0, pool.n, size=60),
+                           rng.integers(0, pool.n, size=25)) for _ in range(8)]
+        results = train_and_score_batch("logistic", splits, pool, hyper={"epochs": 40})
+        for split, scores in zip(splits, results):
+            test = pool.features[split.test_indices]
+            weights = oracle_logistic_weights(pool.features[split.train_indices],
+                                              pool.labels[split.train_indices], 3, epochs=40)
+            expected = _softmax(np.hstack([test, np.ones((len(test), 1))]) @ weights)
+            assert scores.tobytes() == expected.tobytes()
+
+    def test_logits_beyond_float_range_score_without_warning(self):
+        # at the default 500 epochs the weights are finite, but the scaled
+        # test rows' logits span more than the float range, so the shifted
+        # losing logit is -inf
+        pool = overflow_pool()
+        scores = train_and_score("logistic", split_of(np.arange(80), np.arange(80, 160)),
+                                 pool)
+        assert set(scores.ravel()) == {0.0, 1.0}
+        assert (scores.sum(axis=1) == 1.0).all()
+
     def test_diverging_step_names_the_weights(self):
         pool = two_class_pool(n_per_class=40)
         train = np.arange(pool.n)

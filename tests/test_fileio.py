@@ -23,7 +23,8 @@ READERS = {
 
 
 def _malformed(case, header, row):
-    """(file text, message pattern after the path) for one malformed case."""
+    """(file text or bytes, message pattern after the path) for one malformed
+    case."""
     fields = row.split(",")
     if case == "empty":
         return "", ": empty file"
@@ -33,17 +34,27 @@ def _malformed(case, header, row):
         text = ",".join(fields[:-1])
         return ",".join(header) + "\n" + text + "\n", (
             f":2: expected {len(fields)} fields, got {len(fields) - 1}")
+    if case == "undecodable":
+        # blank lines are skipped: the byte lies past the first 8 KiB decoded,
+        # after the header and a row were read
+        text = ",".join(header) + "\n" + row + "\n" + "\n" * 9000
+        return text.encode() + b"\xff\n", ": .*can't decode byte 0xff"
+    if case == "oversized-field":
+        # over the csv module's 131,072-character field limit
+        fields[-2] = "9" * 140_000
+        return ",".join(header) + "\n" + ",".join(fields) + "\n", ":2: field larger"
     fields[-2] = "x"
     return ",".join(header) + "\n" + ",".join(fields) + "\n", ":2: .*'x'"
 
 
-@pytest.mark.parametrize("case", ["empty", "wrong-header", "short-row", "non-numeric"])
+@pytest.mark.parametrize("case", ["empty", "wrong-header", "short-row", "non-numeric",
+                                  "undecodable", "oversized-field"])
 @pytest.mark.parametrize("name", sorted(READERS))
 def test_malformed_file_names_path_and_line(tmp_path, name, case):
     read, error, header, row = READERS[name]
     text, message = _malformed(case, header, row)
     path = tmp_path / f"{name}.csv"
-    path.write_text(text)
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
     with pytest.raises(error, match=re.escape(str(path)) + message):
         read(path)
 

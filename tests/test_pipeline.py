@@ -143,18 +143,12 @@ class TestResolveJobs:
     def test_explicit_value(self):
         assert resolve_jobs(3) == 3
 
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("MIXROBUST_JOBS", "5")
-        assert resolve_jobs(2) == 5
-
-    def test_rejects_bad_env(self, monkeypatch):
-        monkeypatch.setenv("MIXROBUST_JOBS", "many")
-        with pytest.raises(ConfigError):
-            resolve_jobs(1)
-
-    def test_default_positive(self, monkeypatch):
-        monkeypatch.delenv("MIXROBUST_JOBS", raising=False)
+    def test_default_positive(self):
         assert resolve_jobs(None) >= 1
+
+    def test_rejects_zero(self):
+        with pytest.raises(ConfigError, match="jobs must be >= 1"):
+            resolve_jobs(0)
 
 
 class TestExecuteRun:
@@ -199,8 +193,7 @@ class TestSimulatePlan:
         second, _ = simulate_plan(plan, config, jobs=1)
         assert [o.aucs for o in first] == [o.aucs for o in second]
 
-    def test_worker_pool_matches_serial(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("MIXROBUST_JOBS", raising=False)
+    def test_worker_pool_matches_serial(self, tmp_path):
         config, plan = self._setup(tmp_path)
         plan.runs = plan.runs[:12]
         serial, _ = simulate_plan(plan, config, jobs=1)
@@ -251,10 +244,9 @@ class TestBatches:
             return type(exc), str(exc)
         return "ok", outcome.aucs
 
-    def test_mixed_batches_equal_runs_alone(self, tmp_path, monkeypatch):
+    def test_mixed_batches_equal_runs_alone(self, tmp_path):
         # test rows near the class sizes: some test draws fall short, and
         # dominant-class training draws miss the rare classes
-        monkeypatch.delenv("MIXROBUST_JOBS", raising=False)
         doc = small_config_doc(n_per_class=50)
         doc["sampling"]["test_frac"] = 0.3
         config = parse_experiment_config(doc, tmp_path)
