@@ -15,12 +15,13 @@ from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
+from .blas import single_thread
 from .classifiers import ClassifierKind, resolve_hyper
 from .design import DesignError, TestScenario, build_run_plan, write_plan_csv
 from .fileio import atomic_write_text, csv_text, write_json
-from .metrics import MetricsError, read_outcomes_csv, write_outcomes_csv
-from .mixmodel import (ModelError, build_design_matrix, dataset_from_outcomes,
-                       fit_ols, fit_report, write_fit_report)
+from .metrics import MetricsError, read_outcome_table, write_outcomes_csv
+from .mixmodel import (ModelError, build_design_matrix, dataset_from_table, fit_ols,
+                       fit_report, write_fit_report)
 from .pipeline import (ConfigError, ExperimentConfig, checked_pools,
                        parse_experiment_config, resolve_jobs, simulate_plan,
                        with_master_seed)
@@ -182,7 +183,7 @@ def cmd_run(config, args):
 def _read_outcomes(config):
     path = config.output_dir / "outcomes.csv"
     try:
-        return read_outcomes_csv(path)
+        return read_outcome_table(path)
     except OSError as exc:
         raise CliFailure(EXIT_IO, f"cannot read outcomes {path}: {exc}; "
                          "run `simulate` or `run` first") from None
@@ -193,18 +194,19 @@ def _read_outcomes(config):
 def _fits(config, args):
     """Yield (scenario, response, fit, matrix) for each selected scenario and
     each response; every scenario is checked for rows before the first fit."""
+    single_thread()
     outcomes = _read_outcomes(config)
     groups = []
     for scenario in _scenarios(config, args):
-        rows = [out for out in outcomes if out.scenario is scenario]
-        if not rows:
+        rows = outcomes.where(outcomes.scenario == scenario)
+        if not len(rows):
             raise CliFailure(EXIT_IO, f"outcomes file has no rows for scenario "
                              f"{scenario.value}")
         groups.append((scenario, rows))
     for scenario, rows in groups:
         for response in RESPONSES:
             try:
-                data = dataset_from_outcomes(rows, response)
+                data = dataset_from_table(rows, response)
                 matrix = build_design_matrix(data)
                 fit = fit_ols(matrix, data.y)
             except ModelError as exc:

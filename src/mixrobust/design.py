@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import partial
 
 import numpy as np
 
@@ -166,7 +167,8 @@ def scenario_test_proportions(train, scenario: TestScenario, rng=None, min_prop=
     swaps the rank pattern: the classes sitting at the training minimum take
     over the dominant (equal) share while every other class drops to the
     floor. The exact centroid has no minimum group, so it maps to a pure-
-    dominant point with a uniformly random dominant class drawn from rng.
+    dominant point with a uniformly random dominant class drawn from rng: a
+    Generator, or a function returning one, called only for that draw.
 
     min_prop is the floor used when constructing REVERSE points; it defaults
     to the training minimum (which on a design point is the design floor).
@@ -186,6 +188,8 @@ def scenario_test_proportions(train, scenario: TestScenario, rng=None, min_prop=
         if rng is None:
             raise DesignError("REVERSE at the exact centroid needs an rng")
         floor = 0.0 if min_prop is None else float(min_prop)
+        if callable(rng):
+            rng = rng()
         dominant = int(rng.integers(m))
         out = np.full(m, floor)
         out[dominant] = 1.0 - (m - 1) * floor
@@ -216,7 +220,7 @@ def expand_plan(base: RunPlan, scenarios=ALL_SCENARIOS) -> RunPlan:
                 seed = derive_seed(cfg.seed, run_id, replicate, scenario.value)
                 test = scenario_test_proportions(
                     baserun.train_mixture, scenario,
-                    rng=generator(seed, "reverse"), min_prop=cfg.min_prop)
+                    rng=partial(generator, seed, "reverse"), min_prop=cfg.min_prop)
                 runs.append(replace(
                     baserun,
                     run_id=run_id,
@@ -263,14 +267,27 @@ def write_plan_csv(plan: RunPlan, path):
     atomic_write_text(path, plan_to_csv(plan))
 
 
-def renormalize(values, where):
-    arr = np.asarray(values, dtype=float)
-    total = arr.sum()
+def renormalize_rows(block, where, error=DesignError):
+    """Each row of an (n, m) block of stored proportions divided by its sum.
+
+    A sum outside 1 +/- CSV_SUM_TOL raises error("<where(i)>: <reason>") for
+    the first such row i.
+    """
+    block = np.asarray(block, dtype=float)
+    total = block.sum(axis=1)
     # tiny pad so 6-decimal rounding (3 * 0.333333) sits inside the bound
-    if not abs(total - 1.0) <= CSV_SUM_TOL + 1e-12:
-        raise DesignError(f"{where}: stored proportions sum to {total}, "
-                          f"outside 1 +/- {CSV_SUM_TOL}")
-    return tuple(arr / total)
+    bad = np.flatnonzero(~(np.abs(total - 1.0) <= CSV_SUM_TOL + 1e-12))
+    if bad.size:
+        i = int(bad[0])
+        raise error(f"{where(i)}: stored proportions sum to {total[i]}, "
+                    f"outside 1 +/- {CSV_SUM_TOL}")
+    return block / total[:, None]
+
+
+def renormalize(values, where):
+    """One row of stored proportions divided by its sum, as a tuple."""
+    row = np.asarray(values, dtype=float)
+    return tuple(renormalize_rows(row[None, :], lambda _: where)[0])
 
 
 def read_plan_csv(path):

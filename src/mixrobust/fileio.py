@@ -42,7 +42,14 @@ def csv_text(header, rows) -> str:
 
 
 def read_csv(path, error, layout):
-    """parse_row(row) for each non-blank row of the headed CSV table at path.
+    """parse_row(row) for each non-blank row of the headed CSV table at path,
+    as a list; see iter_csv for layout and the errors."""
+    return [parsed for _, parsed in iter_csv(path, error, layout)]
+
+
+def iter_csv(path, error, layout):
+    """Yield (line number, parse_row(row)) for each non-blank row of the headed
+    CSV table at path, reading one row at a time.
 
     layout(header) returns (expected_header, parse_row). An empty file, a bad
     header or an undecodable byte raises error("<path>: <reason>"); a bad row
@@ -58,16 +65,15 @@ def read_csv(path, error, layout):
             if header != expected:
                 raise error(f"{path}: expected header {','.join(expected)}, "
                             f"got {','.join(header)}")
-            rows = []
             for row in filter(None, reader):
                 try:
                     if len(row) != len(header):
                         raise ValueError(f"expected {len(header)} fields, got {len(row)}")
-                    rows.append(parse_row(row))
+                    parsed = parse_row(row)
                 except ValueError as exc:
                     raise error(f"{path}:{reader.line_num}: {exc}") from None
+                yield reader.line_num, parsed
         except UnicodeDecodeError as exc:
             raise error(f"{path}: {exc}") from None
         except csv.Error as exc:
             raise error(f"{path}:{reader.line_num}: {exc}") from None
-    return rows

@@ -8,12 +8,14 @@ the class's score column, ties counting one half.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from array import array
+from dataclasses import dataclass, fields
+from functools import lru_cache
 
 import numpy as np
 
-from .design import TestScenario, renormalize
-from .fileio import atomic_write_text, csv_text, read_csv
+from .design import TestScenario, renormalize_rows
+from .fileio import atomic_write_text, csv_text, iter_csv
 
 SD_FLOOR = 1e-8
 
@@ -119,22 +121,84 @@ def write_outcomes_csv(outcomes, m, h, path):
     atomic_write_text(path, outcomes_to_csv(outcomes, m, h))
 
 
+@dataclass
+class OutcomeTable:
+    """Outcome rows as columns: RunOutcome's fields, each an array over the
+    rows (covariates, train_mixture and aucs one row of the array per run)."""
+
+    run_id: np.ndarray
+    replicate: np.ndarray
+    scenario: np.ndarray  # TestScenario members, object dtype
+    covariates: np.ndarray
+    train_mixture: np.ndarray
+    aucs: np.ndarray
+    mean_auc: np.ndarray
+    log_sd: np.ndarray
+    degenerate_sd: np.ndarray
+
+    def __len__(self):
+        return len(self.run_id)
+
+    @classmethod
+    def from_outcomes(cls, outcomes):
+        outcomes = list(outcomes)
+        dtypes = {"scenario": object, "degenerate_sd": bool}
+        return cls(**{f.name: np.array([getattr(out, f.name) for out in outcomes],
+                                        dtype=dtypes.get(f.name))
+                      for f in fields(cls)})
+
+    def where(self, rows):
+        """The table of the rows a boolean mask selects."""
+        return OutcomeTable(**{f.name: getattr(self, f.name)[rows] for f in fields(self)})
+
+    def outcomes(self):
+        """The rows as RunOutcome values."""
+        rows = zip(self.run_id.tolist(), self.replicate.tolist(), self.scenario.tolist(),
+                   map(tuple, self.covariates.tolist()),
+                   map(tuple, self.train_mixture.tolist()), map(tuple, self.aucs.tolist()),
+                   self.mean_auc.tolist(), self.log_sd.tolist(),
+                   self.degenerate_sd.tolist())
+        return [RunOutcome(*row) for row in rows]
+
+
+_parse_scenario = lru_cache(maxsize=16)(TestScenario.parse)
+
+
+def read_outcome_table(path) -> OutcomeTable:
+    """Read outcome rows into columns, one row at a time; the training
+    mixtures are renormalized to sum 1. A malformed file or row raises
+    MetricsError naming the path, and the line for a row."""
+    shape, ints, scenarios, numbers, lines = [], [], [], array("d"), []
+
+    def layout(header):
+        m = sum(1 for name in header if name.startswith("auc_"))
+        h = sum(1 for name in header if name.startswith("z"))
+        shape[:] = m, h
+
+        def parse(row):
+            return (int(row[0]), int(row[1]), _parse_scenario(row[2]),
+                    [float(v) for v in row[3:-1]], int(row[-1]))
+        return outcomes_header(m, h), parse
+
+    for line, (run_id, replicate, scenario, values, flag) in iter_csv(
+            path, MetricsError, layout):
+        lines.append(line)
+        ints.append((run_id, replicate, flag))
+        scenarios.append(scenario)
+        numbers.extend(values)
+    m, h = shape
+    ints = np.array(ints).reshape(-1, 3)
+    block = np.frombuffer(numbers, dtype=float).reshape(len(lines), h + 2 * m + 2)
+    mixtures = renormalize_rows(
+        block[:, h:h + m], lambda i: f"{path}:{lines[i]}: run {ints[i, 0]} mixture",
+        MetricsError)
+    return OutcomeTable(
+        run_id=ints[:, 0], replicate=ints[:, 1], scenario=np.array(scenarios, dtype=object),
+        covariates=block[:, :h], train_mixture=mixtures, aucs=block[:, h + m:h + 2 * m],
+        mean_auc=block[:, -2], log_sd=block[:, -1], degenerate_sd=ints[:, 2] != 0)
+
+
 def read_outcomes_csv(path):
     """Read outcome rows back as RunOutcome values (mixtures renormalized).
     A malformed file or row raises MetricsError naming it."""
-    return read_csv(path, MetricsError, _outcomes_layout)
-
-
-def _outcomes_layout(header):
-    m = sum(1 for name in header if name.startswith("auc_"))
-    h = sum(1 for name in header if name.startswith("z"))
-
-    def parse(row):
-        return RunOutcome(
-            run_id=int(row[0]), replicate=int(row[1]), scenario=TestScenario.parse(row[2]),
-            covariates=tuple(float(v) for v in row[3:3 + h]),
-            train_mixture=renormalize(row[3 + h:3 + h + m], f"run {row[0]} mixture"),
-            aucs=tuple(float(v) for v in row[3 + h + m:3 + h + 2 * m]),
-            mean_auc=float(row[3 + h + 2 * m]), log_sd=float(row[4 + h + 2 * m]),
-            degenerate_sd=bool(int(row[5 + h + 2 * m])))
-    return outcomes_header(m, h), parse
+    return read_outcome_table(path).outcomes()

@@ -19,6 +19,7 @@ from scipy import linalg
 
 from .design import TestScenario
 from .fileio import write_json
+from .metrics import OutcomeTable
 from .studentt import two_sided_p
 
 RANK_RTOL = 1e-10
@@ -130,20 +131,22 @@ def dataset_from_outcomes(outcomes, response):
 
     Mixed-scenario input is refused: each scenario is analyzed separately.
     """
-    outcomes = list(outcomes)
-    if not outcomes:
+    return dataset_from_table(OutcomeTable.from_outcomes(outcomes), response)
+
+
+def dataset_from_table(table: OutcomeTable, response):
+    """dataset_from_outcomes for the rows of an outcome table."""
+    if not len(table):
         raise ModelError("no outcomes to analyze")
-    scenarios = {out.scenario for out in outcomes}
+    scenarios = set(table.scenario.tolist())
     if len(scenarios) != 1:
         raise ModelError(f"outcomes mix scenarios {sorted(s.value for s in scenarios)}; "
                          "analyze each scenario separately")
     if response not in ("mean_auc", "log_sd"):
         raise ModelError(f"unknown response {response!r}")
-    y = np.array([getattr(out, response) for out in outcomes])
-    mixtures = np.array([out.train_mixture for out in outcomes])
-    covariates = np.array([out.covariates for out in outcomes])
-    return AnalysisDataset(y=y, mixtures=mixtures, covariates=covariates,
-                           scenario=outcomes[0].scenario, response=response)
+    return AnalysisDataset(y=getattr(table, response), mixtures=table.train_mixture,
+                           covariates=table.covariates, scenario=table.scenario[0],
+                           response=response)
 
 
 @dataclass

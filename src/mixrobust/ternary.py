@@ -9,9 +9,8 @@ proportion floor.
 
 from __future__ import annotations
 
-import io
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -78,10 +77,23 @@ class TernaryGrid:
     covariates: tuple = ()
     response: str = ""
     scenario: str = ""
+    # the lattice's own CSV and SVG parts, built on first use: replace() hands
+    # this same dict on, so every surface predicted on one lattice shares them
+    lattice_parts: dict = field(default_factory=dict, repr=False, compare=False)
 
     @classmethod
     def build(cls, q, min_prop=0.0):
         return cls(q=q, min_prop=min_prop, points=ternary_grid(q, min_prop))
+
+
+def _lattice_part(grid: TernaryGrid, build):
+    """build(grid), computed once per (points array, q) and kept in the grid's
+    lattice_parts; a grid given other points or another q builds it anew."""
+    points, q, part = grid.lattice_parts.get(build, (None, None, None))
+    if points is not grid.points or q != grid.q:
+        part = build(grid)
+        grid.lattice_parts[build] = (grid.points, grid.q, part)
+    return part
 
 
 def grid_predict(fit: MixtureModelFit, grid: TernaryGrid, z) -> TernaryGrid:
@@ -92,16 +104,20 @@ def grid_predict(fit: MixtureModelFit, grid: TernaryGrid, z) -> TernaryGrid:
     return replace(grid, values=values, covariates=z)
 
 
+def _csv_prefixes(grid: TernaryGrid):
+    """The CSV header line and each point's "x1,...,xm," row prefix."""
+    m = grid.points.shape[1]
+    point = ",".join(["%.6f"] * m) + ","
+    return (",".join([f"x{j}" for j in range(1, m + 1)] + ["value"]) + "\n",
+            [point % tuple(p) for p in grid.points.tolist()])
+
+
 def grid_to_csv(grid: TernaryGrid) -> str:
     if grid.values is None:
         raise ContourError("grid has no values; predict before exporting")
-    m = grid.points.shape[1]
-    row = ",".join(["%.6f"] * m + ["%.10g"]) + "\n"
-    buf = io.StringIO()
-    buf.write(",".join([f"x{j}" for j in range(1, m + 1)] + ["value"]) + "\n")
-    for point, value in zip(grid.points, grid.values.tolist()):
-        buf.write(row % (*point.tolist(), value))
-    return buf.getvalue()
+    header, prefixes = _lattice_part(grid, _csv_prefixes)
+    return header + "".join([f"{prefix}{value:.10g}\n"
+                             for prefix, value in zip(prefixes, grid.values.tolist())])
 
 
 def write_grid_csv(grid: TernaryGrid, path):
@@ -116,6 +132,13 @@ def _ramp_color(t):
     frac = pos - low
     rgb = [(1 - frac) * _RAMP[low][c] + frac * _RAMP[high][c] for c in range(3)]
     return "#{:02x}{:02x}{:02x}".format(*(int(round(255 * v)) for v in rgb))
+
+
+def _svg_lattice(grid: TernaryGrid):
+    """The lattice micro-triangles, and each point's "x,y" in plot pixels."""
+    px, py = _to_px(barycentric_to_xy(grid.points).T)
+    return (_micro_triangles(grid),
+            [f"{x:.2f},{y:.2f}" for x, y in zip(px.tolist(), py.tolist())])
 
 
 def _micro_triangles(grid: TernaryGrid):
@@ -136,6 +159,15 @@ def _micro_triangles(grid: TernaryGrid):
     return cells[(cells >= 0).all(axis=1)]
 
 
+# plot geometry in pixels: the simplex's side, and where its bounding box starts
+_SIDE, _MARGIN_LEFT, _MARGIN_TOP, _LEGEND_WIDTH = 400.0, 60.0, 56.0, 150.0
+
+
+def _to_px(xy):
+    return (_MARGIN_LEFT + xy[0] * _SIDE,
+            _MARGIN_TOP + _SIDE * SQRT3_2 - xy[1] * _SIDE)
+
+
 def render_ternary(grid: TernaryGrid, levels=10) -> bytes:
     """Self-contained SVG: banded surface, outer simplex, dashed floor
     triangle, vertex labels and a value legend. Deterministic bytes."""
@@ -143,15 +175,8 @@ def render_ternary(grid: TernaryGrid, levels=10) -> bytes:
         raise ContourError("cannot render an empty grid")
     if levels < 1:
         raise ContourError("levels must be >= 1")
-    side = 400.0
-    margin_left, margin_top = 60.0, 56.0
-    legend_width = 150.0
-    height = margin_top + side * SQRT3_2 + 60.0
-    width = margin_left + side + legend_width + 40.0
-
-    def to_px(xy):
-        return (margin_left + xy[0] * side,
-                margin_top + side * SQRT3_2 - xy[1] * side)
+    height = _MARGIN_TOP + _SIDE * SQRT3_2 + 60.0
+    width = _MARGIN_LEFT + _SIDE + _LEGEND_WIDTH + 40.0
 
     values = np.asarray(grid.values, dtype=float)
     bad = np.flatnonzero(~np.isfinite(values))
@@ -170,18 +195,16 @@ def render_ternary(grid: TernaryGrid, levels=10) -> bytes:
         f'<rect width="{width:.0f}" height="{height:.0f}" fill="white"/>',
     ]
     title = f"{grid.response} ({grid.scenario}), z={grid.covariates}".strip()
-    parts.append(f'<text x="{margin_left:.1f}" y="24" font-family="sans-serif" '
+    parts.append(f'<text x="{_MARGIN_LEFT:.1f}" y="24" font-family="sans-serif" '
                  f'font-size="15">{_escape(title)}</text>')
 
-    triangles = _micro_triangles(grid)
+    triangles, coords = _lattice_part(grid, _svg_lattice)
     if constant:
         bands = np.zeros(len(triangles), dtype=int)
     else:
         cell_values = values[triangles].sum(axis=1) / 3.0
         bands = ((cell_values - vmin) / (vmax - vmin) * levels).astype(int)
         bands = np.clip(bands, 0, levels - 1)
-    px, py = to_px(barycentric_to_xy(grid.points).T)
-    coords = [f"{x:.2f},{y:.2f}" for x, y in zip(px.tolist(), py.tolist())]
     for band in range(n_bands):
         cells = triangles[bands == band].tolist()
         if not cells:
@@ -191,7 +214,7 @@ def render_ternary(grid: TernaryGrid, levels=10) -> bytes:
         parts.append(f'<path d="{path}" fill="{color}" stroke="{color}" '
                      'stroke-width="0.6"/>')
 
-    corners = [to_px(xy) for xy in barycentric_to_xy(np.eye(3))]
+    corners = [_to_px(xy) for xy in barycentric_to_xy(np.eye(3))]
     outline = " ".join(f"{x:.2f},{y:.2f}" for x, y in corners)
     parts.append(f'<polygon points="{outline}" fill="none" stroke="black" '
                  'stroke-width="1.2"/>')
@@ -201,7 +224,7 @@ def render_ternary(grid: TernaryGrid, levels=10) -> bytes:
         floor_corners = [
             (1 - 2 * eps, eps, eps), (eps, 1 - 2 * eps, eps), (eps, eps, 1 - 2 * eps)]
         dashed = " ".join(f"{x:.2f},{y:.2f}"
-                          for x, y in (to_px(xy) for xy in barycentric_to_xy(floor_corners)))
+                          for x, y in (_to_px(xy) for xy in barycentric_to_xy(floor_corners)))
         parts.append(f'<polygon points="{dashed}" fill="none" stroke="black" '
                      'stroke-width="0.9" stroke-dasharray="6,4"/>')
 
@@ -214,9 +237,9 @@ def render_ternary(grid: TernaryGrid, levels=10) -> bytes:
         parts.append(f'<text x="{x:.1f}" y="{y:.1f}" font-family="sans-serif" '
                      f'font-size="14">{text}</text>')
 
-    legend_x = margin_left + side + 30.0
-    swatch = min(24.0, (side * SQRT3_2) / n_bands)
-    legend_top = margin_top
+    legend_x = _MARGIN_LEFT + _SIDE + 30.0
+    swatch = min(24.0, (_SIDE * SQRT3_2) / n_bands)
+    legend_top = _MARGIN_TOP
     for band in range(n_bands):
         color = _ramp_color(0.5 if constant else (band + 0.5) / levels)
         y = legend_top + (n_bands - 1 - band) * swatch

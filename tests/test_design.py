@@ -4,6 +4,7 @@ import pytest
 from mixrobust import (DesignConfig, DesignError, TestScenario, build_run_plan,
                        cross_array, expand_plan, read_plan_csv,
                        scenario_test_proportions, simplex_centroid, write_plan_csv)
+from mixrobust import design
 from mixrobust.design import plan_to_csv
 from mixrobust.seeding import generator
 
@@ -165,6 +166,22 @@ class TestSeeding:
                  if r.scenario is TestScenario.REVERSE
                  and as_tuple(r.train_mixture) == as_tuple(POINT_CENTROID)}
         assert len(draws) > 1
+
+
+    def test_reverse_generator_built_only_for_centroid_draws(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(design, "generator",
+                            lambda seed, *tags: built.append(seed) or generator(seed, *tags))
+        plan = build_run_plan(DesignConfig(seed=3, replicates=3))
+        centroid = [r for r in plan.runs if r.scenario is TestScenario.REVERSE
+                    and as_tuple(r.train_mixture) == as_tuple(POINT_CENTROID)]
+        assert built == [r.seed for r in centroid] and len(built) == 12
+        # the test mixtures are those of a generator built for every run
+        for run in plan.runs:
+            eager = scenario_test_proportions(run.train_mixture, run.scenario,
+                                              rng=generator(run.seed, "reverse"),
+                                              min_prop=0.01)
+            assert run.test_mixture == tuple(eager.tolist())
 
 
 class TestPlanCsv:

@@ -2,6 +2,7 @@ import csv
 import io
 import re
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from mixrobust import (MixtureModelFit, TernaryGrid, barycentric_to_xy,
                        grid_predict, render_ternary, simplex_lattice, term_labels,
                        ternary_grid)
+from mixrobust import ternary
 from mixrobust.ternary import (ContourError, _micro_triangles, contour_filename,
                                grid_to_csv)
 from mixrobust.seeding import generator
@@ -208,6 +210,41 @@ class TestRender:
             render_ternary(grid)
         with pytest.raises(ContourError):
             render_ternary(TernaryGrid.build(5, 0.0))  # no values yet
+
+
+class TestLatticeParts:
+    def test_surfaces_of_one_lattice_format_it_once(self, monkeypatch):
+        calls = []
+        for name in ("_micro_triangles", "_csv_prefixes"):
+            build = getattr(ternary, name)
+            monkeypatch.setattr(ternary, name, lambda grid, name=name, build=build:
+                                calls.append(name) or build(grid))
+        grid = TernaryGrid.build(q=20, min_prop=0.01)
+        rng = generator(54, "parts")
+        fits = [make_fit(rng.normal(size=13)) for _ in range(3)]
+        surfaces = [replace(grid_predict(fit, grid, (1, 0)), response="mean_auc")
+                    for fit in fits]
+        outputs = [(grid_to_csv(s), render_ternary(s)) for s in surfaces]
+        assert sorted(calls) == ["_csv_prefixes", "_micro_triangles"]
+        # the same bytes as surfaces on lattices of their own
+        for fit, output in zip(fits, outputs):
+            alone = replace(grid_predict(fit, TernaryGrid.build(q=20, min_prop=0.01),
+                                         (1, 0)), response="mean_auc")
+            assert (grid_to_csv(alone), render_ternary(alone)) == output
+
+    def test_other_points_rebuild_the_parts(self):
+        rng = generator(55, "parts")
+        fit = make_fit(rng.normal(size=13))
+        surface = grid_predict(fit, TernaryGrid.build(q=20, min_prop=0.01), (0, 1))
+        render_ternary(surface)
+        grid_to_csv(surface)
+        coarse = TernaryGrid.build(q=7, min_prop=0.01)
+        # replace() hands on the first lattice's parts with the new points
+        moved = grid_predict(fit, replace(surface, q=coarse.q, points=coarse.points),
+                             (0, 1))
+        alone = grid_predict(fit, coarse, (0, 1))
+        assert grid_to_csv(moved) == grid_to_csv(alone)
+        assert render_ternary(moved) == render_ternary(alone)
 
 
 class TestCsvAndNames:
