@@ -30,7 +30,7 @@ from .studentt import student_t_cdf, student_t_sf, two_sided_p
 from .ternary import (TernaryGrid, barycentric_to_xy, grid_predict, render_ternary,
                       simplex_lattice, ternary_grid, write_grid_csv, write_ternary_svg)
 from .pipeline import (ClassifierSpec, ConfigError, ExperimentConfig, PoolSpec,
-                       RunFailure, execute_run, parse_experiment_config,
+                       RunFailure, execute_batch, parse_experiment_config,
                        simulate_plan, with_master_seed)
 from .seeding import derive_seed, generator
 

@@ -174,16 +174,7 @@ def _onehot(labels, m):
     return (labels[..., None] == np.arange(1, m + 1)).astype(float)
 
 
-def logistic_loss(weights, features_b, targets, l2):
-    z = features_b @ weights
-    # log(1 + exp(-|z|)) form keeps the loss finite for large margins
-    per = np.logaddexp(0.0, z) - targets * z
-    return (per.mean(axis=(-2, -1))
-            + 0.5 * l2 * np.sum(weights[..., :-1, :] ** 2, axis=(-2, -1)))
-
-
-def fit_logistic_ovr(features, labels, m, epochs=500, step=0.1, l2=1e-4,
-                     loss_every=0):
+def fit_logistic_ovr(features, labels, m, epochs=500, step=0.1, l2=1e-4):
     """One-vs-rest logistic weights via full-batch gradient descent.
 
     All class columns train jointly (the loss separates per class). Leading
@@ -191,9 +182,7 @@ def fit_logistic_ovr(features, labels, m, epochs=500, step=0.1, l2=1e-4,
     give (..., d + 1, m) weights, each equal bit for bit to its own
     unstacked fit. That holds because every product is one gemm per fit on
     the same operands: the transposed features stay a `swapaxes` view, not
-    a contiguous copy, which would be summed in another order. Returns
-    (weights, losses); losses is populated every `loss_every` epochs when
-    that is nonzero, one value per fit.
+    a contiguous copy, which would be summed in another order.
     """
     features = np.asarray(features, dtype=float)
     n = features.shape[-2]
@@ -205,11 +194,8 @@ def fit_logistic_ovr(features, labels, m, epochs=500, step=0.1, l2=1e-4,
     # one (..., n, m) block for every epoch: fresh blocks of this size cost
     # page faults at large n
     probs = np.empty(targets.shape)
-    losses = []
     with np.errstate(over="ignore", invalid="ignore"):  # a diverged fit fails by name
-        for epoch in range(epochs):
-            if loss_every and epoch % loss_every == 0:
-                losses.append(logistic_loss(weights, features_b, targets, l2))
+        for _ in range(epochs):
             # probs = 1 / (1 + exp(-(features_b @ weights))) - targets
             np.matmul(features_b, weights, out=probs)
             np.negative(probs, out=probs)
@@ -221,9 +207,7 @@ def fit_logistic_ovr(features, labels, m, epochs=500, step=0.1, l2=1e-4,
             grad /= n
             grad[..., :-1, :] += l2 * weights[..., :-1, :]
             weights -= step * grad
-    if loss_every:
-        losses.append(logistic_loss(weights, features_b, targets, l2))
-    return weights, losses
+    return weights
 
 
 def best_stump_split(values, residuals):
@@ -452,10 +436,10 @@ def train_and_score_batch(kind, splits, pool: DatasetPool, hyper=None,
                                        shrinkage=float(settings["shrinkage"]),
                                        ranks=pool.ranks[:, train])
         else:
-            weights, _ = fit_logistic_ovr(pool.features[train], pool.labels[train], pool.m,
-                                          epochs=int(settings["epochs"]),
-                                          step=float(settings["step"]),
-                                          l2=float(settings["l2"]))
+            weights = fit_logistic_ovr(pool.features[train], pool.labels[train], pool.m,
+                                       epochs=int(settings["epochs"]),
+                                       step=float(settings["step"]),
+                                       l2=float(settings["l2"]))
             diverged = ~np.isfinite(weights).all(axis=(-2, -1))
             weights[diverged] = 0.0  # those runs fail by name below
             # one gemm per run, with the bits of that run's unstacked product

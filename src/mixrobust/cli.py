@@ -26,7 +26,7 @@ from .pipeline import (ConfigError, ExperimentConfig, checked_pools,
                        parse_experiment_config, resolve_jobs, simulate_plan,
                        with_master_seed)
 from .shapley import shap_report, write_phi_csv, write_shap_json
-from .ternary import (TernaryGrid, contour_filename, grid_predict, simplex_lattice,
+from .ternary import (TernaryGrid, grid_predict, simplex_lattice, surface_filenames,
                       write_grid_csv, write_ternary_svg)
 
 EXIT_OK = 0
@@ -247,14 +247,13 @@ def cmd_contour(config, args):
                                                   design.min_prop))
     for scenario, response, fit, _ in _fits(config, args):
         for z in itertools.product(*design.covariate_levels):
-            z_tag = "".join(f"{v:g}" for v in z)
-            base = f"{response}_{scenario.value}_z{z_tag}"
+            grid_name, svg_name = surface_filenames(response, scenario.value, z)
             surface = replace(grid_predict(fit, grid, z),
                               response=response, scenario=scenario.value)
-            write_grid_csv(surface, config.output_dir / f"grid_{base}.csv")
+            write_grid_csv(surface, config.output_dir / grid_name)
             if ternary:
-                write_ternary_svg(surface, config.output_dir / contour_filename(
-                    response, scenario.value, z), levels=CONTOUR_LEVELS)
+                write_ternary_svg(surface, config.output_dir / svg_name,
+                                  levels=CONTOUR_LEVELS)
         print(f"wrote contour outputs for {response} / {scenario.value}")
     return EXIT_OK
 

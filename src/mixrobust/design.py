@@ -19,7 +19,8 @@ from .fileio import atomic_write_text, csv_text, read_csv
 from .seeding import derive_seed, generator
 
 MIXTURE_SUM_TOL = 1e-12
-CSV_SUM_TOL = 1e-6
+# decimals of every proportion written to plan.csv, outcomes.csv and the grids
+PROPORTION_DECIMALS = 6
 
 
 class DesignError(ValueError):
@@ -248,7 +249,7 @@ def plan_header(m, h):
 
 
 def plan_to_csv(plan: RunPlan) -> str:
-    """Serialize an expanded plan; proportions print with 6 decimals."""
+    """Serialize an expanded plan; proportions print with PROPORTION_DECIMALS."""
     return csv_text(plan_header(plan.config.m, plan.config.h), map(_plan_row, plan.runs))
 
 
@@ -257,9 +258,9 @@ def _plan_row(run: RunSpec):
         raise DesignError(f"run {run.run_id} has no scenario assignment; "
                           "expand the plan before writing it")
     return ([run.run_id, run.scenario.value, run.replicate]
-            + [f"{v:.6f}" for v in run.train_mixture]
+            + [f"{v:.{PROPORTION_DECIMALS}f}" for v in run.train_mixture]
             + [f"{v:g}" for v in run.covariates]
-            + [f"{v:.6f}" for v in run.test_mixture]
+            + [f"{v:.{PROPORTION_DECIMALS}f}" for v in run.test_mixture]
             + [run.seed])
 
 
@@ -267,20 +268,27 @@ def write_plan_csv(plan: RunPlan, path):
     atomic_write_text(path, plan_to_csv(plan))
 
 
+def stored_sum_bound(m):
+    """How far from 1 the m printed proportions of a row can sum: rounding
+    each part moves it by at most half a unit in the last decimal, and
+    parsing and adding the parts by a few ulps more."""
+    return m * (0.5 * 10.0 ** -PROPORTION_DECIMALS + 4 * np.finfo(float).eps)
+
+
 def renormalize_rows(block, where, error=DesignError):
     """Each row of an (n, m) block of stored proportions divided by its sum.
 
-    A sum outside 1 +/- CSV_SUM_TOL raises error("<where(i)>: <reason>") for
-    the first such row i.
+    A sum outside 1 +/- stored_sum_bound(m) raises error("<where(i)>:
+    <reason>") for the first such row i.
     """
     block = np.asarray(block, dtype=float)
     total = block.sum(axis=1)
-    # tiny pad so 6-decimal rounding (3 * 0.333333) sits inside the bound
-    bad = np.flatnonzero(~(np.abs(total - 1.0) <= CSV_SUM_TOL + 1e-12))
+    bound = stored_sum_bound(block.shape[1])
+    bad = np.flatnonzero(~(np.abs(total - 1.0) <= bound))
     if bad.size:
         i = int(bad[0])
         raise error(f"{where(i)}: stored proportions sum to {total[i]}, "
-                    f"outside 1 +/- {CSV_SUM_TOL}")
+                    f"outside 1 +/- {bound:.2g}")
     return block / total[:, None]
 
 
@@ -291,7 +299,7 @@ def renormalize(values, where):
 
 
 def read_plan_csv(path):
-    """Read run specs back; 6-decimal proportions are renormalized to sum 1.
+    """Read run specs back; the printed proportions are renormalized to sum 1.
     A malformed file or row raises DesignError naming it."""
     return read_csv(path, DesignError, _plan_layout)
 

@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .design import TestScenario, renormalize_rows
+from .design import PROPORTION_DECIMALS, TestScenario, renormalize_rows
 from .fileio import atomic_write_text, csv_text, iter_csv
 
 SD_FLOOR = 1e-8
@@ -111,7 +111,7 @@ def outcomes_to_csv(outcomes, m, h) -> str:
     return csv_text(outcomes_header(m, h), (
         [out.run_id, out.replicate, out.scenario.value]
         + [f"{v:g}" for v in out.covariates]
-        + [f"{v:.6f}" for v in out.train_mixture]
+        + [f"{v:.{PROPORTION_DECIMALS}f}" for v in out.train_mixture]
         + [f"{v:.10g}" for v in out.aucs]
         + [f"{out.mean_auc:.10g}", f"{out.log_sd:.10g}", int(out.degenerate_sd)]
         for out in sorted(outcomes, key=lambda o: o.run_id)))

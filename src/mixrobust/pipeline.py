@@ -18,10 +18,11 @@ from pathlib import Path
 
 from .classifiers import (ClassifierKind, SyntheticDataConfig, _as_float,
                           default_class_means, generate_pool, resolve_hyper,
-                          train_and_score, train_and_score_batch)
+                          train_and_score_batch)
 from .design import ALL_SCENARIOS, DesignConfig, DesignError, RunPlan, RunSpec, TestScenario
 from .metrics import MetricsError, RunOutcome, auc_ovr
-from .sampling import DatasetPool, SamplingConfig, SamplingError, compose_split, load_pool_csv
+from .sampling import (DatasetPool, SamplingConfig, SamplingError, class_counts,
+                       compose_split, load_pool_csv, split_sizes)
 from .seeding import generator
 
 # runs of one (classifier, pool) group that execute together, one batch per
@@ -93,55 +94,40 @@ class RunFailure:
     reason: str
 
 
-def execute_run(spec: RunSpec, pool: DatasetPool, classifier: ClassifierSpec,
-                sampling: SamplingConfig) -> RunOutcome:
-    """Sample, train, score and reduce one run instance to its outcome."""
-    split = _draw(spec, pool, sampling)
-    scores = train_and_score(classifier.kind, split, pool,
-                             hyper=classifier.hyper_dict,
-                             command=classifier.command)
-    return _outcome(spec, split, scores, pool)
-
-
 def execute_batch(specs, pool: DatasetPool, classifier: ClassifierSpec,
                   sampling: SamplingConfig):
-    """`execute_run` for runs that share the classifier and the pool.
+    """Sample, train, score and reduce runs that share the classifier and the
+    pool to their outcomes.
 
     Every run samples with its own seeds, the splits that survive train
-    together, and each run's AUCs come from its own scores. Returns one
-    RunOutcome, or a RunFailure naming the error that run raised, per spec.
+    together, and each run's AUCs come from its own scores, so a run's
+    result is the one it gets in a batch of its own. Returns one RunOutcome,
+    or a RunFailure naming the error that run raised, per spec.
     """
     results = [None] * len(specs)
     drawn = []
     for i, spec in enumerate(specs):
         try:
-            drawn.append((i, _draw(spec, pool, sampling)))
+            drawn.append((i, compose_split(pool, spec.train_mixture, spec.test_mixture,
+                                           sampling, train_rng=generator(spec.seed, "train"),
+                                           test_rng=generator(spec.seed, "test"))))
         except SamplingError as exc:
             results[i] = _failure(spec, exc)
     scored = train_and_score_batch(classifier.kind, [split for _, split in drawn], pool,
                                    hyper=classifier.hyper_dict, command=classifier.command)
     for (i, split), scores in zip(drawn, scored):
+        spec = specs[i]
         if isinstance(scores, Exception):
-            results[i] = _failure(specs[i], scores)
+            results[i] = _failure(spec, scores)
             continue
         try:
-            results[i] = _outcome(specs[i], split, scores, pool)
+            labels = pool.labels[split.test_indices]
+            aucs = [auc_ovr(scores, labels, j) for j in range(1, pool.m + 1)]
+            results[i] = RunOutcome.from_aucs(spec.run_id, spec.replicate, spec.scenario,
+                                              spec.covariates, spec.train_mixture, aucs)
         except MetricsError as exc:
-            results[i] = _failure(specs[i], exc)
+            results[i] = _failure(spec, exc)
     return results
-
-
-def _draw(spec, pool, sampling):
-    return compose_split(pool, spec.train_mixture, spec.test_mixture, sampling,
-                         train_rng=generator(spec.seed, "train"),
-                         test_rng=generator(spec.seed, "test"))
-
-
-def _outcome(spec, split, scores, pool):
-    test_labels = pool.labels[split.test_indices]
-    aucs = [auc_ovr(scores, test_labels, j) for j in range(1, pool.m + 1)]
-    return RunOutcome.from_aucs(spec.run_id, spec.replicate, spec.scenario,
-                                spec.covariates, spec.train_mixture, aucs)
 
 
 def _failure(spec, exc):
@@ -199,19 +185,29 @@ def _check_pools(pools, m):
 
 def checked_pools(plan: RunPlan, config: ExperimentConfig, pools=None):
     """The pools the plan runs on, materialised unless given, once every run
-    has a classifier, a matching pool and a scenario. Raises ConfigError or
-    DesignError before any run is attempted."""
+    has a classifier, a matching pool, a scenario and no test count above
+    its class's pool size (checked once per pool and test mixture). Raises
+    ConfigError or DesignError before any run is attempted."""
     if plan.config.h < 2:
         raise ConfigError("the pipeline expects two covariates: the classifier "
                           "level and the pool level")
     pools = config.materialize_pools() if pools is None else pools
     _check_pools(pools, plan.config.m)
+    first_runs = {}
     for spec in plan.runs:
         config.classifier_for(spec)
         if spec.covariates[1] not in pools:
             raise ConfigError(f"no pool assigned to z2={spec.covariates[1]:g}")
         if spec.scenario is None or spec.test_mixture is None:
             raise DesignError(f"run {spec.run_id} has no scenario assignment")
+        first_runs.setdefault((spec.covariates[1], spec.test_mixture), spec)
+    for (level, mixture), spec in first_runs.items():
+        n_test = split_sizes(config.sampling, pools[level].n)[1]
+        counts = class_counts(mixture, n_test) if n_test > 0 else ()
+        for j, (count, rows) in enumerate(zip(counts, pools[level].class_index), start=1):
+            if count > rows.size:
+                raise ConfigError(f"run {spec.run_id}: {count} test points of class {j} "
+                                  f"requested but pool z2={level:g} holds only {rows.size}")
     return pools
 
 

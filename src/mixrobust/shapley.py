@@ -10,10 +10,10 @@ closed form can be tested rather than trusted.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import comb
 
 from .fileio import atomic_write_text, write_json
 from .mixmodel import MixtureModelFit, ModelMatrix
@@ -62,7 +62,7 @@ def exact_shapley_oracle(betas, row, means):
     absent = betas * means
     phi = np.zeros(p)
     n_subsets = 1 << (p - 1)
-    weights = np.array([1.0 / (p * comb(p - 1, q, exact=True)) for q in range(p)])
+    weights = np.array([1.0 / (p * math.comb(p - 1, q)) for q in range(p)])
     for k in range(p):
         others = np.array([j for j in range(p) if j != k], dtype=int)
         masks = (np.arange(n_subsets)[:, None] >> np.arange(p - 1)) & 1

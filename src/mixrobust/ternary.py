@@ -14,6 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .design import PROPORTION_DECIMALS
 from .fileio import atomic_write_bytes, atomic_write_text
 from .mixmodel import MixtureModelFit, predict_rows
 
@@ -107,7 +108,7 @@ def grid_predict(fit: MixtureModelFit, grid: TernaryGrid, z) -> TernaryGrid:
 def _csv_prefixes(grid: TernaryGrid):
     """The CSV header line and each point's "x1,...,xm," row prefix."""
     m = grid.points.shape[1]
-    point = ",".join(["%.6f"] * m) + ","
+    point = ",".join([f"%.{PROPORTION_DECIMALS}f"] * m) + ","
     return (",".join([f"x{j}" for j in range(1, m + 1)] + ["value"]) + "\n",
             [point % tuple(p) for p in grid.points.tolist()])
 
@@ -263,9 +264,15 @@ def _escape(text):
     return (str(text).replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;"))
 
 
+def surface_filenames(response, scenario, z):
+    """One surface's grid CSV and SVG names: `grid_<stem>.csv` and
+    `contour_<stem>.svg`, where the stem is `<response>_<scenario>_z<levels>`."""
+    stem = f"{response}_{scenario}_z{''.join(f'{float(v):g}' for v in z)}"
+    return f"grid_{stem}.csv", f"contour_{stem}.svg"
+
+
 def contour_filename(response, scenario, z):
-    z_tag = "".join(f"{float(v):g}" for v in z)
-    return f"contour_{response}_{scenario}_z{z_tag}.svg"
+    return surface_filenames(response, scenario, z)[1]
 
 
 def write_ternary_svg(grid: TernaryGrid, path, levels=10):

@@ -4,9 +4,9 @@ import pytest
 from mixrobust import (ClassifierError, ClassifierKind, DatasetPool,
                        ExternalRunnerError, SampleSplit, SyntheticDataConfig,
                        auc_ovr, default_class_means, generate_pool, train_and_score)
-from mixrobust.classifiers import (HYPER_DEFAULTS, _presort, _softmax, best_stump_split,
-                                   boosted_stump_scores, check_score_matrix,
-                                   fit_logistic_ovr, resolve_hyper,
+from mixrobust.classifiers import (HYPER_DEFAULTS, _onehot, _presort, _softmax,
+                                   best_stump_split, boosted_stump_scores,
+                                   check_score_matrix, fit_logistic_ovr, resolve_hyper,
                                    train_and_score_batch)
 from mixrobust.sampling import dense_ranks
 from mixrobust.seeding import generator
@@ -93,11 +93,29 @@ class TestLogistic:
                             split_of(only_class_1, np.arange(4)), pool)
 
     def test_loss_nonincreasing_every_50_epochs(self):
+        # a k-epoch fit runs the first k epochs of a longer one
         pool = two_class_pool(n_per_class=100, gap=2.0)
-        _, losses = fit_logistic_ovr(pool.features, pool.labels, 2,
-                                     epochs=500, loss_every=50)
+        losses = fit_losses(pool.features, pool.labels, 2, range(0, 501, 50))
         assert len(losses) == 11
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
+
+
+def logistic_loss(weights, features_b, targets, l2):
+    """Mean one-vs-rest log loss plus the L2 penalty on the non-bias weights,
+    one value per fit of a (..., d + 1, m) stack."""
+    z = features_b @ weights
+    # log(1 + exp(-|z|)) form keeps the loss finite for large margins
+    per = np.logaddexp(0.0, z) - targets * z
+    return (per.mean(axis=(-2, -1))
+            + 0.5 * l2 * np.sum(weights[..., :-1, :] ** 2, axis=(-2, -1)))
+
+
+def fit_losses(features, labels, m, epoch_counts, l2=1e-4):
+    """The logistic loss of each fit of k epochs, k in epoch_counts."""
+    features_b = np.concatenate([features, np.ones(features.shape[:-1] + (1,))], axis=-1)
+    targets = _onehot(labels, m)
+    return [logistic_loss(fit_logistic_ovr(features, labels, m, epochs=k, l2=l2),
+                          features_b, targets, l2) for k in epoch_counts]
 
 
 def oracle_logistic_weights(features, labels, m, epochs=500, step=0.1, l2=1e-4):
@@ -130,25 +148,29 @@ class TestStackedLogistic:
         rng = generator(21, "stack")
         features = rng.normal(size=(batch, n, 3))
         labels = rng.integers(1, 4, size=(batch, n))
-        weights, _ = fit_logistic_ovr(features, labels, 3, epochs=epochs)
+        weights = fit_logistic_ovr(features, labels, 3, epochs=epochs)
         assert weights.shape == (batch, 4, 3)
         for fit, x, y in zip(weights, features, labels):
             assert fit.tobytes() == oracle_logistic_weights(x, y, 3, epochs).tobytes()
 
-    def test_stacked_losses_equal_single_fit_losses(self):
+    def test_stacked_weights_equal_single_fit_weights(self):
         rng = generator(22, "stack")
         features = rng.normal(size=(4, 50, 2))
         labels = rng.integers(1, 3, size=(4, 50))
-        _, losses = fit_logistic_ovr(features, labels, 2, epochs=40, loss_every=10)
+        stacked = fit_logistic_ovr(features, labels, 2, epochs=40)
         for i in range(4):
-            _, alone = fit_logistic_ovr(features[i], labels[i], 2, epochs=40, loss_every=10)
-            assert [loss[i] for loss in losses] == alone
+            alone = fit_logistic_ovr(features[i], labels[i], 2, epochs=40)
+            assert stacked[i].tobytes() == alone.tobytes()
+        losses = fit_losses(features, labels, 2, range(0, 41, 10))
+        for i in range(4):
+            assert [loss[i] for loss in losses] == fit_losses(features[i], labels[i], 2,
+                                                              range(0, 41, 10))
 
     def test_overflowing_fit_leaves_neighbours_bits(self):
         pool = overflow_pool()
         rows = np.stack([np.arange(80), np.arange(80, 160), np.arange(80)[::-1]])
-        weights, _ = fit_logistic_ovr(pool.features[rows], pool.labels[rows], 2,
-                                      epochs=50)
+        weights = fit_logistic_ovr(pool.features[rows], pool.labels[rows], 2,
+                                   epochs=50)
         assert not np.isfinite(weights[1]).all()
         for i in (0, 2):
             expected = oracle_logistic_weights(pool.features[rows[i]],

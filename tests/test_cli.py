@@ -122,6 +122,17 @@ class TestSimulateCommand:
         for name in ("plan.csv", "run_metadata.json", "outcomes.csv", "failures.csv"):
             assert not (tmp_path / "out" / name).exists()
 
+    def test_test_count_over_class_size_exits_config(self, tmp_path, capsys):
+        # 450 test rows: run 29, the first consistent one, needs 441 rows of
+        # class 1, which holds 300
+        doc = small_config_doc(n_per_class=300)
+        doc["sampling"]["test_frac"] = 0.5
+        config_path = write_config(tmp_path, doc)
+        assert main(["simulate", "--config", str(config_path), "--jobs", "1"]) == EXIT_CONFIG
+        assert ("run 29: 441 test points of class 1 requested but pool z2=1 holds only "
+                "300") in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_external_kind_refused_by_simulate(self, tmp_path):
         doc = small_config_doc()
         doc["classifiers"]["1"] = {"kind": "external", "command": ["true"]}
@@ -154,6 +165,17 @@ class TestAnalyzeCommand:
                 assert doc["scenario"] == scenario
                 assert doc["n"] == 28
                 assert doc["df"] == 15
+
+    def test_reads_the_outcomes_simulate_wrote_for_six_classes(self, tmp_path):
+        # six 6-decimal parts of the centroid sum to 1.000002
+        doc = small_config_doc(n_per_class=100)
+        doc["design"]["m"] = 6
+        doc["scenarios"] = ["balanced"]
+        for pool in doc["pools"].values():
+            pool["synthetic"].update(m=6, d=6)
+        config_path = write_config(tmp_path, doc)
+        assert main(["simulate", "--config", str(config_path), "--jobs", "1"]) == EXIT_OK
+        assert main(["analyze", "--config", str(config_path)]) == EXIT_OK
 
     def test_missing_outcomes_is_io_error(self, tmp_path):
         config_path = write_config(tmp_path)

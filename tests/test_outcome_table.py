@@ -3,6 +3,7 @@ bit for bit, those of the row-by-row reader the columns replaced."""
 
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import pytest
 from mixrobust import cli
 from mixrobust.cli import EXIT_IO, EXIT_OK, main
 from mixrobust.design import DesignConfig, TestScenario, build_run_plan
-from mixrobust.metrics import (OutcomeTable, RunOutcome, read_outcome_table,
+from mixrobust.metrics import (MetricsError, OutcomeTable, RunOutcome, read_outcome_table,
                                read_outcomes_csv, write_outcomes_csv)
 from mixrobust.mixmodel import dataset_from_outcomes, dataset_from_table
 
@@ -110,6 +111,43 @@ def test_random_mixtures_renormalize_as_row_reader(tmp_path, m):
     got = read_outcome_table(path).train_mixture
     want = np.array([out.train_mixture for out in reference_outcomes(path)])
     assert same_bits(got, want)
+
+
+@pytest.mark.parametrize("m", [3, 6, 9, 10])
+def test_rounded_random_mixtures_renormalize_as_row_reader(tmp_path, m):
+    # mixtures that sum to 1 as floats: each part rounds on its own, so the
+    # stored sums spread up to m half-millionths from 1
+    rng = np.random.default_rng(m)
+    mixtures = rng.dirichlet(np.ones(m), size=2000)
+    outcomes = [RunOutcome.from_aucs(i, 1, TestScenario.BALANCED, (1.0,), x,
+                                     rng.uniform(0.5, 1.0, m))
+                for i, x in enumerate(mixtures, start=1)]
+    path = tmp_path / "outcomes.csv"
+    write_outcomes_csv(outcomes, m, 1, path)
+    got = read_outcome_table(path).train_mixture
+    want = np.array([out.train_mixture for out in reference_outcomes(path)])
+    assert same_bits(got, want)
+
+
+@pytest.mark.parametrize("m", range(2, 11))
+def test_stored_sum_bound_is_half_a_millionth_per_part(tmp_path, m):
+    # a row off by floor(m / 2) millionths is within m half-millionths of 1
+    # and reads; one millionth more exits
+    path = tmp_path / "outcomes.csv"
+    for extra, readable in [(m // 2, True), (m // 2 + 1, False)]:
+        parts = [10**6 // m] * m
+        parts[0] += 10**6 - sum(parts) + extra
+        write_outcomes_csv([RunOutcome.from_aucs(1, 1, TestScenario.BALANCED, (1.0,),
+                                                 np.array(parts) / 10**6, [0.8] * m)],
+                           m, 1, path)
+        stored = path.read_text().splitlines()[1].split(",")[4:4 + m]
+        assert sum(int(v.replace(".", "")) for v in stored) == 10**6 + extra
+        if readable:
+            assert read_outcome_table(path).train_mixture.sum() == pytest.approx(1.0)
+        else:
+            with pytest.raises(MetricsError, match=re.escape(
+                    f"{path}:2: run 1 mixture: stored proportions sum to ")):
+                read_outcome_table(path)
 
 
 @pytest.mark.parametrize("scenario", [None, "balanced", "reverse"])

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from mixrobust import (ClassifierError, ClassifierKind, ConfigError, DesignConfig,
-                       MetricsError, RunFailure, SamplingConfig, SamplingError,
-                       build_run_plan, execute_run, parse_experiment_config,
-                       simulate_plan)
+from mixrobust import (ClassifierKind, ConfigError, DesignConfig, RunFailure,
+                       SamplingConfig, build_run_plan, execute_batch,
+                       parse_experiment_config, simulate_plan)
 from mixrobust.classifiers import SyntheticDataConfig, default_class_means, generate_pool
 from mixrobust.pipeline import plan_batches, resolve_jobs, with_master_seed
 
@@ -151,14 +150,14 @@ class TestResolveJobs:
             resolve_jobs(0)
 
 
-class TestExecuteRun:
+class TestOneRunBatch:
     def test_single_run_outcome(self, tmp_path):
         config = parse_experiment_config(small_config_doc(), tmp_path)
         plan = build_run_plan(config.design, config.scenarios)
         pool = config.pool_specs[1.0].materialize()
         spec = plan.runs[0]
-        outcome = execute_run(spec, pool, config.classifiers[spec.covariates[0]],
-                              config.sampling)
+        [outcome] = execute_batch([spec], pool, config.classifiers[spec.covariates[0]],
+                                  config.sampling)
         assert outcome.run_id == spec.run_id
         assert len(outcome.aucs) == 3
         assert all(0.0 <= a <= 1.0 for a in outcome.aucs)
@@ -170,8 +169,8 @@ class TestExecuteRun:
         pool = config.pool_specs[1.0].materialize()
         spec = plan.runs[5]
         classifier = config.classifiers[spec.covariates[0]]
-        a = execute_run(spec, pool, classifier, config.sampling)
-        b = execute_run(spec, pool, classifier, config.sampling)
+        [a] = execute_batch([spec], pool, classifier, config.sampling)
+        [b] = execute_batch([spec], pool, classifier, config.sampling)
         assert a.aucs == b.aucs
 
 
@@ -236,13 +235,17 @@ class TestBatches:
 
     @staticmethod
     def _alone(spec, pools, config):
-        """("ok", aucs), or the error type and reason, of one execute_run."""
-        try:
-            outcome = execute_run(spec, pools[spec.covariates[1]],
-                                  config.classifier_for(spec), config.sampling)
-        except (SamplingError, ClassifierError, MetricsError) as exc:
-            return type(exc), str(exc)
-        return "ok", outcome.aucs
+        """("ok", aucs) of a run executed in a batch of its own, or the kind
+        of its failure ("sampling" or "classifier") and its reason."""
+        [result] = execute_batch([spec], pools[spec.covariates[1]],
+                                 config.classifier_for(spec), config.sampling)
+        if not isinstance(result, RunFailure):
+            return "ok", result.aucs
+        if "test points requested" in result.reason:
+            return "sampling", result.reason
+        if "fewer than 2 classes" in result.reason:
+            return "classifier", result.reason
+        return "other", result.reason
 
     def test_mixed_batches_equal_runs_alone(self, tmp_path):
         # test rows near the class sizes: some test draws fall short, and
@@ -261,8 +264,8 @@ class TestBatches:
                 if spec.covariates == z:
                     by_status.setdefault(alone[spec.run_id][0], []).append(spec)
             good = by_status["ok"]
-            picked += [good[0], by_status[SamplingError][0], good[1],
-                       by_status[ClassifierError][0], good[2]]
+            picked += [good[0], by_status["sampling"][0], good[1],
+                       by_status["classifier"][0], good[2]]
         plan.runs = picked
         assert [len(b) for b in plan_batches(plan.runs)] == [5, 5]
         for jobs in (1, 2):
@@ -300,6 +303,47 @@ class TestPoolsMatchDesign:
                                    labels=np.repeat([1, 3], 30)), tmp_path / "pool.csv")
         with pytest.raises(ConfigError, match=r"pool z2=1 has labels \[1, 3\]"):
             self._simulate(tmp_path, {"csv": "pool.csv"})
+
+
+class TestTestCapacity:
+    """A run whose test count for a class exceeds that class's pool size can
+    never succeed: a config error before any run."""
+
+    def test_test_count_over_class_size_rejected(self, tmp_path):
+        doc = small_config_doc(n_per_class=300)
+        doc["sampling"]["test_frac"] = 0.5
+        config = parse_experiment_config(doc, tmp_path)
+        plan = build_run_plan(config.design, config.scenarios)
+        with pytest.raises(ConfigError, match=r"^run 29: 441 test points of class 1 "
+                                              r"requested but pool z2=1 holds only 300$"):
+            simulate_plan(plan, config, jobs=1)
+
+    def test_empty_test_set_stays_a_run_failure(self, tmp_path):
+        # 0.001 of 120 rows rounds to no test rows: every run fails alone
+        doc = small_config_doc(n_per_class=40)
+        doc["sampling"]["test_frac"] = 0.001
+        config = parse_experiment_config(doc, tmp_path)
+        outcomes, failures = simulate_plan(build_run_plan(config.design, config.scenarios),
+                                           config, jobs=1)
+        assert not outcomes and len(failures) == 84
+        assert {f.reason for f in failures} == {"total must be positive, got 0"}
+
+    def test_checked_once_per_pool_and_test_mixture(self, tmp_path, monkeypatch):
+        from mixrobust import pipeline
+
+        calls = []
+        counts = pipeline.class_counts
+
+        def counting(mixture, total):
+            calls.append(mixture)
+            return counts(mixture, total)
+
+        monkeypatch.setattr(pipeline, "class_counts", counting)
+        config = parse_experiment_config(small_config_doc(replicates=2), tmp_path)
+        plan = build_run_plan(config.design, config.scenarios)
+        pipeline.checked_pools(plan, config)
+        distinct = {(spec.covariates[1], spec.test_mixture) for spec in plan.runs}
+        assert len(calls) == len(distinct) < len(plan.runs)
 
 
 class TestPoolSpecMaterialization:

@@ -1,13 +1,19 @@
 """Property tests: random inputs, fixed example order (derandomized)."""
 
+import tempfile
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mixrobust import (DatasetPool, SamplingConfig, SamplingError, auc_ovr, class_counts,
-                       compose_split)
+from mixrobust import (DatasetPool, DesignConfig, RunOutcome, SamplingConfig, SamplingError,
+                       TestScenario, auc_ovr, build_run_plan, class_counts, compose_split,
+                       read_plan_csv, write_outcomes_csv, write_plan_csv)
 from mixrobust.classifiers import boosted_stump_scores, fit_logistic_ovr
-from mixrobust.metrics import midranks
+from mixrobust.design import stored_sum_bound
+from mixrobust.metrics import midranks, read_outcome_table
 
 from test_classifiers import oracle_boosted_raw, oracle_logistic_weights
 
@@ -139,7 +145,7 @@ def logistic_stacks(draw):
 @given(logistic_stacks())
 def test_stacked_logistic_fit_equals_per_fit_oracle_bits(problem):
     features, labels, m, epochs = problem
-    weights, _ = fit_logistic_ovr(features, labels, m, epochs=epochs)
+    weights = fit_logistic_ovr(features, labels, m, epochs=epochs)
     for fit, x, y in zip(weights, features, labels):
         assert fit.tobytes() == oracle_logistic_weights(x, y, m, epochs).tobytes()
 
@@ -184,3 +190,49 @@ def test_auc_of_negated_scores_is_one_minus_auc(problem):
 def test_auc_unchanged_under_increasing_transform(problem, transform):
     score_matrix, labels = problem
     assert auc_ovr(transform(score_matrix), labels, 1) == auc_ovr(score_matrix, labels, 1)
+
+
+@st.composite
+def designs(draw):
+    """A one-covariate design over m = 2..10 classes with min_prop in [0, 1/m)."""
+    m = draw(st.integers(2, 10))
+    min_prop = draw(st.floats(0.0, 1.0 / m, exclude_max=True))
+    return DesignConfig(m=m, min_prop=min_prop, covariate_levels=((1.0,),),
+                        replicates=1, seed=m)
+
+
+def close_mixtures(got, want):
+    """Read-back proportions sum to 1 and are off what was written by at most
+    the rounding of one part plus the renormalization of the row's sum, each
+    within stored_sum_bound."""
+    got, want = np.asarray(got), np.asarray(want)
+    return (np.all(np.abs(got - want) <= 2 * stored_sum_bound(got.shape[-1]))
+            and np.all(np.abs(got.sum(axis=-1) - 1.0) <= 1e-12))
+
+
+@fixed
+@example(DesignConfig(m=6, min_prop=0.01, covariate_levels=((1.0,),), replicates=1))
+@example(DesignConfig(m=7, min_prop=0.02, covariate_levels=((1.0,),), replicates=1))
+@given(designs())
+def test_plan_and_outcomes_round_trip_for_every_design(design):
+    # the reverse scenario's runs print every proportion row a plan can hold:
+    # balanced test mixtures are the centroid, consistent ones the training
+    # mixtures
+    plan = build_run_plan(design, (TestScenario.REVERSE,))
+    m = design.m
+    scored = RunOutcome.from_aucs(0, 1, TestScenario.REVERSE, (1.0,), np.ones(m) / m,
+                                  np.linspace(0.6, 0.9, m))
+    outcomes = [replace(scored, run_id=r.run_id, train_mixture=r.train_mixture)
+                for r in plan.runs]
+    with tempfile.TemporaryDirectory() as tmp:
+        write_plan_csv(plan, Path(tmp) / "plan.csv")
+        back = read_plan_csv(Path(tmp) / "plan.csv")
+        write_outcomes_csv(outcomes, m, design.h, Path(tmp) / "outcomes.csv")
+        table = read_outcome_table(Path(tmp) / "outcomes.csv")
+    assert [(r.run_id, r.scenario, r.replicate, r.covariates, r.seed) for r in back] == \
+        [(r.run_id, r.scenario, r.replicate, r.covariates, r.seed) for r in plan.runs]
+    for name in ("train_mixture", "test_mixture"):
+        assert close_mixtures([getattr(r, name) for r in back],
+                              [getattr(r, name) for r in plan.runs])
+    assert table.run_id.tolist() == [r.run_id for r in plan.runs]
+    assert close_mixtures(table.train_mixture, [r.train_mixture for r in plan.runs])
