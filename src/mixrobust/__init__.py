@@ -23,12 +23,12 @@ from .mixmodel import (AnalysisDataset, ImpliedEffect, MixtureModelFit, ModelErr
                        ModelMatrix, TermInference, build_design_matrix,
                        dataset_from_outcomes, fit_ols, fit_report,
                        implied_covariate_effect, model_matrix, model_row, predict,
-                       predict_rows, term_inference, term_labels, write_fit_report)
+                       predict_rows, term_inference, term_labels, two_sided_p,
+                       write_fit_report)
 from .shapley import (ShapReport, exact_shapley_oracle, shap_importance,
                       shap_per_observation, shap_report, write_shap_json)
-from .studentt import student_t_cdf, student_t_sf, two_sided_p
 from .ternary import (TernaryGrid, barycentric_to_xy, grid_predict, render_ternary,
-                      simplex_lattice, ternary_grid, write_grid_csv, write_ternary_svg)
+                      simplex_lattice, write_grid_csv, write_ternary_svg)
 from .pipeline import (ClassifierSpec, ConfigError, ExperimentConfig, PoolSpec,
                        RunFailure, execute_batch, parse_experiment_config,
                        simulate_plan, with_master_seed)

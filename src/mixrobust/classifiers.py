@@ -384,24 +384,20 @@ def boosted_stump_scores(features, targets, test_features, rounds=100, shrinkage
     return scores.reshape(batch + scores.shape[1:])
 
 
-def train_and_score(kind, split: SampleSplit, pool: DatasetPool, hyper=None,
-                    command=None, workdir=None):
+def train_and_score(kind, split: SampleSplit, pool: DatasetPool, hyper=None, command=None):
     """Fit the requested classifier on the split and score the test rows.
 
     Returns an (n_test, m) row-stochastic score matrix. EXTERNAL delegates
-    to `command` via the file protocol; `workdir` defaults to a fresh
-    temporary directory. This is the one-split call of
+    to `command` via the file protocol. This is the one-split call of
     `train_and_score_batch`, and raises what that returns as the error.
     """
-    [result] = train_and_score_batch(kind, [split], pool, hyper=hyper,
-                                     command=command, workdir=workdir)
+    [result] = train_and_score_batch(kind, [split], pool, hyper=hyper, command=command)
     if isinstance(result, Exception):
         raise result
     return result
 
 
-def train_and_score_batch(kind, splits, pool: DatasetPool, hyper=None,
-                          command=None, workdir=None):
+def train_and_score_batch(kind, splits, pool: DatasetPool, hyper=None, command=None):
     """`train_and_score` for every split of one pool. Returns, per split, its
     score matrix or the ClassifierError or ExternalRunnerError it raised, so
     one split's failure leaves the others' scores as they would be alone.
@@ -417,8 +413,7 @@ def train_and_score_batch(kind, splits, pool: DatasetPool, hyper=None,
     except ClassifierError as exc:
         return [exc] * len(splits)
     if kind is ClassifierKind.EXTERNAL:
-        return [_caught(run_external, command, split, pool, workdir=workdir)
-                for split in splits]
+        return [_caught(run_external, command, split, pool) for split in splits]
 
     results = [_caught(_training_rows, split, pool) for split in splits]
     stacks = {}
@@ -466,10 +461,10 @@ def _training_rows(split: SampleSplit, pool: DatasetPool):
     return train
 
 
-def run_external(command, split: SampleSplit, pool: DatasetPool, workdir=None):
-    """File protocol: write train.csv/test.csv, run `command <workdir>`, read
-    scores.csv (header score_1..score_m, one row per test row, rows sum to 1
-    within 1e-6)."""
+def run_external(command, split: SampleSplit, pool: DatasetPool):
+    """File protocol: in a fresh temporary directory, write train.csv and
+    test.csv, run `command <directory>`, read scores.csv (header
+    score_1..score_m, one row per test row, rows sum to 1 within 1e-6)."""
     import tempfile
 
     if command is None:
@@ -477,8 +472,7 @@ def run_external(command, split: SampleSplit, pool: DatasetPool, workdir=None):
     command = [str(part) for part in (command if isinstance(command, (list, tuple))
                                       else [command])]
     with tempfile.TemporaryDirectory() as tmp:
-        base = Path(workdir) if workdir is not None else Path(tmp)
-        base.mkdir(parents=True, exist_ok=True)
+        base = Path(tmp)
         for name, rows in (("train", split.train_indices), ("test", split.test_indices)):
             write_pool_csv(DatasetPool(pool.features[rows], pool.labels[rows]),
                            base / f"{name}.csv")

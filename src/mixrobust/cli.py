@@ -26,8 +26,8 @@ from .pipeline import (ConfigError, ExperimentConfig, checked_pools,
                        parse_experiment_config, resolve_jobs, simulate_plan,
                        with_master_seed)
 from .shapley import shap_report, write_phi_csv, write_shap_json
-from .ternary import (TernaryGrid, grid_predict, simplex_lattice, surface_filenames,
-                      write_grid_csv, write_ternary_svg)
+from .ternary import (TernaryGrid, grid_predict, surface_filenames, write_grid_csv,
+                      write_ternary_svg)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -237,14 +237,9 @@ def cmd_shap(config, args):
 def cmd_contour(config, args):
     design = config.design
     ternary = design.m == 3
-    if ternary:
-        grid = TernaryGrid.build(q=CONTOUR_Q, min_prop=design.min_prop)
-    else:
-        # no ternary projection beyond 3 classes: coarse lattice, CSV only
-        lattice_q = min(CONTOUR_Q, 20)
-        grid = TernaryGrid(q=lattice_q, min_prop=design.min_prop,
-                           points=simplex_lattice(lattice_q, design.m,
-                                                  design.min_prop))
+    # no ternary projection beyond 3 classes: coarse lattice, CSV only
+    grid = TernaryGrid.build(q=CONTOUR_Q if ternary else min(CONTOUR_Q, 20),
+                             min_prop=design.min_prop, m=design.m)
     for scenario, response, fit, _ in _fits(config, args):
         for z in itertools.product(*design.covariate_levels):
             grid_name, svg_name = surface_filenames(response, scenario.value, z)

@@ -15,14 +15,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg
+from scipy import linalg, special
 
 from .design import TestScenario
 from .fileio import write_json
 from .metrics import OutcomeTable
-from .studentt import two_sided_p
 
 RANK_RTOL = 1e-10
+# the mixture rows fitted or predicted at must each sum to 1 within this
+MIXTURE_ROW_TOL = 1e-6
 
 
 class ModelError(ValueError):
@@ -70,6 +71,16 @@ def _factor_columns(mixtures, covariates):
     return factors, mixtures.shape[1], covariates.shape[1]
 
 
+def _check_mixture_rows(mixtures):
+    """Raise ModelError naming the first row of `mixtures` whose sum is not
+    within MIXTURE_ROW_TOL of 1 (a NaN sum included)."""
+    sums = mixtures.sum(axis=1)
+    bad = np.flatnonzero(~(np.abs(sums - 1.0) <= MIXTURE_ROW_TOL))
+    if bad.size:
+        raise ModelError(f"mixture row {bad[0]} sums to {sums[bad[0]]}, not 1 "
+                         f"within {MIXTURE_ROW_TOL:g}")
+
+
 def model_matrix(mixtures, covariates):
     """Model-matrix rows for raw (uncentered) mixtures (n, m) and covariates (n, h)."""
     factors, m, h = _factor_columns(mixtures, covariates)
@@ -109,9 +120,7 @@ class AnalysisDataset:
             fields = ", ".join(name for name, ok in finite.items() if not ok[row])
             raise ModelError(f"non-finite {fields} in row {row} of the {self.response} "
                              f"data (rows counted from 0)")
-        sums = self.mixtures.sum(axis=1)
-        if n and np.max(np.abs(sums - 1.0)) > 1e-6:
-            raise ModelError("every mixture row must sum to 1 within 1e-6")
+        _check_mixture_rows(self.mixtures)
 
     @property
     def n(self):
@@ -216,21 +225,19 @@ def _dependent_columns(values, labels):
     return sorted(labels[i] for i in pivots[rank:])
 
 
-def fit_ols(matrix: ModelMatrix, y, allow_saturated=False) -> MixtureModelFit:
+def fit_ols(matrix: ModelMatrix, y) -> MixtureModelFit:
     """Least squares through a QR factorization (never the normal equations).
 
-    Needs n > p for inference; allow_saturated permits n == p, leaving the
-    residual variance undefined. A rank-deficient matrix is rejected with
-    the dependent column set named.
+    Needs n > p, so inference has at least one residual degree of freedom.
+    A rank-deficient matrix is rejected with the dependent column set named.
     """
     values = np.asarray(matrix.values, dtype=float)
     y = np.asarray(y, dtype=float)
     n, p = values.shape
     if y.shape != (n,):
         raise ModelError(f"response length {y.shape} does not match {n} rows")
-    minimum = p if allow_saturated else p + 1
-    if n < minimum:
-        raise ModelError(f"need at least {minimum} observations for p={p} terms, got {n}")
+    if n <= p:
+        raise ModelError(f"need at least {p + 1} observations for p={p} terms, got {n}")
     q, r = np.linalg.qr(values)
     singvals = np.linalg.svd(r, compute_uv=False)  # the singular values of X
     if singvals[-1] <= RANK_RTOL * singvals[0]:
@@ -242,16 +249,10 @@ def fit_ols(matrix: ModelMatrix, y, allow_saturated=False) -> MixtureModelFit:
     rss = float(residuals @ residuals)
     df = n - p
     r_inv = linalg.solve_triangular(r, np.eye(p))
-    xtx_inv = r_inv @ r_inv.T
-    if df > 0:
-        sigma2 = rss / df
-        covariance = sigma2 * xtx_inv
-    else:
-        sigma2 = float("nan")
-        covariance = np.full((p, p), np.nan)
-    return MixtureModelFit(coefficients=beta, covariance=covariance, sigma2=sigma2,
-                           df=df, labels=list(matrix.labels), m=matrix.m, h=matrix.h,
-                           n=n, rss=rss)
+    sigma2 = rss / df
+    return MixtureModelFit(coefficients=beta, covariance=sigma2 * (r_inv @ r_inv.T),
+                           sigma2=sigma2, df=df, labels=list(matrix.labels), m=matrix.m,
+                           h=matrix.h, n=n, rss=rss)
 
 
 def term_inference(fit: MixtureModelFit):
@@ -271,7 +272,17 @@ def _t_and_p(estimate, se, df):
     if se <= 0 or not math.isfinite(se):
         return float("nan"), float("nan")
     t = estimate / se
-    return t, float(two_sided_p(t, df))
+    return t, two_sided_p(t, df)
+
+
+def two_sided_p(t, df):
+    """P(|T| >= |t|) for Student's t with df >= 1 degrees of freedom: the
+    regularized incomplete beta I_x(df/2, 1/2) at x = df / (df + t^2), so 1
+    at t = 0."""
+    if df < 1:
+        raise ValueError(f"degrees of freedom must be >= 1, got {df}")
+    df, t = float(df), float(t)
+    return float(special.betainc(df / 2.0, 0.5, df / (df + t * t)))
 
 
 def implied_covariate_effect(fit: MixtureModelFit, k) -> ImpliedEffect:
@@ -301,10 +312,7 @@ def predict_rows(fit: MixtureModelFit, mixtures, covariates):
     if (m, h) != (fit.m, fit.h):
         raise ModelError(f"fit expects {fit.m} mixture parts and {fit.h} covariates, "
                          f"got {m} and {h}")
-    sums = factors[:, :fit.m].sum(axis=1)
-    bad = np.flatnonzero(~(np.abs(sums - 1.0) <= 1e-6))
-    if bad.size:
-        raise ModelError(f"mixture row {bad[0]} sums to {sums[bad[0]]}, not 1")
+    _check_mixture_rows(factors[:, :fit.m])
     out = np.zeros(factors.shape[0])
     for a, b, beta in zip(*_term_factors(fit.m, fit.h), fit.coefficients):
         out += factors[:, a] * factors[:, b] * beta

@@ -184,15 +184,22 @@ def _check_pools(pools, m):
 
 
 def checked_pools(plan: RunPlan, config: ExperimentConfig, pools=None):
-    """The pools the plan runs on, materialised unless given, once every run
-    has a classifier, a matching pool, a scenario and no test count above
-    its class's pool size (checked once per pool and test mixture). Raises
+    """The pools the plan runs on, materialised unless given, once every pool
+    gives both sides of a split at least one row and every run has a
+    classifier, a matching pool, a scenario and no test count above its
+    class's pool size (checked once per pool and test mixture). Raises
     ConfigError or DesignError before any run is attempted."""
     if plan.config.h < 2:
         raise ConfigError("the pipeline expects two covariates: the classifier "
                           "level and the pool level")
     pools = config.materialize_pools() if pools is None else pools
     _check_pools(pools, plan.config.m)
+    for level, pool in sorted(pools.items()):
+        for key, size in zip(("train_frac", "test_frac"),
+                             split_sizes(config.sampling, pool.n)):
+            if size == 0:
+                raise ConfigError(f"sampling.{key} {getattr(config.sampling, key):g} "
+                                  f"rounds to 0 of the {pool.n} rows of pool z2={level:g}")
     first_runs = {}
     for spec in plan.runs:
         config.classifier_for(spec)
@@ -202,8 +209,7 @@ def checked_pools(plan: RunPlan, config: ExperimentConfig, pools=None):
             raise DesignError(f"run {spec.run_id} has no scenario assignment")
         first_runs.setdefault((spec.covariates[1], spec.test_mixture), spec)
     for (level, mixture), spec in first_runs.items():
-        n_test = split_sizes(config.sampling, pools[level].n)[1]
-        counts = class_counts(mixture, n_test) if n_test > 0 else ()
+        counts = class_counts(mixture, split_sizes(config.sampling, pools[level].n)[1])
         for j, (count, rows) in enumerate(zip(counts, pools[level].class_index), start=1):
             if count > rows.size:
                 raise ConfigError(f"run {spec.run_id}: {count} test points of class {j} "

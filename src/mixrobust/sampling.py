@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .design import MIXTURE_SUM_TOL
 from .fileio import atomic_write_text, csv_text, read_csv
 
 
@@ -107,6 +108,7 @@ def class_counts(mixture, total):
     """Largest-remainder rounding of mixture * total into per-class counts.
 
     Counts sum to total exactly; rounding ties go to the lower class index.
+    The mixture must sum to 1 within design.MIXTURE_SUM_TOL.
     """
     total = int(total)
     if total <= 0:
@@ -114,6 +116,8 @@ def class_counts(mixture, total):
     mix = np.asarray(mixture, dtype=float)
     if mix.min() < 0:
         raise SamplingError("mixture entries must be nonnegative")
+    if not abs(mix.sum() - 1.0) <= MIXTURE_SUM_TOL:
+        raise SamplingError(f"mixture {mix.tolist()} sums to {float(mix.sum())!r}, not 1")
     raw = mix * total
     base = np.floor(raw).astype(int)
     deficit = total - int(base.sum())

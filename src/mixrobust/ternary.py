@@ -64,11 +64,6 @@ def simplex_lattice(q, m, min_prop=0.0):
     return np.array(points, dtype=float) / q
 
 
-def ternary_grid(q, min_prop=0.0):
-    """Three-part lattice points (a/q, b/q, c/q) with each coordinate >= min_prop."""
-    return simplex_lattice(q, 3, min_prop)
-
-
 @dataclass
 class TernaryGrid:
     q: int
@@ -83,8 +78,8 @@ class TernaryGrid:
     lattice_parts: dict = field(default_factory=dict, repr=False, compare=False)
 
     @classmethod
-    def build(cls, q, min_prop=0.0):
-        return cls(q=q, min_prop=min_prop, points=ternary_grid(q, min_prop))
+    def build(cls, q, min_prop=0.0, m=3):
+        return cls(q=q, min_prop=min_prop, points=simplex_lattice(q, m, min_prop))
 
 
 def _lattice_part(grid: TernaryGrid, build):

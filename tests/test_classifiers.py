@@ -550,7 +550,7 @@ RUNNER_OK = """\
 import csv, sys
 from pathlib import Path
 
-workdir = Path(sys.argv[1])
+workdir = Path(sys.argv[-1])  # the engine appends its directory last
 with open(workdir / "train.csv") as fh:
     train_rows = list(csv.reader(fh))[1:]
 m = max(int(row[0]) for row in train_rows)
@@ -564,6 +564,14 @@ with open(workdir / "scores.csv", "w", newline="") as fh:
         hot = min(max(value, 0.0), 1.0)
         rest = (1.0 - hot) / (m - 1)
         writer.writerow([hot] + [rest] * (m - 1))
+"""
+
+# RUNNER_OK that also copies the split files it was given into the
+# directory named by its first argument
+RUNNER_KEEPS_SPLIT = RUNNER_OK + """
+import shutil
+for name in ("train.csv", "test.csv"):
+    shutil.copy(workdir / name, sys.argv[1])
 """
 
 RUNNER_FAILS = "import sys; sys.exit(3)\n"
@@ -605,31 +613,35 @@ class TestExternalRunner:
         test = np.arange(10, 20)
         return split_of(train, test)
 
-    def test_protocol_round_trip(self, tmp_path):
+    def _keeping_runner(self, tmp_path):
+        """A RUNNER_KEEPS_SPLIT command and the directory it copies into."""
         runner = tmp_path / "runner.py"
-        runner.write_text(RUNNER_OK)
+        runner.write_text(RUNNER_KEEPS_SPLIT)
+        kept = tmp_path / "kept"
+        kept.mkdir()
+        return ["python3", str(runner), str(kept)], kept
+
+    def test_protocol_round_trip(self, tmp_path):
+        command, kept = self._keeping_runner(tmp_path)
         pool = self._pool()
         scores = train_and_score(ClassifierKind.EXTERNAL, self._split(pool), pool,
-                                 command=["python3", str(runner)],
-                                 workdir=tmp_path / "work")
+                                 command=command)
         assert scores.shape == (10, 2)
         assert np.max(np.abs(scores.sum(axis=1) - 1.0)) <= 1e-9
         # training duplicates materialize as repeated rows
-        train_lines = (tmp_path / "work" / "train.csv").read_text().splitlines()
+        train_lines = (kept / "train.csv").read_text().splitlines()
         assert len(train_lines) == 1 + 7
 
     def test_split_files_in_pool_csv_format(self, tmp_path):
-        runner = tmp_path / "runner.py"
-        runner.write_text(RUNNER_OK)
+        command, kept = self._keeping_runner(tmp_path)
         pool = self._pool()
         split = self._split(pool)
-        train_and_score(ClassifierKind.EXTERNAL, split, pool,
-                        command=["python3", str(runner)], workdir=tmp_path / "work")
+        train_and_score(ClassifierKind.EXTERNAL, split, pool, command=command)
         for name, rows in (("train", split.train_indices), ("test", split.test_indices)):
             expected = ["label,f1,f2"] + [
                 ",".join([str(pool.labels[i])] + [f"{v:.10g}" for v in pool.features[i]])
                 for i in rows]
-            text = (tmp_path / "work" / f"{name}.csv").read_text()
+            text = (kept / f"{name}.csv").read_text()
             assert text == "\n".join(expected) + "\n"
 
     def test_nonzero_exit_reported(self, tmp_path):

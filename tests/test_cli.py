@@ -133,6 +133,16 @@ class TestSimulateCommand:
                 "300") in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("key", ["train_frac", "test_frac"])
+    def test_empty_split_exits_config(self, tmp_path, capsys, key):
+        doc = small_config_doc(n_per_class=40)
+        doc["sampling"][key] = 0.001
+        config_path = write_config(tmp_path, doc)
+        assert main(["simulate", "--config", str(config_path), "--jobs", "1"]) == EXIT_CONFIG
+        assert (f"sampling.{key} 0.001 rounds to 0 of the 120 rows of pool z2=0"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
     def test_external_kind_refused_by_simulate(self, tmp_path):
         doc = small_config_doc()
         doc["classifiers"]["1"] = {"kind": "external", "command": ["true"]}

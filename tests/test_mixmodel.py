@@ -1,15 +1,18 @@
+import ast
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats
 
+import mixrobust
 from mixrobust import (AnalysisDataset, MixtureModelFit, ModelError, ModelMatrix,
                        RunOutcome, TestScenario, build_design_matrix,
                        dataset_from_outcomes, fit_ols, fit_report,
                        implied_covariate_effect, model_matrix, model_row, predict,
                        predict_rows, term_inference, term_labels, write_fit_report)
-from mixrobust.mixmodel import n_terms
+from mixrobust.mixmodel import MIXTURE_ROW_TOL, n_terms
 from mixrobust.seeding import generator
 
 from reference_tables import CROSS_ARRAY_28, REFERENCE_INFERENCE
@@ -129,22 +132,9 @@ class TestIdentifiabilityIdentities:
 
 
 class TestFitOls:
-    def test_interpolates_saturated_full_rank_system(self):
-        rng = generator(21, "sat")
-        # random full-rank 13x13 system; saturation leaves no residual df
-        while True:
-            values = rng.normal(size=(13, 13))
-            s = np.linalg.svd(values, compute_uv=False)
-            if s[-1] > 1e-6 * s[0]:
-                break
-        y = rng.normal(size=13)
-        fit = fit_ols(make_matrix(values), y, allow_saturated=True)
-        assert np.linalg.norm(y - values @ fit.coefficients) <= 1e-10
-        assert fit.df == 0
-
-    def test_saturated_needs_flag(self):
+    def test_saturated_fit_rejected(self):
         rng = generator(21, "sat2")
-        with pytest.raises(ModelError):
+        with pytest.raises(ModelError, match="need at least 14 observations for p=13"):
             fit_ols(make_matrix(rng.normal(size=(13, 13))), rng.normal(size=13))
 
     def test_noiseless_recovery(self, reference_matrix_84):
@@ -365,3 +355,36 @@ class TestAnalysisDatasetValidation:
         arrays[field][3] = np.inf
         with pytest.raises(ModelError, match=f"non-finite {field} in row {row} "):
             AnalysisDataset(**arrays, scenario=TestScenario.BALANCED, response="mean_auc")
+
+    def test_fit_and_prediction_share_the_mixture_row_rule(self):
+        fit = make_fit(np.zeros(13))
+        for off, ok in ((0.9 * MIXTURE_ROW_TOL, True), (1.1 * MIXTURE_ROW_TOL, False)):
+            mixtures = np.array([[0.5, 0.3, 0.2], [0.5, 0.3, 0.2 + off]])
+            calls = (lambda: AnalysisDataset(y=np.zeros(2), mixtures=mixtures,
+                                             covariates=np.zeros((2, 2)),
+                                             scenario=TestScenario.BALANCED,
+                                             response="mean_auc"),
+                     lambda: predict_rows(fit, mixtures, np.zeros((2, 2))))
+            for call in calls:
+                if ok:
+                    call()
+                else:
+                    with pytest.raises(ModelError, match="^mixture row 1 sums to "):
+                        call()
+
+
+def test_only_mixmodel_imports_scipy():
+    """The fit layer is the one module that needs scipy; every other stage
+    starts without it."""
+    importers = set()
+    for path in sorted(Path(mixrobust.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            if any(name.split(".")[0] == "scipy" for name in names):
+                importers.add(path.stem)
+    assert importers == {"mixmodel"}

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -163,6 +165,18 @@ class TestOneRunBatch:
         assert all(0.0 <= a <= 1.0 for a in outcome.aucs)
         assert outcome.mean_auc == pytest.approx(np.mean(outcome.aucs), abs=1e-12)
 
+    def test_mixture_off_one_fails_its_run_alone(self, tmp_path):
+        config = parse_experiment_config(small_config_doc(), tmp_path)
+        plan = build_run_plan(config.design, config.scenarios)
+        pool = config.pool_specs[1.0].materialize()
+        good = plan.runs[0]
+        bad = replace(good, run_id=0, train_mixture=(0.6, 0.6, 0.6))
+        classifier = config.classifiers[good.covariates[0]]
+        failure, outcome = execute_batch([bad, good], pool, classifier, config.sampling)
+        assert isinstance(failure, RunFailure) and failure.run_id == 0
+        assert failure.reason.endswith("sums to 1.7999999999999998, not 1")
+        assert outcome == execute_batch([good], pool, classifier, config.sampling)[0]
+
     def test_deterministic_given_spec_seed(self, tmp_path):
         config = parse_experiment_config(small_config_doc(), tmp_path)
         plan = build_run_plan(config.design, config.scenarios)
@@ -318,15 +332,16 @@ class TestTestCapacity:
                                               r"requested but pool z2=1 holds only 300$"):
             simulate_plan(plan, config, jobs=1)
 
-    def test_empty_test_set_stays_a_run_failure(self, tmp_path):
-        # 0.001 of 120 rows rounds to no test rows: every run fails alone
+    @pytest.mark.parametrize("key", ["train_frac", "test_frac"])
+    def test_empty_side_of_a_split_rejected(self, tmp_path, key):
+        # 0.001 of a 120-row pool rounds to no rows: no run could ever succeed
         doc = small_config_doc(n_per_class=40)
-        doc["sampling"]["test_frac"] = 0.001
+        doc["sampling"][key] = 0.001
         config = parse_experiment_config(doc, tmp_path)
-        outcomes, failures = simulate_plan(build_run_plan(config.design, config.scenarios),
-                                           config, jobs=1)
-        assert not outcomes and len(failures) == 84
-        assert {f.reason for f in failures} == {"total must be positive, got 0"}
+        plan = build_run_plan(config.design, config.scenarios)
+        with pytest.raises(ConfigError, match=rf"^sampling\.{key} 0\.001 rounds to 0 of "
+                                              r"the 120 rows of pool z2=0$"):
+            simulate_plan(plan, config, jobs=1)
 
     def test_checked_once_per_pool_and_test_mixture(self, tmp_path, monkeypatch):
         from mixrobust import pipeline

@@ -44,6 +44,13 @@ class TestClassCounts:
         with pytest.raises(SamplingError):
             class_counts((0.5, 0.5), 0)
 
+    @pytest.mark.parametrize("mixture", [(0.6, 0.6), (0.2, 0.2), (0.5, 0.5 + 1e-9),
+                                         (float("nan"), 1.0)])
+    def test_rejects_mixture_not_summing_to_one(self, mixture):
+        # counts of a mixture off 1 would not sum to total: a split of the wrong size
+        with pytest.raises(SamplingError, match=r"sums to .*, not 1$"):
+            class_counts(mixture, 10)
+
     def test_matches_oracle_on_random_mixtures(self):
         rng = generator(42, "counts")
         for _ in range(300):

@@ -8,8 +8,7 @@ import numpy as np
 import pytest
 
 from mixrobust import (MixtureModelFit, TernaryGrid, barycentric_to_xy,
-                       grid_predict, render_ternary, simplex_lattice, term_labels,
-                       ternary_grid)
+                       grid_predict, render_ternary, simplex_lattice, term_labels)
 from mixrobust import ternary
 from mixrobust.ternary import (ContourError, _micro_triangles, contour_filename,
                                grid_to_csv)
@@ -44,21 +43,21 @@ def reference_micro_triangles(grid):
 
 class TestLattice:
     def test_q2_unconstrained(self):
-        points = ternary_grid(2, 0.0)
+        points = simplex_lattice(2, 3, 0.0)
         got = {tuple(p) for p in points}
         assert got == {(1, 0, 0), (0, 1, 0), (0, 0, 1),
                        (0.5, 0.5, 0), (0.5, 0, 0.5), (0, 0.5, 0.5)}
 
     def test_q100_unconstrained_count(self):
-        assert ternary_grid(100, 0.0).shape == (5151, 3)
+        assert simplex_lattice(100, 3, 0.0).shape == (5151, 3)
 
     def test_q100_floored_excludes_boundary(self):
-        points = ternary_grid(100, 0.01)
+        points = simplex_lattice(100, 3, 0.01)
         assert points.min() >= 0.01 - 1e-12
         assert points.shape[0] == 4851  # each count >= 1: C(97 + 2, 2) compositions
 
     def test_rows_sum_to_one(self):
-        points = ternary_grid(37, 0.01)
+        points = simplex_lattice(37, 3, 0.01)
         assert np.max(np.abs(points.sum(axis=1) - 1.0)) <= 1e-12
 
     def test_general_m_lattice(self):
@@ -66,11 +65,18 @@ class TestLattice:
         assert points.shape == (35, 4)  # C(7, 3)
         assert np.max(np.abs(points.sum(axis=1) - 1.0)) <= 1e-12
 
+    def test_build_takes_the_number_of_parts(self):
+        assert TernaryGrid.build(q=20, min_prop=0.01).points.tolist() == \
+            simplex_lattice(20, 3, 0.01).tolist()
+        grid = TernaryGrid.build(q=20, min_prop=0.01, m=5)
+        assert (grid.q, grid.min_prop) == (20, 0.01)
+        assert grid.points.tolist() == simplex_lattice(20, 5, 0.01).tolist()
+
     def test_rejects_bad_inputs(self):
         with pytest.raises(ContourError):
-            ternary_grid(1, 0.0)
+            simplex_lattice(1, 3, 0.0)
         with pytest.raises(ContourError):
-            ternary_grid(10, 0.5)
+            simplex_lattice(10, 3, 0.5)
 
 
 class TestProjection:
