@@ -11,15 +11,16 @@ from pathlib import Path
 import numpy as np
 
 from mixrobust import (DesignConfig, TernaryGrid, cross_array, fit_ols, grid_predict,
-                       model_row, simplex_centroid, term_labels, write_grid_csv,
+                       model_matrix, simplex_centroid, term_labels, write_grid_csv,
                        write_ternary_svg)
 from mixrobust.mixmodel import ModelMatrix
 from mixrobust.seeding import generator
-from mixrobust.ternary import contour_filename
+from mixrobust.ternary import surface_filenames
 
 design = DesignConfig(m=3, covariate_levels=((1, 0), (1, 0)), min_prop=0.01)
 base = cross_array(simplex_centroid(3, 0.01), design)
-values = np.array([model_row(r.train_mixture, r.covariates) for r in base.runs] * 3)
+runs = base.runs * 3
+values = model_matrix([r.train_mixture for r in runs], [r.covariates for r in runs])
 matrix = ModelMatrix(values=values, labels=term_labels(3, 2), m=3, h=2)
 
 # a made-up but shaped response: balance helps, class 3 helps, z1 helps
@@ -35,10 +36,9 @@ for z in itertools.product(*design.covariate_levels):
     surface = grid_predict(fit, grid, z)
     surface.response = "mean_auc"
     surface.scenario = "balanced"
-    name = contour_filename("mean_auc", "balanced", z)
+    grid_name, name = surface_filenames("mean_auc", "balanced", z)
     write_ternary_svg(surface, out_dir / name, levels=10)
-    write_grid_csv(surface, out_dir / name.replace("contour", "grid")
-                   .replace(".svg", ".csv"))
+    write_grid_csv(surface, out_dir / grid_name)
     peak = surface.points[np.argmax(surface.values)]
     print(f"z={z}: wrote {name}; surface peak near {np.round(peak, 3)} "
           f"(max {surface.values.max():.3f})")

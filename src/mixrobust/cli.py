@@ -26,8 +26,8 @@ from .pipeline import (ConfigError, ExperimentConfig, checked_pools,
                        parse_experiment_config, resolve_jobs, simulate_plan,
                        with_master_seed)
 from .shapley import shap_report, write_phi_csv, write_shap_json
-from .ternary import (TernaryGrid, grid_predict, surface_filenames, write_grid_csv,
-                      write_ternary_svg)
+from .ternary import (ContourError, TernaryGrid, grid_predict, surface_filenames,
+                      write_grid_csv, write_ternary_svg)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -153,11 +153,8 @@ def _execute(config, args, allow_external):
                              "not `simulate`")
     plan = _build_plan(config, args)
     # every config check runs before the first file is written
-    try:
-        pools = checked_pools(plan, config)
-        jobs = resolve_jobs(args.jobs)
-    except ConfigError as exc:
-        raise CliFailure(EXIT_CONFIG, str(exc)) from None
+    pools = checked_pools(plan, config)
+    jobs = resolve_jobs(args.jobs)
     write_plan_csv(plan, config.output_dir / "plan.csv")
     write_json(config.output_dir / "run_metadata.json", _run_metadata(config))
     outcomes, failures = simulate_plan(plan, config, jobs=jobs, pools=pools)
@@ -237,7 +234,8 @@ def cmd_shap(config, args):
 def cmd_contour(config, args):
     design = config.design
     ternary = design.m == 3
-    # no ternary projection beyond 3 classes: coarse lattice, CSV only
+    # no ternary projection beyond 3 classes: coarse lattice, CSV only; a
+    # lattice with no point above the floor is a config error
     grid = TernaryGrid.build(q=CONTOUR_Q if ternary else min(CONTOUR_Q, 20),
                              min_prop=design.min_prop, m=design.m)
     for scenario, response, fit, _ in _fits(config, args):
@@ -347,7 +345,7 @@ def main(argv=None):
         config = _load_config(args)
         try:
             return _COMMANDS[args.command](config, args)
-        except DesignError as exc:
+        except (ConfigError, ContourError, DesignError) as exc:
             raise CliFailure(EXIT_CONFIG, str(exc)) from None
     except CliFailure as fail:
         print(f"mixrobust: error: {fail.message}", file=sys.stderr)

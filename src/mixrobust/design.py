@@ -59,12 +59,7 @@ class DesignConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.m < 2:
-            raise DesignError(f"need at least 2 classes, got m={self.m}")
-        if not 0.0 <= self.min_prop < 1.0 / self.m:
-            raise DesignError(
-                f"min_prop={self.min_prop} must lie in [0, 1/m); the floor is "
-                f"infeasible for m={self.m}")
+        check_floor(self.m, self.min_prop)
         if self.replicates < 1:
             raise DesignError("replicates must be >= 1")
         levels = tuple(tuple(float(v) for v in lv) for lv in self.covariate_levels)
@@ -106,11 +101,22 @@ class RunPlan:
         return iter(self.runs)
 
 
+def check_floor(m, min_prop, error=DesignError):
+    """The constrained simplex is nonempty: m >= 2 parts, each at or above a
+    floor min_prop in [0, 1/m). Otherwise raises error."""
+    if m < 2:
+        raise error(f"need at least 2 classes, got m={m}")
+    if not 0.0 <= min_prop < 1.0 / m:
+        raise error(f"min_prop={min_prop} must lie in [0, 1/m); the floor is "
+                    f"infeasible for m={m}")
+
+
 def check_mixture(x, min_prop=0.0):
     """Validate a proportion vector: sums to one, respects the floor."""
     arr = np.asarray(x, dtype=float)
-    if abs(arr.sum() - 1.0) > MIXTURE_SUM_TOL:
-        raise DesignError(f"proportions sum to {arr.sum()!r}, not 1")
+    total = float(arr.sum())
+    if not abs(total - 1.0) <= MIXTURE_SUM_TOL:
+        raise DesignError(f"proportions sum to {total!r}, not 1")
     if arr.min() < min_prop - 1e-12:
         raise DesignError(f"proportion {arr.min()} below the floor {min_prop}")
     return arr
@@ -124,10 +130,7 @@ def simplex_centroid(m, min_prop=0.0):
     rest. Pure components come first (by index), then blends of increasing
     order (lexicographic within an order), the overall centroid last.
     """
-    if m < 2:
-        raise DesignError(f"need at least 2 components, got m={m}")
-    if not 0.0 <= min_prop < 1.0 / m:
-        raise DesignError(f"min_prop={min_prop} >= 1/m makes the constraint infeasible")
+    check_floor(m, min_prop)
     points = []
     for size in range(1, m + 1):
         share = (1.0 - (m - size) * min_prop) / size
@@ -148,6 +151,9 @@ def cross_array(points, config: DesignConfig) -> RunPlan:
     points = [check_mixture(p, config.min_prop) for p in points]
     if not points:
         raise DesignError("points must be nonempty")
+    for x in points:
+        if x.shape != (config.m,):
+            raise DesignError(f"mixture point {x.tolist()} does not have m={config.m} parts")
     runs = []
     run_id = 1
     for z in itertools.product(*config.covariate_levels):
@@ -292,12 +298,6 @@ def renormalize_rows(block, where, error=DesignError):
     return block / total[:, None]
 
 
-def renormalize(values, where):
-    """One row of stored proportions divided by its sum, as a tuple."""
-    row = np.asarray(values, dtype=float)
-    return tuple(renormalize_rows(row[None, :], lambda _: where)[0])
-
-
 def read_plan_csv(path):
     """Read run specs back; the printed proportions are renormalized to sum 1.
     A malformed file or row raises DesignError naming it."""
@@ -310,11 +310,13 @@ def _plan_layout(header):
 
     def parse(row):
         run_id = int(row[0])
+        train, test = renormalize_rows(
+            [row[3:3 + m], row[3 + m + h:3 + 2 * m + h]],
+            lambda i: f"run {run_id} {('train', 'test')[i]} mixture")
         return RunSpec(
             run_id=run_id, scenario=TestScenario.parse(row[1]), replicate=int(row[2]),
-            train_mixture=renormalize(row[3:3 + m], f"run {run_id} train mixture"),
+            train_mixture=tuple(train),
             covariates=tuple(float(v) for v in row[3 + m:3 + m + h]),
-            test_mixture=renormalize(row[3 + m + h:3 + 2 * m + h],
-                                     f"run {run_id} test mixture"),
+            test_mixture=tuple(test),
             seed=int(row[3 + 2 * m + h]))
     return plan_header(m, h), parse

@@ -9,12 +9,13 @@ proportion floor.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .design import PROPORTION_DECIMALS
+from .design import PROPORTION_DECIMALS, check_floor
 from .fileio import atomic_write_bytes, atomic_write_text
 from .mixmodel import MixtureModelFit, predict_rows
 
@@ -44,24 +45,24 @@ def barycentric_to_xy(points):
 
 
 def simplex_lattice(q, m, min_prop=0.0):
-    """All m-part compositions of q scaled by 1/q with every part >= min_prop."""
+    """Every m-part composition of q with all parts >= min_prop * q, scaled by
+    1/q, in lexicographic order.
+
+    Stars and bars: the free = q - m * floor units above the floor split at
+    m - 1 bar positions among free + m - 1 slots, and itertools.combinations
+    yields those positions in lexicographic order of the parts.
+    """
     if q < 2:
         raise ContourError(f"lattice resolution q={q} must be >= 2")
-    if not 0.0 <= min_prop < 1.0 / m:
-        raise ContourError(f"min_prop={min_prop} must lie in [0, 1/m)")
+    check_floor(m, min_prop, ContourError)
     floor_count = int(math.ceil(min_prop * q - 1e-9))
-    points = []
-
-    def _fill(prefix, remaining, parts_left):
-        if parts_left == 1:
-            if remaining >= floor_count:
-                points.append(prefix + [remaining])
-            return
-        for value in range(floor_count, remaining - floor_count * (parts_left - 1) + 1):
-            _fill(prefix + [value], remaining - value, parts_left - 1)
-
-    _fill([], q, m)
-    return np.array(points, dtype=float) / q
+    free = q - m * floor_count
+    if free < 0:
+        raise ContourError(f"no lattice point of q={q} has all m={m} parts at or "
+                           f"above min_prop={min_prop}")
+    bars = np.array(list(itertools.combinations(range(free + m - 1), m - 1)))
+    slots = np.pad(bars, ((0, 0), (1, 1)), constant_values=(-1, free + m - 1))
+    return (np.diff(slots, axis=1) - 1 + floor_count) / q
 
 
 @dataclass
@@ -264,10 +265,6 @@ def surface_filenames(response, scenario, z):
     `contour_<stem>.svg`, where the stem is `<response>_<scenario>_z<levels>`."""
     stem = f"{response}_{scenario}_z{''.join(f'{float(v):g}' for v in z)}"
     return f"grid_{stem}.csv", f"contour_{stem}.svg"
-
-
-def contour_filename(response, scenario, z):
-    return surface_filenames(response, scenario, z)[1]
 
 
 def write_ternary_svg(grid: TernaryGrid, path, levels=10):

@@ -225,6 +225,32 @@ class TestShapAndContour:
         assert "contour_mean_auc_balanced_z10.svg" in names
 
 
+class TestEmptyContourLattice:
+    def test_exits_config_before_writing(self, tmp_path, capsys):
+        # the design accepts 0.333 < 1/3, but 3 parts of at least 34/100 exceed q=100
+        doc = small_config_doc(n_per_class=100)
+        doc["design"]["min_prop"] = 0.333
+        doc["scenarios"] = ["balanced"]
+        config_path = write_config(tmp_path, doc)
+        assert main(["simulate", "--config", str(config_path), "--jobs", "1"]) == EXIT_OK
+        assert main(["analyze", "--config", str(config_path)]) == EXIT_OK
+        before = sorted(p.name for p in (tmp_path / "out").iterdir())
+        capsys.readouterr()
+        assert main(["contour", "--config", str(config_path)]) == EXIT_CONFIG
+        assert "no lattice point of q=100 has all m=3 parts at or above " \
+            "min_prop=0.333" in capsys.readouterr().err
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == before
+
+    def test_coarse_lattice_beyond_three_classes(self, tmp_path, capsys):
+        # the m != 3 lattice has q=20; the lattice is built before outcomes are read
+        doc = small_config_doc()
+        doc["design"].update(m=7, min_prop=0.14)
+        config_path = write_config(tmp_path, doc)
+        assert main(["contour", "--config", str(config_path)]) == EXIT_CONFIG
+        assert "q=20 has all m=7 parts at or above min_prop=0.14" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
 class TestNonFiniteOutcomes:
     @pytest.mark.parametrize("command", ["analyze", "shap", "contour"])
     def test_nan_response_exits_numeric(self, experiment_dir, tmp_path, capsys, command):

@@ -76,6 +76,17 @@ class TestCrossArray:
         assert blocks == [(1, 1), (1, 0), (0, 1), (0, 0)]
         assert [r.run_id for r in plan.runs] == list(range(1, 29))
 
+    def test_point_of_the_wrong_width_rejected(self):
+        # a 2-part point in an m=3 design would write a short plan.csv row
+        cfg = DesignConfig(m=3, covariate_levels=((1, 0),), min_prop=0.0)
+        with pytest.raises(DesignError, match=r"\[0\.5, 0\.5\] does not have m=3 parts"):
+            cross_array([[0.5, 0.5]], cfg)
+
+    def test_nan_point_rejected(self):
+        cfg = DesignConfig(m=3, covariate_levels=((1, 0),), min_prop=0.0)
+        with pytest.raises(DesignError, match=r"^proportions sum to nan, not 1$"):
+            cross_array([[float("nan"), 0.5, 0.5]], cfg)
+
     def test_single_factor_gives_product_count(self):
         cfg = DesignConfig(m=3, covariate_levels=((1, 0),), min_prop=0.01)
         plan = cross_array(simplex_centroid(3, 0.01), cfg)
@@ -220,10 +231,47 @@ class TestPlanCsv:
                                               r"to float: 'abc'"):
             read_plan_csv(path)
 
+    @pytest.mark.parametrize("side,row", [
+        ("train", "2,balanced,1,0.990000,0.020000,1,0.500000,0.500000,8"),
+        ("test", "2,balanced,1,0.990000,0.010000,1,0.500000,nan,8")])
+    def test_mixture_off_one_names_run_and_side(self, tmp_path, side, row):
+        path = self._two_class_plan(tmp_path, row)
+        with pytest.raises(DesignError, match=rf"plan\.csv:3: run 2 {side} mixture: "
+                                              r"stored proportions sum to"):
+            read_plan_csv(path)
+
     def test_short_row_names_path_line_and_field_count(self, tmp_path):
         path = self._two_class_plan(tmp_path, "2,balanced,1,0.990000,0.010000,1")
         with pytest.raises(DesignError, match=r"plan\.csv:3: expected 9 fields, got 6$"):
             read_plan_csv(path)
+
+
+class TestMixtureChecks:
+    @pytest.mark.parametrize("x", [[np.nan, 0.5, 0.5], [np.inf, 0.5, 0.5],
+                                   [0.5, 0.6], [0.5, 0.5 - 1e-9]])
+    def test_check_mixture_rejects_a_sum_off_one(self, x):
+        with pytest.raises(DesignError, match="proportions sum to"):
+            design.check_mixture(x)
+
+    def test_check_mixture_prints_the_sum_as_a_plain_float(self):
+        with pytest.raises(DesignError, match=r"^proportions sum to 1\.1, not 1$"):
+            design.check_mixture(np.array([0.6, 0.5]))
+
+    @pytest.mark.parametrize("m,min_prop", [(1, 0.0), (3, -0.01), (3, 1 / 3), (2, 0.5),
+                                            (3, float("nan"))])
+    def test_one_floor_rule_for_config_and_centroid(self, m, min_prop):
+        with pytest.raises(DesignError) as floor:
+            design.check_floor(m, min_prop)
+        with pytest.raises(DesignError) as config:
+            DesignConfig(m=m, min_prop=min_prop)
+        with pytest.raises(DesignError) as centroid:
+            simplex_centroid(m, min_prop)
+        assert str(config.value) == str(centroid.value) == str(floor.value)
+
+    def test_floor_error_class_is_the_callers(self):
+        with pytest.raises(KeyError):
+            design.check_floor(4, 0.25, KeyError)
+        design.check_floor(4, np.nextafter(0.25, 0))
 
 
 class TestConfigValidation:

@@ -1,5 +1,6 @@
 import csv
 import io
+import math
 import re
 import xml.etree.ElementTree as ET
 from dataclasses import replace
@@ -10,8 +11,9 @@ import pytest
 from mixrobust import (MixtureModelFit, TernaryGrid, barycentric_to_xy,
                        grid_predict, render_ternary, simplex_lattice, term_labels)
 from mixrobust import ternary
-from mixrobust.ternary import (ContourError, _micro_triangles, contour_filename,
-                               grid_to_csv)
+from mixrobust.design import DesignError, check_floor
+from mixrobust.ternary import (ContourError, _micro_triangles, grid_to_csv,
+                               surface_filenames)
 from mixrobust.seeding import generator
 
 THIRD = 1.0 / 3.0
@@ -41,7 +43,53 @@ def reference_micro_triangles(grid):
     return cells
 
 
+def reference_lattice(q, m, min_prop):
+    """Recursive composition enumeration kept as the oracle for the closed form."""
+    floor_count = int(math.ceil(min_prop * q - 1e-9))
+    points = []
+
+    def fill(prefix, remaining, parts_left):
+        if parts_left == 1:
+            if remaining >= floor_count:
+                points.append(prefix + [remaining])
+            return
+        for value in range(floor_count, remaining - floor_count * (parts_left - 1) + 1):
+            fill(prefix + [value], remaining - value, parts_left - 1)
+
+    fill([], q, m)
+    return np.array(points, dtype=float) / q
+
+
+ORACLE_CASES = [(q, m, min_prop)
+                for m in range(2, 7)
+                for q in (2, 3, 5, 7, 10, 20) + ((100,) if m <= 3 else ())
+                for min_prop in (0.0, 0.01, 0.05, np.nextafter(1.0 / m, 0.0))]
+
+
 class TestLattice:
+    @pytest.mark.parametrize("q,m,min_prop", ORACLE_CASES)
+    def test_matches_recursive_oracle(self, q, m, min_prop):
+        want = reference_lattice(q, m, min_prop)
+        if not len(want):
+            with pytest.raises(ContourError, match=rf"q={q} has all m={m} parts"):
+                simplex_lattice(q, m, min_prop)
+            return
+        got = simplex_lattice(q, m, min_prop)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+    def test_oracle_cases_cover_empty_and_single_point_lattices(self):
+        sizes = {len(reference_lattice(*case)) for case in ORACLE_CASES}
+        assert {0, 1} <= sizes
+
+    @pytest.mark.parametrize("q,m,min_prop", [(20, 7, 0.14), (100, 3, 0.333)])
+    def test_empty_lattice_raises(self, q, m, min_prop):
+        # configs the design accepts, but whose floor rounds past q / m units
+        with pytest.raises(ContourError, match=rf"no lattice point of q={q} has all "
+                                               rf"m={m} parts at or above "
+                                               rf"min_prop={min_prop}"):
+            simplex_lattice(q, m, min_prop)
+
     def test_q2_unconstrained(self):
         points = simplex_lattice(2, 3, 0.0)
         got = {tuple(p) for p in points}
@@ -77,6 +125,14 @@ class TestLattice:
             simplex_lattice(1, 3, 0.0)
         with pytest.raises(ContourError):
             simplex_lattice(10, 3, 0.5)
+
+    @pytest.mark.parametrize("m,min_prop", [(1, 0.0), (3, -0.01), (3, THIRD)])
+    def test_floor_rule_is_the_designs(self, m, min_prop):
+        with pytest.raises(DesignError) as design_error:
+            check_floor(m, min_prop)
+        with pytest.raises(ContourError) as lattice_error:
+            simplex_lattice(10, m, min_prop)
+        assert str(lattice_error.value) == str(design_error.value)
 
 
 class TestProjection:
@@ -273,5 +329,5 @@ class TestCsvAndNames:
         assert grid_to_csv(surface) == buf.getvalue()
 
     def test_contour_filename(self):
-        assert contour_filename("mean_auc", "balanced", (1, 0)) \
+        assert surface_filenames("mean_auc", "balanced", (1, 0))[1] \
             == "contour_mean_auc_balanced_z10.svg"
