@@ -2,9 +2,9 @@
 
 Points (x1, x2, x3) project onto the plane as (x2 + x3/2, sqrt(3)/2 * x3),
 which sends the three pure blends to an equilateral triangle of unit side.
-Surfaces are drawn as filled bands: the lattice micro-triangles of each band
-form one SVG path in the band's color; a dashed inner triangle marks the
-proportion floor.
+Surfaces are drawn as filled bands: each band is one SVG path in the band's
+color whose subpaths are the closed outline loops of the band's lattice cells;
+a dashed inner triangle marks the proportion floor.
 """
 
 from __future__ import annotations
@@ -132,10 +132,66 @@ def _ramp_color(t):
 
 
 def _svg_lattice(grid: TernaryGrid):
-    """The lattice micro-triangles, and each point's "x,y" in plot pixels."""
+    """The lattice cells, their edges' lattice directions and twins, and each
+    point's "x,y" in plot pixels.
+
+    Edge 3i + k runs from corner k of cell i to corner k + 1 (mod 3), so every
+    cell winds the same way.
+    """
+    cells = _micro_triangles(grid).astype(np.int32)
+    starts, ends = cells.ravel(), np.roll(cells, -1, axis=1).ravel()
+    counts = np.rint(grid.points[:, 1:3] * grid.q).astype(np.int32)
+    steps = counts[ends] - counts[starts]  # each component is -1, 0 or 1
+    directions = (3 * steps[:, 0] + steps[:, 1]).astype(np.int8)
     px, py = _to_px(barycentric_to_xy(grid.points).T)
-    return (_micro_triangles(grid),
+    return (cells, directions, _twin_edges(starts, ends, directions, len(grid.points)),
             [f"{x:.2f},{y:.2f}" for x, y in zip(px.tolist(), py.tolist())])
+
+
+def _twin_edges(starts, ends, directions, n_points):
+    """For each directed edge, the index of the reverse edge in the neighbouring
+    cell, or -1 where the edge lies on the lattice boundary."""
+    # a point leaves in each of the six directions along at most one cell edge
+    leaving = np.full((n_points, 7), -1, dtype=np.int32)
+    leaving[starts, directions + 3] = np.arange(len(starts), dtype=np.int32)
+    return leaving[ends, 3 - directions]
+
+
+def _band_loops(bands, n_bands, lattice):
+    """Each band's outline as closed "M...L...Z" loops in plot pixels.
+
+    An edge whose twin lies in the same band cancels. Within a band, the edges
+    left over enter and leave each point equally often, so pairing the r-th
+    edge into a point with the r-th edge out of it, both in edge order, chains
+    them into closed loops; a point where the lattice direction does not
+    change is dropped. Every cell winds the same way, so a band's outer loops
+    do too and its holes wind the other way.
+    """
+    cells, directions, twins, coords = lattice
+    edge_bands = np.repeat(bands, 3)
+    kept = np.flatnonzero((twins < 0) | (edge_bands[twins] != edge_bands))
+    band, start = edge_bands[kept], cells.ravel()[kept]
+    leaving = np.lexsort((start, band))
+    entering = np.lexsort((cells[kept // 3, (kept + 1) % 3], band))
+    after, before = np.empty_like(leaving), np.empty_like(leaving)
+    after[entering] = leaving
+    before[leaving] = entering
+    turn = directions[kept]
+    corner = (turn != turn[before]).tolist()
+    after, band, start = after.tolist(), band.tolist(), start.tolist()
+    seen = [False] * len(after)
+    loops = [[] for _ in range(n_bands)]
+    for first in leaving.tolist():
+        if seen[first] or not corner[first]:
+            continue
+        points, edge = [], first
+        while not seen[edge]:
+            seen[edge] = True
+            if corner[edge]:
+                points.append(coords[start[edge]])
+            edge = after[edge]
+        loops[band[first]].append("M" + "L".join(points) + "Z")
+    return loops
 
 
 def _micro_triangles(grid: TernaryGrid):
@@ -167,7 +223,10 @@ def _to_px(xy):
 
 def render_ternary(grid: TernaryGrid, levels=10) -> bytes:
     """Self-contained SVG: banded surface, outer simplex, dashed floor
-    triangle, vertex labels and a value legend. Deterministic bytes."""
+    triangle, vertex labels and a value legend. Deterministic bytes.
+
+    Each lattice cell takes the band of its corners' mean value. A band is one
+    path of closed outline loops, filled by the default nonzero rule."""
     if grid.values is None or len(grid.values) == 0:
         raise ContourError("cannot render an empty grid")
     if levels < 1:
@@ -195,19 +254,20 @@ def render_ternary(grid: TernaryGrid, levels=10) -> bytes:
     parts.append(f'<text x="{_MARGIN_LEFT:.1f}" y="24" font-family="sans-serif" '
                  f'font-size="15">{_escape(title)}</text>')
 
-    triangles, coords = _lattice_part(grid, _svg_lattice)
+    lattice = _lattice_part(grid, _svg_lattice)
+    cells = lattice[0]
     if constant:
-        bands = np.zeros(len(triangles), dtype=int)
+        bands = np.zeros(len(cells), dtype=int)
     else:
-        cell_values = values[triangles].sum(axis=1) / 3.0
+        cell_values = values[cells].sum(axis=1) / 3.0
         bands = ((cell_values - vmin) / (vmax - vmin) * levels).astype(int)
         bands = np.clip(bands, 0, levels - 1)
-    for band in range(n_bands):
-        cells = triangles[bands == band].tolist()
-        if not cells:
+    for band, loops in enumerate(_band_loops(bands, n_bands, lattice)):
+        if not loops:
             continue
         color = _ramp_color(0.5 if constant else (band + 0.5) / levels)
-        path = "".join(f"M{coords[a]}L{coords[b]}L{coords[c]}Z" for a, b, c in cells)
+        path = "".join(loops)
+        # the same-color stroke hides the anti-aliasing seam between bands
         parts.append(f'<path d="{path}" fill="{color}" stroke="{color}" '
                      'stroke-width="0.6"/>')
 

@@ -43,6 +43,68 @@ def reference_micro_triangles(grid):
     return cells
 
 
+def reference_bands(surface, levels):
+    """{band: oracle cells}, each cell in the band of its corners' mean value."""
+    values = surface.values
+    low, high = values.min(), values.max()
+    bands = {}
+    for cell in reference_micro_triangles(surface):
+        mean = values[list(cell)].sum() / 3.0
+        band = max(0, min(int((mean - low) / (high - low) * levels), levels - 1))
+        bands.setdefault(band, []).append(cell)
+    return bands
+
+
+def cancelled_edges(cells):
+    """The cells' directed edges whose reverse is not an edge of these cells."""
+    edges = {(cell[k], cell[(k + 1) % 3]) for cell in cells for k in range(3)}
+    return {(a, b) for a, b in edges if (b, a) not in edges}
+
+
+def lattice_counts(surface):
+    """Each grid row's (b, c) lattice counts, and the row of each count pair."""
+    counts = [tuple(c) for c in
+              np.rint(surface.points[:, 1:3] * surface.q).astype(int).tolist()]
+    return counts, {count: row for row, count in enumerate(counts)}
+
+
+def svg_band_loops(svg, surface, levels):
+    """{band: loops} read back from the SVG paths, each loop its corner rows."""
+    px, py = ternary._to_px(barycentric_to_xy(surface.points).T)
+    rows = {f"{x:.2f},{y:.2f}": row for row, (x, y) in enumerate(zip(px.tolist(),
+                                                                      py.tolist()))}
+    bands = {ternary._ramp_color((band + 0.5) / levels): band for band in range(levels)}
+    return {bands[fill]: [[rows[p] for p in loop.split("L")]
+                          for loop in re.findall(r"M([^Z]*)Z", d)]
+            for d, fill in re.findall(r'<path d="([^"]*)" fill="(#[0-9a-f]{6})"', svg)}
+
+
+LATTICE_STEPS = {(1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1)}
+
+
+def unit_edges(surface, loop):
+    """A loop's unit lattice edges, checking that each corner turns."""
+    counts, rows = lattice_counts(surface)
+    edges, turns = [], []
+    for a, b in zip(loop, loop[1:] + loop[:1]):
+        (b0, c0), (b1, c1) = counts[a], counts[b]
+        steps = max(abs(b1 - b0), abs(c1 - c0))
+        step = ((b1 - b0) // steps, (c1 - c0) // steps)
+        assert step in LATTICE_STEPS and (step[0] * steps, step[1] * steps) == (b1 - b0, c1 - c0)
+        turns.append(step)
+        path = [rows[(b0 + k * step[0], c0 + k * step[1])] for k in range(steps + 1)]
+        edges += zip(path, path[1:])
+    assert all(turn != after for turn, after in zip(turns, turns[1:] + turns[:1]))
+    return edges
+
+
+def signed_area(surface, loop):
+    """Shoelace area of a loop in lattice units, positive counterclockwise."""
+    counts, _ = lattice_counts(surface)
+    xy = [(b + c / 2.0, c * math.sqrt(3.0) / 2.0) for b, c in (counts[row] for row in loop)]
+    return 0.5 * sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(xy, xy[1:] + xy[:1]))
+
+
 def reference_lattice(q, m, min_prop):
     """Recursive composition enumeration kept as the oracle for the closed form."""
     floor_count = int(math.ceil(min_prop * q - 1e-9))
@@ -249,14 +311,68 @@ class TestRender:
         assert len(got) == len(want)
         assert set(got) == set(want)
 
-    def test_one_path_per_band_covering_every_cell(self):
-        surface = self._surface(q=30)
+    @pytest.mark.parametrize("q, min_prop", [(2, 0.0), (5, 0.0), (12, 0.01),
+                                             (30, 0.05), (100, 0.01), (9, 0.3)])
+    def test_twin_edges_are_the_reverse_edges(self, q, min_prop):
+        grid = TernaryGrid.build(q=q, min_prop=min_prop)
+        cells, _, twins, _ = ternary._svg_lattice(grid)
+        assert twins.dtype == np.int32
+        edges = [(cell[k], cell[(k + 1) % 3]) for cell in cells.tolist() for k in range(3)]
+        edge_set = set(edges)
+        for (start, end), twin in zip(edges, twins.tolist()):
+            if twin < 0:
+                assert (end, start) not in edge_set
+            else:
+                assert edges[twin] == (end, start)
+
+    @pytest.mark.parametrize("kind", ["smooth", "noisy"])
+    def test_band_outlines_tile_the_floor_triangle(self, kind):
+        if kind == "smooth":
+            surface = self._surface(q=100)
+        else:  # a noisy ramp: bands with holes, and bands touching at a point
+            grid = TernaryGrid.build(q=30, min_prop=0.0)
+            noise = generator(56, "noisy").normal(scale=0.1, size=len(grid.points))
+            surface = replace(grid, values=grid.points[:, 0] + grid.points[:, 2] / 2 + noise)
         svg = render_ternary(surface, levels=10).decode("utf-8")
         fills = re.findall(r'<path d="[^"]*" fill="(#[0-9a-f]{6})"', svg)
         assert len(fills) == len(set(fills)) > 1
-        assert svg.count("<polygon") == 2  # outline and dashed floor only
-        subpaths = sum(d.count("M") for d in re.findall(r'<path d="([^"]*)"', svg))
-        assert subpaths == len(_micro_triangles(surface)) == 27 * 27
+        assert svg.count("<polygon") == (2 if surface.min_prop > 0 else 1)
+        cells = reference_bands(surface, levels=10)
+        loops = svg_band_loops(svg, surface, levels=10)
+        assert sorted(loops) == sorted(cells)
+        cell_area = math.sqrt(3.0) / 4.0
+        total, holes, pinches = 0.0, 0, 0
+        for band, band_loops in loops.items():
+            edges = [edge for loop in band_loops for edge in unit_edges(surface, loop)]
+            assert len(edges) == len(set(edges))
+            assert set(edges) == cancelled_edges(cells[band])
+            areas = [signed_area(surface, loop) for loop in band_loops]
+            assert sum(areas) == pytest.approx(len(cells[band]) * cell_area, rel=1e-9)
+            total += sum(areas)
+            holes += sum(area < 0 for area in areas)
+            pinches += len(edges) - len({start for start, _ in edges})
+        free = surface.q - 3 * math.ceil(surface.min_prop * surface.q - 1e-9)
+        assert total == pytest.approx(free * free * cell_area, rel=1e-9)
+        if kind == "noisy":
+            assert holes > 0 and pinches > 0
+
+    @pytest.mark.parametrize("min_prop", [0.01, 0.0])
+    def test_constant_surface_is_one_triangle(self, min_prop):
+        grid = TernaryGrid.build(q=100, min_prop=min_prop)
+        surface = replace(grid, values=np.full(len(grid.points), 0.25))
+        svg = render_ternary(surface, levels=10).decode("utf-8")
+        paths = re.findall(r'<path d="([^"]*)"', svg)
+        assert len(paths) == 1
+        loops = re.findall(r"M([^Z]*)Z", paths[0])
+        assert len(loops) == 1
+        # the last polygon is the dashed floor triangle, or the outline at floor 0
+        corners = re.findall(r'<polygon points="([^"]*)"', svg)[-1].split(" ")
+        assert len(loops[0].split("L")) == 3
+        assert sorted(loops[0].split("L")) == sorted(corners)
+
+    def test_smooth_surface_svg_stays_small(self):
+        # one subpath per micro-triangle wrote about 407 KB here
+        assert len(render_ternary(self._surface(q=100), levels=10)) < 50_000
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_values_rejected(self, bad):
@@ -277,17 +393,17 @@ class TestRender:
 class TestLatticeParts:
     def test_surfaces_of_one_lattice_format_it_once(self, monkeypatch):
         calls = []
-        for name in ("_micro_triangles", "_csv_prefixes"):
+        for name in ("_micro_triangles", "_twin_edges", "_csv_prefixes"):
             build = getattr(ternary, name)
-            monkeypatch.setattr(ternary, name, lambda grid, name=name, build=build:
-                                calls.append(name) or build(grid))
+            monkeypatch.setattr(ternary, name, lambda *args, name=name, build=build:
+                                calls.append(name) or build(*args))
         grid = TernaryGrid.build(q=20, min_prop=0.01)
         rng = generator(54, "parts")
         fits = [make_fit(rng.normal(size=13)) for _ in range(3)]
         surfaces = [replace(grid_predict(fit, grid, (1, 0)), response="mean_auc")
                     for fit in fits]
         outputs = [(grid_to_csv(s), render_ternary(s)) for s in surfaces]
-        assert sorted(calls) == ["_csv_prefixes", "_micro_triangles"]
+        assert sorted(calls) == ["_csv_prefixes", "_micro_triangles", "_twin_edges"]
         # the same bytes as surfaces on lattices of their own
         for fit, output in zip(fits, outputs):
             alone = replace(grid_predict(fit, TernaryGrid.build(q=20, min_prop=0.01),
@@ -307,6 +423,9 @@ class TestLatticeParts:
         alone = grid_predict(fit, coarse, (0, 1))
         assert grid_to_csv(moved) == grid_to_csv(alone)
         assert render_ternary(moved) == render_ternary(alone)
+        twins = [ternary._lattice_part(g, ternary._svg_lattice)[2] for g in (moved, alone)]
+        assert len(twins[0]) == 3 * len(_micro_triangles(coarse))
+        assert twins[0].tobytes() == twins[1].tobytes()
 
 
 class TestCsvAndNames:
