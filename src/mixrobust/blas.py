@@ -2,8 +2,9 @@
 
 The fit stages factor small matrices (a few thousand rows by at most a few
 dozen columns), where OpenBLAS threads cost more in hand-offs than they
-save. `single_thread` pins every OpenBLAS mapped into the process (numpy's
-and scipy's) to one thread. Where the process maps no OpenBLAS, or has no
+save. `single_thread` pins every OpenBLAS mapped at the time of the call
+(numpy's, and scipy's once scipy is imported) to one thread; a library mapped
+later keeps its own count. Where the process maps no OpenBLAS, or has no
 /proc/self/maps to find it by, nothing is pinned.
 """
 

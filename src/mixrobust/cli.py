@@ -21,7 +21,7 @@ from .design import DesignError, TestScenario, build_run_plan, write_plan_csv
 from .fileio import atomic_write_text, csv_text, write_json
 from .metrics import MetricsError, read_outcome_table, write_outcomes_csv
 from .mixmodel import (ModelError, build_design_matrix, dataset_from_table, fit_ols,
-                       fit_report, write_fit_report)
+                       fit_report, load_scipy, write_fit_report)
 from .pipeline import (ConfigError, ExperimentConfig, checked_pools,
                        parse_experiment_config, resolve_jobs, simulate_plan,
                        with_master_seed)
@@ -191,6 +191,7 @@ def _read_outcomes(config):
 def _fits(config, args):
     """Yield (scenario, response, fit, matrix) for each selected scenario and
     each response; every scenario is checked for rows before the first fit."""
+    load_scipy()  # the pin reaches only the OpenBLAS libraries already mapped
     single_thread()
     outcomes = _read_outcomes(config)
     groups = []

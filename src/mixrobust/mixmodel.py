@@ -7,6 +7,9 @@ quadratic terms (x_j^2 = x_j - sum_{j'!=j} x_j x_j'), and no covariate
 main effects (z_k = sum_j z_k x_j); a covariate's overall contribution is
 recovered afterwards as the sum-to-zero contrast (1/m) sum_j of its
 mixture-interaction coefficients.
+
+scipy is imported inside the functions that call it, so the stages that never
+fit (design, simulate, run, report) start without loading it.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg, special
 
 from .design import TestScenario
 from .fileio import write_json
@@ -28,6 +30,13 @@ MIXTURE_ROW_TOL = 1e-6
 
 class ModelError(ValueError):
     pass
+
+
+def load_scipy():
+    """Import the scipy modules the fits call. A stage that pins OpenBLAS
+    calls this first, so that scipy's OpenBLAS is mapped when it is pinned."""
+    import scipy.linalg
+    import scipy.special
 
 
 def term_labels(m, h):
@@ -218,6 +227,8 @@ class ImpliedEffect:
 
 
 def _dependent_columns(values, labels):
+    from scipy import linalg
+
     # column-pivoted QR: pivots past the numerical rank name the dependent set
     _, r, pivots = linalg.qr(values, mode="economic", pivoting=True)
     diag = np.abs(np.diag(r))
@@ -231,6 +242,8 @@ def fit_ols(matrix: ModelMatrix, y) -> MixtureModelFit:
     Needs n > p, so inference has at least one residual degree of freedom.
     A rank-deficient matrix is rejected with the dependent column set named.
     """
+    from scipy import linalg
+
     values = np.asarray(matrix.values, dtype=float)
     y = np.asarray(y, dtype=float)
     n, p = values.shape
@@ -279,6 +292,8 @@ def two_sided_p(t, df):
     """P(|T| >= |t|) for Student's t with df >= 1 degrees of freedom: the
     regularized incomplete beta I_x(df/2, 1/2) at x = df / (df + t^2), so 1
     at t = 0."""
+    from scipy import special
+
     if df < 1:
         raise ValueError(f"degrees of freedom must be >= 1, got {df}")
     df, t = float(df), float(t)

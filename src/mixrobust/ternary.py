@@ -212,6 +212,10 @@ def _micro_triangles(grid: TernaryGrid):
     return cells[(cells >= 0).all(axis=1)]
 
 
+# a surface whose values span at most this many ulps of their magnitude is
+# drawn flat: the span is rounding in the prediction, not a surface to band
+_FLAT_ULPS = 4
+
 # plot geometry in pixels: the simplex's side, and where its bounding box starts
 _SIDE, _MARGIN_LEFT, _MARGIN_TOP, _LEGEND_WIDTH = 400.0, 60.0, 56.0, 150.0
 
@@ -241,7 +245,7 @@ def render_ternary(grid: TernaryGrid, levels=10) -> bytes:
                            f"is {values[bad[0]]}; cannot assign a band")
     vmin = float(np.min(values))
     vmax = float(np.max(values))
-    constant = vmax <= vmin
+    constant = vmax - vmin <= _FLAT_ULPS * np.spacing(max(abs(vmin), abs(vmax)))
     n_bands = 1 if constant else levels
 
     parts = [

@@ -373,18 +373,32 @@ class TestAnalysisDatasetValidation:
                         call()
 
 
+def _scipy_imports(tree):
+    """The scipy import statements at or under an AST node."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        if any(name.split(".")[0] == "scipy" for name in names):
+            yield node
+
+
 def test_only_mixmodel_imports_scipy():
-    """The fit layer is the one module that needs scipy; every other stage
-    starts without it."""
+    """The fit layer is the one module that needs scipy, and it imports scipy
+    only inside function bodies: every stage starts without it, and only a fit
+    loads it."""
     importers = set()
     for path in sorted(Path(mixrobust.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and not node.level:
-                names = [node.module]
-            else:
-                continue
-            if any(name.split(".")[0] == "scipy" for name in names):
-                importers.add(path.stem)
+        tree = ast.parse(path.read_text(), str(path))
+        imports = set(_scipy_imports(tree))
+        if imports:
+            importers.add(path.stem)
+        in_functions = {node for fn in ast.walk(tree)
+                        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        for node in _scipy_imports(fn)}
+        at_import_time = sorted(node.lineno for node in imports - in_functions)
+        assert not at_import_time, f"{path.name} imports scipy at lines {at_import_time}"
     assert importers == {"mixmodel"}

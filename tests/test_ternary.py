@@ -370,6 +370,19 @@ class TestRender:
         assert len(loops[0].split("L")) == 3
         assert sorted(loops[0].split("L")) == sorted(corners)
 
+    def test_fit_flat_up_to_rounding_is_one_band(self):
+        # equal main effects and no interactions: the predictions differ only
+        # by rounding, and were once cut into noise bands labelled "0.25 to 0.25"
+        coeffs = np.zeros(13)
+        coeffs[:3] = 0.25
+        surface = grid_predict(make_fit(coeffs), TernaryGrid.build(q=100, min_prop=0.01),
+                               (0, 0))
+        assert 0 < np.ptp(surface.values) <= 2 * np.spacing(0.25)
+        svg = render_ternary(surface, levels=10).decode("utf-8")
+        assert len(re.findall(r"<path ", svg)) == 1
+        assert len(re.findall(r"<rect x=", svg)) == 1
+        assert ">0.25</text>" in svg and " to " not in svg
+
     def test_smooth_surface_svg_stays_small(self):
         # one subpath per micro-triangle wrote about 407 KB here
         assert len(render_ternary(self._surface(q=100), levels=10)) < 50_000
