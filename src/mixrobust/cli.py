@@ -348,6 +348,12 @@ def main(argv=None):
             return _COMMANDS[args.command](config, args)
         except (ConfigError, ContourError, DesignError) as exc:
             raise CliFailure(EXIT_CONFIG, str(exc)) from None
+        except OSError as exc:
+            # a writer's error; the readers word their own. A rename names
+            # its target second.
+            path = exc.filename2 or exc.filename
+            raise CliFailure(EXIT_IO, f"cannot write {path}: {exc.strerror}" if path
+                             else f"I/O error: {exc}") from None
     except CliFailure as fail:
         print(f"mixrobust: error: {fail.message}", file=sys.stderr)
         return fail.code

@@ -7,7 +7,9 @@ the class's score column, ties counting one half.
 
 from __future__ import annotations
 
+import csv
 import math
+import warnings
 from array import array
 from dataclasses import dataclass, fields
 from functools import lru_cache
@@ -165,20 +167,47 @@ _parse_scenario = lru_cache(maxsize=16)(TestScenario.parse)
 
 
 def read_outcome_table(path) -> OutcomeTable:
-    """Read outcome rows into columns, one row at a time; the training
-    mixtures are renormalized to sum 1. A malformed file or row raises
-    MetricsError naming the path, and the line for a row."""
+    """Read outcome rows into columns; the training mixtures are renormalized
+    to sum 1. A malformed file or row raises MetricsError naming the path, and
+    the line for a row.
+
+    One np.loadtxt pass reads a plain file. Any file that pass refuses is
+    read again row by row, which accepts the same files, gives the same
+    columns bit for bit and words every error.
+    """
+    try:
+        return _read_outcome_array(path)
+    except (ValueError, Warning):
+        return _read_outcome_rows(path)
+
+
+def _outcome_table(block, m, h, where, **columns):
+    """The table of a float block (covariates, mixture, AUCs, mean_auc,
+    log_sd per row) and the other columns; a stored mixture sum off 1 raises
+    MetricsError("<where(i)>: ...") for the first such row i."""
+    mixtures = renormalize_rows(block[:, h:h + m], where, MetricsError)
+    return OutcomeTable(covariates=block[:, :h], train_mixture=mixtures,
+                        aucs=block[:, h + m:h + 2 * m], mean_auc=block[:, -2],
+                        log_sd=block[:, -1], **columns)
+
+
+def _outcome_layout(header):
+    m = sum(1 for name in header if name.startswith("auc_"))
+    h = sum(1 for name in header if name.startswith("z"))
+    return m, h
+
+
+def _read_outcome_rows(path) -> OutcomeTable:
+    """read_outcome_table one row at a time, through the csv module."""
     shape, ints, scenarios, numbers, lines = [], [], [], array("d"), []
 
     def layout(header):
-        m = sum(1 for name in header if name.startswith("auc_"))
-        h = sum(1 for name in header if name.startswith("z"))
-        shape[:] = m, h
+        shape[:] = _outcome_layout(header)
 
         def parse(row):
             return (int(row[0]), int(row[1]), _parse_scenario(row[2]),
                     [float(v) for v in row[3:-1]], int(row[-1]))
-        return outcomes_header(m, h), parse
+        return outcomes_header(*shape), parse
 
     for line, (run_id, replicate, scenario, values, flag) in iter_csv(
             path, MetricsError, layout):
@@ -189,13 +218,68 @@ def read_outcome_table(path) -> OutcomeTable:
     m, h = shape
     ints = np.array(ints).reshape(-1, 3)
     block = np.frombuffer(numbers, dtype=float).reshape(len(lines), h + 2 * m + 2)
-    mixtures = renormalize_rows(
-        block[:, h:h + m], lambda i: f"{path}:{lines[i]}: run {ints[i, 0]} mixture",
-        MetricsError)
-    return OutcomeTable(
+    return _outcome_table(
+        block, m, h, lambda i: f"{path}:{lines[i]}: run {ints[i, 0]} mixture",
         run_id=ints[:, 0], replicate=ints[:, 1], scenario=np.array(scenarios, dtype=object),
-        covariates=block[:, :h], train_mixture=mixtures, aucs=block[:, h + m:h + 2 * m],
-        mean_auc=block[:, -2], log_sd=block[:, -1], degenerate_sd=ints[:, 2] != 0)
+        degenerate_sd=ints[:, 2] != 0)
+
+
+# bytes of a plain file: 0 in a field, 1 a field or line end, 2 refused
+# (control, quote, non-ASCII)
+_BYTE_KIND = np.full(256, 2, dtype=np.uint8)
+_BYTE_KIND[0x20:0x7f] = 0
+_BYTE_KIND[[ord(","), ord("\r"), ord("\n")]] = 1
+_BYTE_KIND[ord('"')] = 2
+# a scenario field this long may have been cut to fit
+_SCENARIO_WIDTH = max(len(s.value) for s in TestScenario) + 1
+
+
+def _is_plain(path):
+    """Whether every byte of the file is a line end or printable ASCII other
+    than a quote, and no field is over the csv module's size limit: its csv
+    rows are then its non-blank lines split at commas.
+
+    Chunks are half the limit long, so a longer field covers a whole chunk,
+    one with no comma or line end.
+    """
+    size = max(csv.field_size_limit() // 2, 1)
+    with open(path, "rb") as handle:
+        while chunk := handle.read(size):
+            kinds = _BYTE_KIND[np.frombuffer(chunk, dtype=np.uint8)]
+            if kinds.max() == 2 or (len(chunk) == size and not kinds.any()):
+                return False
+    return True
+
+
+def _read_outcome_array(path) -> OutcomeTable:
+    """read_outcome_table in one np.loadtxt pass over a plain file. Raises
+    ValueError, or a warning as an error, on a file it does not read as the
+    row reader does."""
+    if not _is_plain(path):
+        raise ValueError(f"{path}: not a plain file")
+    with open(path) as handle, warnings.catch_warnings():
+        # a warning (no rows; a deprecated parse such as int("1.0") on older
+        # numpy) makes the row reader decide
+        warnings.simplefilter("error")
+        header = handle.readline().rstrip("\n").split(",")
+        m, h = _outcome_layout(header)
+        if header != outcomes_header(m, h):
+            raise ValueError(f"{path}: unexpected header")
+        rows = np.loadtxt(handle, delimiter=",", comments=None, ndmin=1, dtype=[
+            ("ids", int, (2,)), ("scenario", f"U{_SCENARIO_WIDTH}"),
+            ("numbers", float, (h + 2 * m + 2,)), ("flag", int)])
+    names, index = np.unique(rows["scenario"], return_inverse=True)
+    names = names.tolist()
+    if any(len(name) == _SCENARIO_WIDTH for name in names):
+        raise ValueError(f"{path}: scenario name may be cut")
+    scenarios = np.array([_parse_scenario(name) for name in names], dtype=object)
+    ids = rows["ids"]
+    # the float block contiguous and aligned, as the row reader lays it out;
+    # a mixture sum off 1 is refused too, and the row reader names its line
+    return _outcome_table(
+        np.ascontiguousarray(rows["numbers"]), m, h, lambda i: path,
+        run_id=ids[:, 0].copy(), replicate=ids[:, 1].copy(), scenario=scenarios[index],
+        degenerate_sd=rows["flag"] != 0)
 
 
 def read_outcomes_csv(path):

@@ -9,7 +9,6 @@ closed form can be tested rather than trusted.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 
@@ -102,10 +101,20 @@ def write_shap_json(report: ShapReport, path, scenario=None, response=None):
     write_json(path, payload)
 
 
+def _distinct_rows(values):
+    """(first, index) for a 2-D float array: the first position of each
+    distinct row, and each row's place among them. Rows are told apart by
+    their bits, so -0.0 and 0.0 differ, as they do in print."""
+    values = np.ascontiguousarray(values, dtype=float)
+    keys = values.view(np.dtype((np.void, values.itemsize * values.shape[1])))
+    _, first, index = np.unique(keys.ravel(), return_index=True, return_inverse=True)
+    return first, index
+
+
 def write_phi_csv(report: ShapReport, path):
+    # replicates share a model row, so each distinct phi row is printed once
     row = ",".join(["%.10g"] * len(report.labels)) + "\n"
-    buf = io.StringIO()
-    buf.write(",".join(report.labels) + "\n")
-    for values in report.phi:
-        buf.write(row % tuple(values.tolist()))
-    atomic_write_text(path, buf.getvalue())
+    first, index = _distinct_rows(report.phi)
+    lines = [row % tuple(values) for values in report.phi[first].tolist()]
+    atomic_write_text(path, ",".join(report.labels) + "\n"
+                      + "".join([lines[i] for i in index.tolist()]))

@@ -101,20 +101,18 @@ def grid_predict(fit: MixtureModelFit, grid: TernaryGrid, z) -> TernaryGrid:
     return replace(grid, values=values, covariates=z)
 
 
-def _csv_prefixes(grid: TernaryGrid):
-    """The CSV header line and each point's "x1,...,xm," row prefix."""
+def _csv_template(grid: TernaryGrid):
+    """The lattice's CSV text with "%.10g" for each point's value."""
     m = grid.points.shape[1]
-    point = ",".join([f"%.{PROPORTION_DECIMALS}f"] * m) + ","
-    return (",".join([f"x{j}" for j in range(1, m + 1)] + ["value"]) + "\n",
-            [point % tuple(p) for p in grid.points.tolist()])
+    point = ",".join([f"%.{PROPORTION_DECIMALS}f"] * m) + ",%%.10g\n"
+    return (",".join([f"x{j}" for j in range(1, m + 1)] + ["value"]) + "\n"
+            + "".join([point % tuple(p) for p in grid.points.tolist()]))
 
 
 def grid_to_csv(grid: TernaryGrid) -> str:
     if grid.values is None:
         raise ContourError("grid has no values; predict before exporting")
-    header, prefixes = _lattice_part(grid, _csv_prefixes)
-    return header + "".join([f"{prefix}{value:.10g}\n"
-                             for prefix, value in zip(prefixes, grid.values.tolist())])
+    return _lattice_part(grid, _csv_template) % tuple(grid.values.tolist())
 
 
 def write_grid_csv(grid: TernaryGrid, path):

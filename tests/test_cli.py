@@ -445,6 +445,35 @@ class TestExitCodes:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == EXIT_OK
 
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "file-sub"])
+    @pytest.mark.parametrize("command", ["design", "simulate", "analyze"])
+    def test_output_path_through_a_file_exits_io_naming_it(self, tmp_path, capsys,
+                                                          command, under):
+        config_path = write_config(tmp_path)
+        out = tmp_path / "taken"
+        out.write_text("a file, not a directory\n")
+        if under:
+            out = out / "sub"
+        assert main([command, "--config", str(config_path), "--out", str(out),
+                     "--jobs", "1"]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("mixrobust: error: ") and err.count("\n") == 1
+        assert str(out) in err
+
+    def test_unwritable_fit_report_exits_io_naming_it(self, experiment_dir, tmp_path,
+                                                      capsys):
+        source, _ = experiment_dir
+        config_path = write_config(tmp_path)
+        shutil.copytree(source / "out", tmp_path / "out")
+        target = tmp_path / "out" / "fit_log_sd_balanced.json"
+        target.unlink()
+        target.mkdir()
+        assert main(["analyze", "--config", str(config_path)]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("mixrobust: error: ") and err.count("\n") == 1
+        assert f"cannot write {target}: " in err
+        assert sorted(p.name for p in (tmp_path / "out").glob("*.tmp")) == []
+
 
 class TestRunCommand:
     def test_external_protocol_end_to_end(self, tmp_path):

@@ -4,11 +4,12 @@ bit for bit, those of the row-by-row reader the columns replaced."""
 import csv
 import json
 import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from mixrobust import cli
+from mixrobust import cli, metrics
 from mixrobust.cli import EXIT_IO, EXIT_OK, main
 from mixrobust.design import DesignConfig, TestScenario, build_run_plan
 from mixrobust.metrics import (MetricsError, OutcomeTable, RunOutcome, read_outcome_table,
@@ -203,3 +204,85 @@ def test_bad_mixture_past_a_blank_line_exits_io_naming_its_line(tmp_path, capsys
     assert main(["analyze", "--config", str(config_path)]) == EXIT_IO
     err = capsys.readouterr().err
     assert f"{path}:42: run {fields[0]} mixture: stored proportions sum to" in err
+
+
+def assert_same_table(got, want):
+    for f in fields(OutcomeTable):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if f.name == "scenario":
+            assert a.dtype == b.dtype == object and a.tolist() == b.tolist()
+        else:
+            assert same_bits(a, b), f.name
+
+
+@pytest.mark.parametrize("name", sorted(SHAPES))
+def test_columns_have_row_reader_dtypes_and_bits(tmp_path, name):
+    path = tmp_path / "outcomes.csv"
+    write_shaped_outcomes(path, SHAPES[name])
+    table = read_outcome_table(path)
+    assert_same_table(table, OutcomeTable.from_outcomes(reference_outcomes(path)))
+    assert_same_table(table, metrics._read_outcome_rows(path))
+
+
+@pytest.mark.parametrize("name", sorted(SHAPES))
+def test_plain_file_takes_the_array_pass(tmp_path, monkeypatch, name):
+    path = tmp_path / "outcomes.csv"
+    write_shaped_outcomes(path, SHAPES[name])
+    want = metrics._read_outcome_rows(path)
+    monkeypatch.setattr(metrics, "_read_outcome_rows",
+                        lambda path: pytest.fail("fell back to the row reader"))
+    assert_same_table(read_outcome_table(path), want)
+
+
+def _edit(text, column, value, row=3):
+    lines = text.split("\n")
+    values = lines[row].split(",")
+    values[lines[0].split(",").index(column)] = value
+    lines[row] = ",".join(values)
+    return "\n".join(lines)
+
+
+# edits of a written file, and whether the row reader reads the result: the
+# array pass refuses each one the row reader refuses, and reads or hands back
+# each one it reads
+EDITS = {
+    "underscore-digits": (lambda t: _edit(t, "mean_auc", "1_000"), True),
+    "arabic-indic-digit": (lambda t: _edit(t, "log_sd", "٣"), True),
+    "float-run-id": (lambda t: _edit(t, "run_id", "1.0"), False),
+    "quoted-number": (lambda t: _edit(t, "auc_1", '"0.9"'), True),
+    "quoted-scenario": (lambda t: _edit(t, "scenario", '"reverse"'), True),
+    "crlf": (lambda t: t.replace("\n", "\r\n"), True),
+    "blank-lines": (lambda t: t.replace("\n", "\n\n", 5), True),
+    "no-final-newline": (lambda t: t.rstrip("\n"), True),
+    "header-only": (lambda t: t.split("\n")[0] + "\n", True),
+    "nan-inf-signed-zero": (lambda t: _edit(_edit(_edit(t, "auc_1", "nan"), "auc_2", "-inf"),
+                                          "z2", "-0"), True),
+    "padded-fields": (lambda t: _edit(_edit(t, "z1", " 1 "), "scenario", " Reverse "), True),
+    "tab-padded": (lambda t: _edit(t, "replicate", "\t1"), True),
+    "oversized-field": (lambda t: _edit(t, "auc_2", "9" * 140_000), False),
+    # a number np.loadtxt alone reads as 1.0
+    "oversized-zero-padded": (lambda t: _edit(t, "auc_2", "0" * 140_000 + "1"), False),
+    "mixture-off-one": (lambda t: _edit(t, "x1", "0.5"), False),
+    "whitespace-line": (lambda t: t.replace("\n", "\n   \n", 1), False),
+    "extra-field": (lambda t: _edit(t, "degenerate_flag", "0,0"), False),
+    "missing-field": (lambda t: t.replace(",0\n", "\n", 1), False),
+    "scenario-past-its-width": (lambda t: _edit(t, "scenario", "balanced   x"), False),
+    "separator-control-byte": (lambda t: _edit(t, "replicate", "\x1c1"), False),
+    "non-ascii-scenario": (lambda t: _edit(t, "scenario", "balancéd"), False),
+    "unknown-scenario": (lambda t: _edit(t, "scenario", "sideways"), False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EDITS))
+def test_edited_file_reads_as_row_reader(tmp_path, case):
+    edit, readable = EDITS[case]
+    path = tmp_path / "outcomes.csv"
+    write_shaped_outcomes(path, SHAPES["c7"])
+    path.write_bytes(edit(path.read_text()).encode())
+    if readable:
+        assert_same_table(read_outcome_table(path), metrics._read_outcome_rows(path))
+    else:
+        with pytest.raises(MetricsError) as want:
+            metrics._read_outcome_rows(path)
+        with pytest.raises(MetricsError, match=f"^{re.escape(str(want.value))}$"):
+            read_outcome_table(path)

@@ -6,7 +6,9 @@ import pytest
 
 from mixrobust import (ShapReport, exact_shapley_oracle, fit_ols, shap_importance,
                        shap_per_observation, shap_report, term_labels)
-from mixrobust.mixmodel import MixtureModelFit, ModelMatrix
+from mixrobust import shapley
+from mixrobust.design import DesignConfig, TestScenario, build_run_plan
+from mixrobust.mixmodel import MixtureModelFit, ModelMatrix, model_matrix
 from mixrobust.shapley import ShapError, write_phi_csv, write_shap_json
 from mixrobust.seeding import generator
 
@@ -167,6 +169,13 @@ class TestReportEmission:
         rng = generator(40, "phi")
         phi = rng.normal(size=(30, 13)) * np.logspace(-12, 6, 13)
         phi[3, 4] = 0.0
+        # replicated rows, rows apart only in the sign of a zero, a NaN row
+        phi = np.concatenate([phi, phi[::-1], phi[:4]])
+        phi[60, :] = phi[3, :]
+        phi[60, 4] = -0.0
+        phi[61, :] = np.nan
+        phi[62, :] = np.nan
+        phi[63, 0] = -phi[63, 0]
         report = ShapReport(labels=term_labels(3, 2), phi=phi,
                             importance=shap_importance(phi),
                             background_means=np.zeros(13))
@@ -178,3 +187,26 @@ class TestReportEmission:
         for row in phi:
             writer.writerow([f"{v:.10g}" for v in row])
         assert path.read_text() == buf.getvalue()
+        lines = path.read_text().splitlines()
+        assert lines[1 + 60] != lines[1 + 3] and ",-0," in lines[1 + 60]
+
+    def test_phi_rows_of_replicates_format_once(self, tmp_path, monkeypatch):
+        # the m=5 design with 3 two-level covariates: 31 blends x 8 covariate
+        # levels, 10 replicates of each
+        design = DesignConfig(m=5, min_prop=0.01, replicates=10,
+                              covariate_levels=[[1, 0]] * 3)
+        runs = [r for r in build_run_plan(design).runs
+                if r.scenario is TestScenario.BALANCED]
+        values = model_matrix(np.array([r.train_mixture for r in runs]),
+                              np.array([r.covariates for r in runs], dtype=float))
+        fit, matrix = make_fit_and_matrix(values, generator(41, "phi").normal(
+            size=values.shape[1]), m=5, h=3)
+        distinct = []
+        group = shapley._distinct_rows
+        monkeypatch.setattr(shapley, "_distinct_rows",
+                            lambda phi: distinct.append(group(phi)[0].size) or group(phi))
+        report = shap_report(fit, matrix)
+        write_phi_csv(report, tmp_path / "phi.csv")
+        assert report.phi.shape[0] == 2480 and distinct == [248]
+        lines = (tmp_path / "phi.csv").read_text().splitlines()[1:]
+        assert lines == [",".join(f"{v:.10g}" for v in row) for row in report.phi]

@@ -406,7 +406,7 @@ class TestRender:
 class TestLatticeParts:
     def test_surfaces_of_one_lattice_format_it_once(self, monkeypatch):
         calls = []
-        for name in ("_micro_triangles", "_twin_edges", "_csv_prefixes"):
+        for name in ("_micro_triangles", "_twin_edges", "_csv_template"):
             build = getattr(ternary, name)
             monkeypatch.setattr(ternary, name, lambda *args, name=name, build=build:
                                 calls.append(name) or build(*args))
@@ -416,7 +416,7 @@ class TestLatticeParts:
         surfaces = [replace(grid_predict(fit, grid, (1, 0)), response="mean_auc")
                     for fit in fits]
         outputs = [(grid_to_csv(s), render_ternary(s)) for s in surfaces]
-        assert sorted(calls) == ["_csv_prefixes", "_micro_triangles", "_twin_edges"]
+        assert sorted(calls) == ["_csv_template", "_micro_triangles", "_twin_edges"]
         # the same bytes as surfaces on lattices of their own
         for fit, output in zip(fits, outputs):
             alone = replace(grid_predict(fit, TernaryGrid.build(q=20, min_prop=0.01),
