@@ -9,7 +9,6 @@ covariate. Real trainers attach through the external-runner protocol.
 from __future__ import annotations
 
 import math
-import numbers
 import subprocess
 from dataclasses import dataclass
 from enum import Enum
@@ -17,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .design import as_float, check_fields, real_number, real_numbers, real_table, whole_number
 from .fileio import read_csv
 from .sampling import DatasetPool, SampleSplit, dense_ranks, write_pool_csv
 from .seeding import generator
@@ -41,16 +41,9 @@ class ClassifierKind(Enum):
     @classmethod
     def parse(cls, name):
         try:
-            return cls(str(name).strip().lower())
+            return cls(name if isinstance(name, cls) else str(name).strip().lower())
         except ValueError:
             raise ClassifierError(f"unknown classifier kind {name!r}") from None
-
-
-HYPER_DEFAULTS = {
-    ClassifierKind.LOGISTIC: {"epochs": 500, "step": 0.1, "l2": 1e-4},
-    ClassifierKind.BOOSTED_STUMPS: {"rounds": 100, "shrinkage": 0.1},
-    ClassifierKind.EXTERNAL: {},
-}
 
 
 # what each hyper key accepts: (description, test on the value as a float)
@@ -61,16 +54,6 @@ HYPER_RANGES = {
     "shrinkage": ("finite and > 0", lambda x: 0 < x < math.inf),
     "l2": ("finite and >= 0", lambda x: 0 <= x < math.inf),
 }
-
-
-def _as_float(value):
-    """`value` as a float, or None when it is not a real number."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        return None
-    try:
-        return float(value)
-    except OverflowError:
-        return math.inf
 
 
 def resolve_hyper(kind: ClassifierKind, hyper=None):
@@ -86,7 +69,7 @@ def resolve_hyper(kind: ClassifierKind, hyper=None):
             f"allowed: {', '.join(defaults) or 'none'}")
     for key, value in hyper.items():
         rule, accepts = HYPER_RANGES[key]
-        number = _as_float(value)
+        number = as_float(value)
         if number is None or not accepts(number):
             raise ClassifierError(f"{kind.value} hyper {key!r} must be {rule}, "
                                   f"got {value!r}")
@@ -107,25 +90,29 @@ class SyntheticDataConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_fields(self, ClassifierError, m=whole_number, d=whole_number,
+                     class_means=real_table, n_per_class=whole_number,
+                     noise_scale=real_number,
+                     separability_boost=lambda boost, *rule: (
+                         boost if boost is None else real_numbers(boost, *rule)),
+                     seed=whole_number)
         if self.m < 2 or self.d < 1 or self.n_per_class < 1:
             raise ClassifierError("m, d and n_per_class must be positive (m >= 2)")
         if not 0 < self.noise_scale < math.inf:
             raise ClassifierError("noise_scale must be finite and positive")
-        means = tuple(tuple(float(v) for v in row) for row in self.class_means)
-        if len(means) != self.m or any(len(row) != self.d for row in means):
+        if len(self.class_means) != self.m or any(len(row) != self.d for row in self.class_means):
             raise ClassifierError(f"class_means must be {self.m} vectors of length {self.d}")
-        if not np.isfinite(means).all():
+        if not np.isfinite(self.class_means).all():
             raise ClassifierError("class_means must be finite")
-        boost = self.separability_boost
-        boost = tuple(1.0 for _ in range(self.m)) if boost is None else tuple(float(b) for b in boost)
+        boost = (1.0,) * self.m if self.separability_boost is None else self.separability_boost
         if len(boost) != self.m or not all(0 < b < math.inf for b in boost):
             raise ClassifierError("separability_boost needs one finite positive entry per class")
-        object.__setattr__(self, "class_means", means)
         object.__setattr__(self, "separability_boost", boost)
 
 
 def default_class_means(m, d, separation=3.0):
     """One-hot class means scaled by `separation`; exchangeable geometry."""
+    separation = real_number(separation, "separation", ClassifierError)
     if d < m:
         raise ClassifierError(f"default means need d >= m (got d={d}, m={m})")
     means = np.zeros((m, d))
@@ -174,7 +161,7 @@ def _onehot(labels, m):
     return (labels[..., None] == np.arange(1, m + 1)).astype(float)
 
 
-def fit_logistic_ovr(features, labels, m, epochs=500, step=0.1, l2=1e-4):
+def fit_logistic_ovr(features, labels, m, *, epochs=500, step=0.1, l2=1e-4):
     """One-vs-rest logistic weights via full-batch gradient descent.
 
     All class columns train jointly (the loss separates per class). Leading
@@ -334,8 +321,8 @@ def _first_best(sse):
     return feature
 
 
-def boosted_stump_scores(features, targets, test_features, rounds=100, shrinkage=0.1,
-                         ranks=None):
+def boosted_stump_scores(features, targets, test_features, ranks=None, *, rounds=100,
+                         shrinkage=0.1):
     """(..., n_test, m) raw scores of additive squared-error stumps, one model
     per column of the one-hot (..., n, m) `targets`.
 
@@ -384,6 +371,14 @@ def boosted_stump_scores(features, targets, test_features, rounds=100, shrinkage
     return scores.reshape(batch + scores.shape[1:])
 
 
+# each kind's hyper keys: its trainer's keyword-only parameters, with their defaults
+HYPER_DEFAULTS = {
+    ClassifierKind.LOGISTIC: dict(fit_logistic_ovr.__kwdefaults__),
+    ClassifierKind.BOOSTED_STUMPS: dict(boosted_stump_scores.__kwdefaults__),
+    ClassifierKind.EXTERNAL: {},
+}
+
+
 def train_and_score(kind, split: SampleSplit, pool: DatasetPool, hyper=None, command=None):
     """Fit the requested classifier on the split and score the test rows.
 
@@ -408,8 +403,10 @@ def train_and_score_batch(kind, splits, pool: DatasetPool, hyper=None, command=N
     its raw scores. External runners go one split at a time.
     """
     try:
-        kind = kind if isinstance(kind, ClassifierKind) else ClassifierKind.parse(kind)
-        settings = resolve_hyper(kind, hyper)
+        kind = ClassifierKind.parse(kind)
+        # each setting as its trainer takes it, of its default's type
+        settings = {key: type(HYPER_DEFAULTS[kind][key])(value)
+                    for key, value in resolve_hyper(kind, hyper).items()}
     except ClassifierError as exc:
         return [exc] * len(splits)
     if kind is ClassifierKind.EXTERNAL:
@@ -425,16 +422,11 @@ def train_and_score_batch(kind, splits, pool: DatasetPool, hyper=None, command=N
         test = pool.features[np.array([splits[i].test_indices for i in stack], dtype=int)]
         diverged = np.zeros(len(stack), dtype=bool)
         if kind is ClassifierKind.BOOSTED_STUMPS:
-            raw = boosted_stump_scores(pool.features[train],
-                                       _onehot(pool.labels[train], pool.m),
-                                       test, rounds=int(settings["rounds"]),
-                                       shrinkage=float(settings["shrinkage"]),
-                                       ranks=pool.ranks[:, train])
+            raw = boosted_stump_scores(pool.features[train], _onehot(pool.labels[train], pool.m),
+                                       test, ranks=pool.ranks[:, train], **settings)
         else:
             weights = fit_logistic_ovr(pool.features[train], pool.labels[train], pool.m,
-                                       epochs=int(settings["epochs"]),
-                                       step=float(settings["step"]),
-                                       l2=float(settings["l2"]))
+                                       **settings)
             diverged = ~np.isfinite(weights).all(axis=(-2, -1))
             weights[diverged] = 0.0  # those runs fail by name below
             # one gemm per run, with the bits of that run's unstacked product

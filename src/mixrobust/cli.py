@@ -20,8 +20,8 @@ from .classifiers import ClassifierKind, resolve_hyper
 from .design import DesignError, TestScenario, build_run_plan, write_plan_csv
 from .fileio import atomic_write_text, csv_text, write_json
 from .metrics import MetricsError, read_outcome_table, write_outcomes_csv
-from .mixmodel import (ModelError, build_design_matrix, dataset_from_table, fit_ols,
-                       fit_report, load_scipy, write_fit_report)
+from .mixmodel import (RESPONSES, ModelError, build_design_matrix, dataset_from_table,
+                       fit_ols, fit_report, load_scipy, write_fit_report)
 from .pipeline import (ConfigError, ExperimentConfig, checked_pools,
                        parse_experiment_config, resolve_jobs, simulate_plan,
                        with_master_seed)
@@ -35,8 +35,7 @@ EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_NUMERIC = 4
 
-RESPONSES = ("mean_auc", "log_sd")
-CONTOUR_Q, CONTOUR_LEVELS = 100, 10  # grid steps per simplex edge, ternary bands
+CONTOUR_Q = 100  # grid steps per simplex edge
 
 
 class CliFailure(Exception):
@@ -133,7 +132,7 @@ def _run_metadata(config):
             entry["command"] = list(spec.command)
         classifiers[f"{level:g}"] = entry
     return {
-        "master_seed": config.master_seed,
+        "master_seed": config.design.seed,
         "design": {"m": config.design.m, "min_prop": config.design.min_prop,
                    "replicates": config.design.replicates,
                    "covariate_levels": [list(lv) for lv in
@@ -246,8 +245,7 @@ def cmd_contour(config, args):
                               response=response, scenario=scenario.value)
             write_grid_csv(surface, config.output_dir / grid_name)
             if ternary:
-                write_ternary_svg(surface, config.output_dir / svg_name,
-                                  levels=CONTOUR_LEVELS)
+                write_ternary_svg(surface, config.output_dir / svg_name)
         print(f"wrote contour outputs for {response} / {scenario.value}")
     return EXIT_OK
 

@@ -9,6 +9,8 @@ and replicates into a seeded, serializable run plan.
 from __future__ import annotations
 
 import itertools
+import math
+import numbers
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import partial
@@ -27,6 +29,45 @@ class DesignError(ValueError):
     pass
 
 
+def as_float(value):
+    """`value` as a float, or None when it is not a real number: a bool is not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return None
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf
+
+
+def real_number(value, name, error=DesignError, whole=False):
+    """`value` as a float, or as an int if `whole`; raises error naming `name`
+    when it is not a real number, or not a whole one: 3.0 is 3, 2.5 fails."""
+    number = as_float(value)
+    if number is None or whole and not number.is_integer():
+        raise error(f"{name} must be {'a whole' if whole else 'a'} number, got {value!r}")
+    return int(value) if whole else number
+
+
+def real_numbers(value, name, error=DesignError, depth=1):
+    """A list, tuple or array of real numbers (depth 1), or of such (depth 2),
+    as nested tuples of floats."""
+    if not isinstance(value, (list, tuple, np.ndarray)):
+        kind = "a list of " * depth + "numbers"
+        raise error(f"{name} must be {kind}, got {value!r}")
+    if depth == 1:
+        return tuple(real_number(item, name, error) for item in value)
+    return tuple(real_numbers(item, name, error, depth - 1) for item in value)
+
+
+whole_number, real_table = partial(real_number, whole=True), partial(real_numbers, depth=2)
+
+
+def check_fields(config, error, **rules):
+    """Set each field of the frozen dataclass `config` to rule(value, name, error), in order."""
+    for name, rule in rules.items():
+        object.__setattr__(config, name, rule(getattr(config, name), name, error))
+
+
 class TestScenario(Enum):
     """How test-set label proportions relate to the training mixture."""
 
@@ -39,7 +80,7 @@ class TestScenario(Enum):
     @classmethod
     def parse(cls, name):
         try:
-            return cls(str(name).strip().lower())
+            return cls(name if isinstance(name, cls) else str(name).strip().lower())
         except ValueError:
             raise DesignError(f"unknown scenario {name!r}; expected one of "
                               f"{[s.value for s in cls]}") from None
@@ -59,13 +100,13 @@ class DesignConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_fields(self, DesignError, m=whole_number, covariate_levels=real_table,
+                     min_prop=real_number, replicates=whole_number, seed=whole_number)
         check_floor(self.m, self.min_prop)
         if self.replicates < 1:
             raise DesignError("replicates must be >= 1")
-        levels = tuple(tuple(float(v) for v in lv) for lv in self.covariate_levels)
-        if any(len(lv) == 0 for lv in levels):
+        if any(len(lv) == 0 for lv in self.covariate_levels):
             raise DesignError("every covariate factor needs at least one level")
-        object.__setattr__(self, "covariate_levels", levels)
 
     @property
     def h(self):
@@ -217,8 +258,7 @@ def expand_plan(base: RunPlan, scenarios=ALL_SCENARIOS) -> RunPlan:
     branch draws from that instance seed, so replicates stay independent.
     """
     cfg = base.config
-    scenarios = tuple(TestScenario.parse(s) if not isinstance(s, TestScenario) else s
-                      for s in scenarios)
+    scenarios = tuple(map(TestScenario.parse, scenarios))
     runs = []
     run_id = 1
     for scenario in scenarios:

@@ -216,7 +216,8 @@ def _read_outcome_rows(path) -> OutcomeTable:
         scenarios.append(scenario)
         numbers.extend(values)
     m, h = shape
-    ints = np.array(ints).reshape(-1, 3)
+    # a header-only file has int columns too, as a file with rows does
+    ints = np.array(ints) if ints else np.empty((0, 3), dtype=int)
     block = np.frombuffer(numbers, dtype=float).reshape(len(lines), h + 2 * m + 2)
     return _outcome_table(
         block, m, h, lambda i: f"{path}:{lines[i]}: run {ints[i, 0]} mixture",

@@ -24,6 +24,7 @@ from .fileio import write_json
 from .metrics import OutcomeTable
 
 RANK_RTOL = 1e-10
+RESPONSES = ("mean_auc", "log_sd")  # the outcome columns a model can fit
 # the mixture rows fitted or predicted at must each sum to 1 within this
 MIXTURE_ROW_TOL = 1e-6
 
@@ -160,7 +161,7 @@ def dataset_from_table(table: OutcomeTable, response):
     if len(scenarios) != 1:
         raise ModelError(f"outcomes mix scenarios {sorted(s.value for s in scenarios)}; "
                          "analyze each scenario separately")
-    if response not in ("mean_auc", "log_sd"):
+    if response not in RESPONSES:
         raise ModelError(f"unknown response {response!r}")
     return AnalysisDataset(y=getattr(table, response), mixtures=table.train_mixture,
                            covariates=table.covariates, scenario=table.scenario[0],

@@ -11,15 +11,17 @@ change results.
 from __future__ import annotations
 
 import os
+import re
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .classifiers import (ClassifierKind, SyntheticDataConfig, _as_float,
+from .classifiers import (ClassifierError, ClassifierKind, SyntheticDataConfig,
                           default_class_means, generate_pool, resolve_hyper,
                           train_and_score_batch)
-from .design import ALL_SCENARIOS, DesignConfig, DesignError, RunPlan, RunSpec, TestScenario
+from .design import (ALL_SCENARIOS, DesignConfig, DesignError, RunPlan, RunSpec,
+                     TestScenario, real_table, whole_number)
 from .metrics import MetricsError, RunOutcome, auc_ovr
 from .sampling import (DatasetPool, SamplingConfig, SamplingError, class_counts,
                        compose_split, load_pool_csv, split_sizes)
@@ -36,9 +38,22 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ClassifierSpec:
+    """A classifier kind, its hyper overrides as sorted pairs, an external command."""
+
     kind: ClassifierKind
     hyper: tuple = ()
     command: tuple = None
+
+    def __post_init__(self):
+        kind, hyper, command = ClassifierKind.parse(self.kind), dict(self.hyper), self.command
+        resolve_hyper(kind, hyper)
+        if kind is ClassifierKind.EXTERNAL and not isinstance(command or None, (list, tuple)):
+            raise ClassifierError("external classifier needs a command list")
+        if kind is not ClassifierKind.EXTERNAL and command:
+            raise ClassifierError("only external classifiers take a command")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "hyper", tuple(sorted((str(k), float(v)) for k, v in hyper.items())))
+        object.__setattr__(self, "command", tuple(map(str, command)) if command else None)
 
     @property
     def hyper_dict(self):
@@ -66,10 +81,6 @@ class ExperimentConfig:
     pool_specs: dict
     scenarios: tuple = ALL_SCENARIOS
     output_dir: Path = Path("out")
-
-    @property
-    def master_seed(self):
-        return self.design.seed
 
     def classifier_for(self, spec: RunSpec) -> ClassifierSpec:
         level = spec.covariates[0]
@@ -262,33 +273,9 @@ def _require(doc, key):
     return doc[key]
 
 
-def _integer(doc, key, default=None):
-    """doc[key], required without a default, as a whole number, not a bool."""
-    value = _require(doc, key) if default is None else doc.get(key, default)
-    number = _as_float(value)
-    if number is None or not number.is_integer():
-        raise ConfigError(f"{key} must be a whole number, got {value!r}")
-    return int(value)
-
-
-def _real(value, key):
-    """`value` as a float, under the rule `hyper` and the integer keys use:
-    a real number, not a bool or a string."""
-    number = _as_float(value)
-    if number is None:
-        raise ConfigError(f"{key} must be a number, got {value!r}")
-    return number
-
-
-def _reals(value, key, depth=1):
-    """A list of numbers (depth 1) or a list of such lists (depth 2), as
-    nested tuples of floats."""
-    if not isinstance(value, (list, tuple)):
-        kind = "a list of " * depth + "numbers"
-        raise ConfigError(f"{key} must be {kind}, got {value!r}")
-    if depth == 1:
-        return tuple(_real(item, key) for item in value)
-    return tuple(_reals(item, key, depth - 1) for item in value)
+def _given(doc, *keys):
+    """The entries of `doc` under those `keys` it holds; the dataclass defaults the rest."""
+    return {key: doc[key] for key in keys if key in doc}
 
 
 def _level_map(doc):
@@ -299,33 +286,23 @@ def _level_map(doc):
 
 def _parse_classifier(doc):
     kind = ClassifierKind.parse(_require(doc, "kind"))
-    hyper = doc.get("hyper", {})
-    if not isinstance(hyper, dict):
+    fields = _given(doc, "hyper", "command")
+    if not isinstance(fields.get("hyper", {}), dict):
         raise ConfigError("hyper must be an object of numbers")
-    resolve_hyper(kind, hyper)
-    command = doc.get("command")
-    if kind is ClassifierKind.EXTERNAL:
-        if not command or not isinstance(command, list):
-            raise ConfigError("external classifier needs a command list")
-        command = tuple(str(part) for part in command)
-    elif command:
-        raise ConfigError("only external classifiers take a command")
-    return ClassifierSpec(kind=kind, command=command or None,
-                          hyper=tuple(sorted((str(k), float(v)) for k, v in hyper.items())))
+    return ClassifierSpec(kind, **fields)
 
 
 def _parse_synthetic(doc):
-    m, d = _integer(doc, "m"), _integer(doc, "d")
-    if "class_means" in doc:
-        means = _reals(doc["class_means"], "class_means", depth=2)
-    else:
-        means = default_class_means(m, d, _real(doc.get("separation", 3.0), "separation"))
-    boost = doc.get("separability_boost") or None
-    return SyntheticDataConfig(
-        m=m, d=d, n_per_class=_integer(doc, "n_per_class"), class_means=means,
-        noise_scale=_real(doc.get("noise_scale", 1.0), "noise_scale"),
-        separability_boost=None if boost is None else _reals(boost, "separability_boost"),
-        seed=_integer(doc, "seed", 0))
+    """Means from `class_means` or `separation` are checked after m and d, as the
+    dataclass checks them. A null or empty `separability_boost` means none."""
+    m, d = (whole_number(_require(doc, key), key) for key in ("m", "d"))
+    means = (real_table(doc["class_means"], "class_means") if "class_means" in doc
+             else default_class_means(m, d, **_given(doc, "separation")))
+    _require(doc, "n_per_class")
+    fields = _given(doc, "n_per_class", "noise_scale", "seed")
+    if doc.get("separability_boost"):
+        fields["separability_boost"] = doc["separability_boost"]
+    return SyntheticDataConfig(m=m, d=d, class_means=means, **fields)
 
 
 def _parse_pool(doc, base_dir):
@@ -345,19 +322,17 @@ def parse_experiment_config(doc: dict, base_dir=Path(".")) -> ExperimentConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a JSON object")
     with _section("design"):
-        design_doc = dict(doc.get("design", {}))
-        design = DesignConfig(
-            m=_integer(design_doc, "m", 3),
-            covariate_levels=_reals(design_doc.get("covariate_levels", ((1, 0), (1, 0))),
-                                    "covariate_levels", depth=2),
-            min_prop=_real(design_doc.get("min_prop", 0.01), "min_prop"),
-            replicates=_integer(design_doc, "replicates", 3),
-            seed=_integer(doc, "master_seed", 0))
+        fields = _given(dict(doc.get("design", {})), "m", "covariate_levels", "min_prop",
+                        "replicates")
+        if "master_seed" in doc:
+            fields["seed"] = doc["master_seed"]
+        try:
+            design = DesignConfig(**fields)
+        except DesignError as exc:  # the document calls the seed master_seed
+            raise DesignError(re.sub("^seed ", "master_seed ", str(exc))) from None
     with _section("sampling"):
-        sampling_doc = dict(doc.get("sampling", {}))
-        sampling = SamplingConfig(
-            train_frac=_real(sampling_doc.get("train_frac", 0.10), "train_frac"),
-            test_frac=_real(sampling_doc.get("test_frac", 0.25), "test_frac"))
+        sampling = SamplingConfig(**_given(dict(doc.get("sampling", {})),
+                                           "train_frac", "test_frac"))
 
     with _section("classifiers"):
         classifiers = _level_map(_require(doc, "classifiers"))
@@ -370,27 +345,24 @@ def parse_experiment_config(doc: dict, base_dir=Path(".")) -> ExperimentConfig:
         with _section(f"pools[{level:g}]"):
             pools[level] = _parse_pool(sub, base_dir)
 
-    if design.h >= 1:
-        for level in design.covariate_levels[0]:
-            if level not in classifiers:
-                raise ConfigError(f"classifiers: no entry for z1 level {level:g}")
-    if design.h >= 2:
-        for level in design.covariate_levels[1]:
-            if level not in pools:
-                raise ConfigError(f"pools: no entry for z2 level {level:g}")
+    sections = (("classifiers", classifiers), ("pools", pools))
+    for k, (name, entries) in zip(range(design.h), sections):
+        for level in design.covariate_levels[k]:
+            if level not in entries:
+                raise ConfigError(f"{name}: no entry for z{k + 1} level {level:g}")
 
     with _section("scenarios"):
-        scenarios = tuple(TestScenario.parse(name) for name in
-                          doc.get("scenarios", [s.value for s in ALL_SCENARIOS]))
+        scenarios = tuple(map(TestScenario.parse,
+                              doc.get("scenarios", ExperimentConfig.scenarios)))
         if not scenarios:
             raise ConfigError("the list must be nonempty")
 
     with _section("output_dir"):
-        output_dir = base_dir / doc.get("output_dir", "out")
+        output_dir = base_dir / doc.get("output_dir", ExperimentConfig.output_dir)
     return ExperimentConfig(design=design, sampling=sampling, classifiers=classifiers,
                             pool_specs=pools, scenarios=scenarios,
                             output_dir=output_dir)
 
 
 def with_master_seed(config: ExperimentConfig, seed) -> ExperimentConfig:
-    return replace(config, design=replace(config.design, seed=int(seed)))
+    return replace(config, design=replace(config.design, seed=seed))

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .design import MIXTURE_SUM_TOL
+from .design import MIXTURE_SUM_TOL, check_fields, real_number
 from .fileio import atomic_write_text, csv_text, read_csv
 
 
@@ -26,7 +26,7 @@ class DatasetPool:
 
     features: np.ndarray
     labels: np.ndarray
-    class_index: list = field(default_factory=list)
+    class_index: list = field(init=False)
     _ranks: np.ndarray = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -44,9 +44,8 @@ class DatasetPool:
             raise SamplingError("labels must be integers")
         if self.labels.size and self.labels.min() < 1:
             raise SamplingError("labels are 1-based; found a label < 1")
-        if not self.class_index:
-            m = int(self.labels.max()) if self.labels.size else 0
-            self.class_index = [np.flatnonzero(self.labels == j + 1) for j in range(m)]
+        m = int(self.labels.max()) if self.labels.size else 0
+        self.class_index = [np.flatnonzero(self.labels == j + 1) for j in range(m)]
 
     @property
     def n(self):
@@ -90,6 +89,7 @@ class SamplingConfig:
     test_frac: float = 0.25
 
     def __post_init__(self):
+        check_fields(self, SamplingError, train_frac=real_number, test_frac=real_number)
         if not (0 < self.train_frac < np.inf and 0 < self.test_frac < np.inf):
             raise SamplingError("train_frac and test_frac must be finite and positive")
 
@@ -100,8 +100,6 @@ class SampleSplit:
 
     train_indices: np.ndarray
     test_indices: np.ndarray
-    train_counts: np.ndarray
-    test_counts: np.ndarray
 
 
 def class_counts(mixture, total):
@@ -182,8 +180,7 @@ def compose_split(pool: DatasetPool, train_mixture, test_mixture,
     test_counts = class_counts(test_mixture, n_test)
     train = compose_training(pool, train_counts, train_rng)
     test = compose_test(pool, train, test_counts, test_rng)
-    return SampleSplit(train_indices=train, test_indices=test,
-                       train_counts=train_counts, test_counts=test_counts)
+    return SampleSplit(train_indices=train, test_indices=test)
 
 
 def pool_header(d):

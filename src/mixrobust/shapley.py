@@ -78,14 +78,11 @@ class ShapReport:
     labels: list
     phi: np.ndarray
     importance: np.ndarray
-    background_means: np.ndarray
 
 
 def shap_report(fit: MixtureModelFit, matrix: ModelMatrix) -> ShapReport:
     phi = shap_per_observation(fit, matrix)
-    return ShapReport(labels=list(fit.labels), phi=phi,
-                      importance=shap_importance(phi),
-                      background_means=matrix.values.mean(axis=0))
+    return ShapReport(labels=list(fit.labels), phi=phi, importance=shap_importance(phi))
 
 
 def write_shap_json(report: ShapReport, path, scenario=None, response=None):

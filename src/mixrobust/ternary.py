@@ -20,6 +20,7 @@ from .fileio import atomic_write_bytes, atomic_write_text
 from .mixmodel import MixtureModelFit, predict_rows
 
 SQRT3_2 = math.sqrt(3.0) / 2.0
+CONTOUR_LEVELS = 10  # value bands of a ternary plot
 
 # dark-blue-to-yellow ramp, interpolated per band
 _RAMP = (
@@ -223,7 +224,7 @@ def _to_px(xy):
             _MARGIN_TOP + _SIDE * SQRT3_2 - xy[1] * _SIDE)
 
 
-def render_ternary(grid: TernaryGrid, levels=10) -> bytes:
+def render_ternary(grid: TernaryGrid, levels=CONTOUR_LEVELS) -> bytes:
     """Self-contained SVG: banded surface, outer simplex, dashed floor
     triangle, vertex labels and a value legend. Deterministic bytes.
 
@@ -329,5 +330,5 @@ def surface_filenames(response, scenario, z):
     return f"grid_{stem}.csv", f"contour_{stem}.svg"
 
 
-def write_ternary_svg(grid: TernaryGrid, path, levels=10):
+def write_ternary_svg(grid: TernaryGrid, path, levels=CONTOUR_LEVELS):
     atomic_write_bytes(path, render_ternary(grid, levels=levels))

@@ -15,8 +15,7 @@ from mixrobust.seeding import generator
 def split_of(train, test):
     train = np.asarray(train, dtype=int)
     test = np.asarray(test, dtype=int)
-    return SampleSplit(train_indices=train, test_indices=test,
-                       train_counts=None, test_counts=None)
+    return SampleSplit(train_indices=train, test_indices=test)
 
 
 def two_class_pool(n_per_class=500, gap=6.0, seed=0):

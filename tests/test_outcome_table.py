@@ -12,8 +12,8 @@ import pytest
 from mixrobust import cli, metrics
 from mixrobust.cli import EXIT_IO, EXIT_OK, main
 from mixrobust.design import DesignConfig, TestScenario, build_run_plan
-from mixrobust.metrics import (MetricsError, OutcomeTable, RunOutcome, read_outcome_table,
-                               read_outcomes_csv, write_outcomes_csv)
+from mixrobust.metrics import (MetricsError, OutcomeTable, RunOutcome, outcomes_header,
+                               read_outcome_table, read_outcomes_csv, write_outcomes_csv)
 from mixrobust.mixmodel import dataset_from_outcomes, dataset_from_table
 
 from test_pipeline import small_config_doc
@@ -222,6 +222,15 @@ def test_columns_have_row_reader_dtypes_and_bits(tmp_path, name):
     table = read_outcome_table(path)
     assert_same_table(table, OutcomeTable.from_outcomes(reference_outcomes(path)))
     assert_same_table(table, metrics._read_outcome_rows(path))
+
+
+def test_header_only_file_has_int_id_columns(tmp_path):
+    path = tmp_path / "outcomes.csv"
+    path.write_text(",".join(outcomes_header(3, 2)) + "\n")
+    table = read_outcome_table(path)
+    assert len(table) == 0
+    assert table.run_id.dtype == table.replicate.dtype == np.int64
+    assert table.covariates.shape == (0, 2) and table.train_mixture.shape == (0, 3)
 
 
 @pytest.mark.parametrize("name", sorted(SHAPES))

@@ -1,13 +1,17 @@
+import inspect
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from mixrobust import (ClassifierKind, ConfigError, DesignConfig, RunFailure,
-                       SamplingConfig, build_run_plan, execute_batch,
+from mixrobust import (ClassifierKind, ConfigError, DesignConfig, DesignError, RunFailure,
+                       SamplingConfig, SamplingError, build_run_plan, execute_batch,
                        parse_experiment_config, simulate_plan)
-from mixrobust.classifiers import SyntheticDataConfig, default_class_means, generate_pool
-from mixrobust.pipeline import plan_batches, resolve_jobs, with_master_seed
+from mixrobust import pipeline
+from mixrobust.classifiers import (ClassifierError, SyntheticDataConfig, default_class_means,
+                                   generate_pool)
+from mixrobust.design import plan_to_csv
+from mixrobust.pipeline import ClassifierSpec, plan_batches, resolve_jobs, with_master_seed
 
 
 def small_config_doc(n_per_class=400, replicates=1, master_seed=99):
@@ -138,6 +142,134 @@ class TestConfigParsing:
     def test_master_seed_override(self, tmp_path):
         config = parse_experiment_config(small_config_doc(), tmp_path)
         assert with_master_seed(config, 7).design.seed == 7
+
+
+def _synthetic(**settings):
+    return SyntheticDataConfig(**{"m": 3, "d": 3, "n_per_class": 5,
+                                  "class_means": default_class_means(3, 3), **settings})
+
+
+class TestLibraryConfigsFollowTheJsonRules:
+    """Configs built in Python meet the rules and defaults of JSON configs."""
+
+    @pytest.mark.parametrize("build,error,match", [
+        (lambda: DesignConfig(seed=1.5), DesignError, "seed must be a whole number, got 1.5"),
+        (lambda: _synthetic(seed=1.5), ClassifierError, "seed must be a whole number, got 1.5"),
+        (lambda: DesignConfig(replicates=True), DesignError,
+         "replicates must be a whole number, got True"),
+        (lambda: SamplingConfig(train_frac=True), SamplingError,
+         "train_frac must be a number, got True"),
+        (lambda: DesignConfig(m=3.5), DesignError, "m must be a whole number, got 3.5"),
+        (lambda: DesignConfig(covariate_levels=(("1", "0"),)), DesignError,
+         "covariate_levels must be a number"),
+        (lambda: _synthetic(class_means=((1, 0, 0), (0, 1, 0), (0, 0, True))),
+         ClassifierError, "class_means must be a number, got True"),
+        (lambda: _synthetic(separability_boost="111"), ClassifierError,
+         "separability_boost must be a list of numbers"),
+        (lambda: default_class_means(3, 3, "2.5"), ClassifierError,
+         "separation must be a number, got '2.5'"),
+        (lambda: ClassifierSpec(ClassifierKind.LOGISTIC, hyper=(("epoch", 5.0),)),
+         ClassifierError, "logistic takes no hyper key 'epoch'"),
+        (lambda: ClassifierSpec(ClassifierKind.EXTERNAL), ClassifierError,
+         "external classifier needs a command list"),
+        (lambda: ClassifierSpec(ClassifierKind.EXTERNAL, command="python3 runner.py"),
+         ClassifierError, "external classifier needs a command list"),
+        (lambda: ClassifierSpec(ClassifierKind.LOGISTIC, command=("true",)), ClassifierError,
+         "only external classifiers take a command"),
+    ])
+    def test_constructor_rejects_what_json_rejects(self, build, error, match):
+        with pytest.raises(error, match=f"^{match}"):
+            build()
+
+    def test_master_seed_override_takes_whole_numbers_only(self, tmp_path):
+        config = parse_experiment_config(small_config_doc(), tmp_path)
+        with pytest.raises(DesignError, match="^seed must be a whole number, got 1.5$"):
+            with_master_seed(config, 1.5)
+        assert with_master_seed(config, 7.0).design.seed == 7
+
+    def test_whole_float_m_builds_the_same_plan(self):
+        whole, exact = DesignConfig(m=3.0, replicates=2), DesignConfig(m=3, replicates=2)
+        assert type(whole.m) is int and whole == exact
+        assert plan_to_csv(build_run_plan(whole)) == plan_to_csv(build_run_plan(exact))
+
+    def test_numpy_and_sequence_inputs_store_plain_values(self):
+        design = DesignConfig(m=np.int64(3), covariate_levels=np.array([[1, 0], [2, 1]]),
+                              min_prop=np.float32(0.25), replicates=np.uint8(2),
+                              seed=np.int64(2**40))
+        assert design == DesignConfig(m=3, covariate_levels=[[1.0, 0.0], (2, 1)],
+                                      min_prop=0.25, replicates=2, seed=2**40)
+        assert [type(v) for v in (design.m, design.min_prop, design.replicates,
+                                  design.seed)] == [int, float, int, int]
+        assert design.covariate_levels == ((1.0, 0.0), (2.0, 1.0))
+        assert all(type(v) is float for lv in design.covariate_levels for v in lv)
+        sampling = SamplingConfig(np.float64(0.1), 1)
+        assert (sampling.train_frac, sampling.test_frac) == (0.1, 1.0)
+        assert type(sampling.test_frac) is float
+        pool = _synthetic(class_means=np.eye(3), separability_boost=[1, np.float64(2), 1],
+                          noise_scale=2, n_per_class=np.int32(5))
+        assert pool.class_means == ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+        assert pool.separability_boost == (1.0, 2.0, 1.0)
+        assert type(pool.noise_scale) is float and type(pool.n_per_class) is int
+        spec = ClassifierSpec(ClassifierKind.EXTERNAL, command=["python3", "run.py"])
+        assert spec.command == ("python3", "run.py")
+        spec = ClassifierSpec(ClassifierKind.LOGISTIC, hyper=(("step", 0.2), ("epochs", 80)))
+        assert spec.hyper == (("epochs", 80.0), ("step", 0.2))
+
+    @pytest.mark.parametrize("path,build,keyword,stored,default", [
+        (("design", "m"), "DesignConfig", "m", lambda c: c.design.m, DesignConfig().m),
+        (("design", "covariate_levels"), "DesignConfig", "covariate_levels",
+         lambda c: c.design.covariate_levels, DesignConfig().covariate_levels),
+        (("design", "min_prop"), "DesignConfig", "min_prop", lambda c: c.design.min_prop,
+         DesignConfig().min_prop),
+        (("design", "replicates"), "DesignConfig", "replicates",
+         lambda c: c.design.replicates, DesignConfig().replicates),
+        (("master_seed",), "DesignConfig", "seed", lambda c: c.design.seed,
+         DesignConfig().seed),
+        (("sampling", "train_frac"), "SamplingConfig", "train_frac",
+         lambda c: c.sampling.train_frac, SamplingConfig().train_frac),
+        (("sampling", "test_frac"), "SamplingConfig", "test_frac",
+         lambda c: c.sampling.test_frac, SamplingConfig().test_frac),
+        (("pools", "*", "synthetic", "separation"), "default_class_means", "separation",
+         lambda c: c.pool_specs[1.0].synthetic.class_means, default_class_means(3, 3)),
+        (("pools", "*", "synthetic", "noise_scale"), "SyntheticDataConfig", "noise_scale",
+         lambda c: c.pool_specs[1.0].synthetic.noise_scale, _synthetic().noise_scale),
+        (("pools", "*", "synthetic", "separability_boost"), "SyntheticDataConfig",
+         "separability_boost", lambda c: c.pool_specs[1.0].synthetic.separability_boost,
+         _synthetic().separability_boost),
+        (("pools", "*", "synthetic", "seed"), "SyntheticDataConfig", "seed",
+         lambda c: c.pool_specs[1.0].synthetic.seed, _synthetic().seed),
+        (("classifiers", "*", "hyper"), "ClassifierSpec", "hyper",
+         lambda c: c.classifiers[1.0].hyper, ClassifierSpec(ClassifierKind.LOGISTIC).hyper),
+        (("classifiers", "*", "command"), "ClassifierSpec", "command",
+         lambda c: c.classifiers[1.0].command,
+         ClassifierSpec(ClassifierKind.LOGISTIC).command),
+    ])
+    def test_omitted_key_takes_the_dataclass_default(self, tmp_path, monkeypatch, path,
+                                                     build, keyword, stored, default):
+        doc = small_config_doc()
+        *parents, last = path
+        targets = [doc]
+        for key in parents:  # "*": every level
+            targets = [t[k] for t in targets for k in (t if key == "*" else [key])]
+        for target in targets:
+            target.pop(last, None)
+        real, passed = getattr(pipeline, build), []
+
+        def spy(*args, **kwargs):
+            passed.append(inspect.signature(real).bind(*args, **kwargs).arguments)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(pipeline, build, spy)
+        config = parse_experiment_config(doc, tmp_path)
+        # the parser leaves the value to the one default it has
+        assert passed and not any(keyword in arguments for arguments in passed)
+        assert stored(config) == default
+
+    def test_omitted_scenarios_and_output_dir_take_the_dataclass_defaults(self, tmp_path):
+        doc = small_config_doc()
+        del doc["scenarios"], doc["output_dir"]
+        config = parse_experiment_config(doc, tmp_path)
+        assert config.scenarios == pipeline.ExperimentConfig.scenarios
+        assert config.output_dir == tmp_path / pipeline.ExperimentConfig.output_dir
 
 
 class TestResolveJobs:

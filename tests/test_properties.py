@@ -14,6 +14,7 @@ from mixrobust import (DatasetPool, DesignConfig, RunOutcome, SamplingConfig, Sa
 from mixrobust.classifiers import boosted_stump_scores, fit_logistic_ovr
 from mixrobust.design import stored_sum_bound
 from mixrobust.metrics import midranks, read_outcome_table
+from mixrobust.sampling import split_sizes
 
 from test_classifiers import oracle_boosted_raw, oracle_logistic_weights
 
@@ -115,16 +116,16 @@ def test_compose_split_test_rows_disjoint_from_training(classes, train_frac, tes
     labels = np.repeat(np.arange(1, len(sizes) + 1), sizes)
     pool = DatasetPool(features=np.zeros((labels.size, 1)), labels=labels)
     rng = np.random.default_rng(seed)
+    config = SamplingConfig(train_frac, test_frac)
     try:
-        split = compose_split(pool, train_mixture, test_mixture,
-                              SamplingConfig(train_frac, test_frac), rng, rng)
+        split = compose_split(pool, train_mixture, test_mixture, config, rng, rng)
     except SamplingError:
         return  # a class ran short of free rows: refused, not overlapped
     test = split.test_indices
     assert np.unique(test).size == test.size
     assert not np.isin(test, split.train_indices).any()
     assert np.bincount(labels[test], minlength=len(sizes) + 1)[1:].tolist() == \
-        split.test_counts.tolist()
+        class_counts(test_mixture, split_sizes(config, labels.size)[1]).tolist()
 
 
 @st.composite

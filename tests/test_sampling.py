@@ -196,8 +196,8 @@ class TestComposeSplit:
                               generator(9, "tr"), generator(9, "ts"))
         assert split.train_indices.size == 1000
         assert split.test_indices.size == 2500
-        assert split.train_counts.tolist() == [10, 10, 980]
-        assert split.test_counts.tolist() == [25, 25, 2450]
+        assert np.bincount(pool.labels[split.train_indices])[1:].tolist() == [10, 10, 980]
+        assert np.bincount(pool.labels[split.test_indices])[1:].tolist() == [25, 25, 2450]
 
     def test_disjointness_over_many_seeds(self):
         pool = toy_pool(n=600)
@@ -257,6 +257,11 @@ class TestPoolCsv:
 
 
 class TestDatasetPool:
+    def test_class_index_is_derived_not_passed(self):
+        with pytest.raises(TypeError, match="class_index"):
+            DatasetPool(features=np.zeros((4, 1)), labels=np.array([1, 2, 1, 2]),
+                        class_index=[[0, 1, 2, 3], []])
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_feature(self, value):
         features = np.zeros((4, 2))

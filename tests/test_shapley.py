@@ -177,8 +177,7 @@ class TestReportEmission:
         phi[62, :] = np.nan
         phi[63, 0] = -phi[63, 0]
         report = ShapReport(labels=term_labels(3, 2), phi=phi,
-                            importance=shap_importance(phi),
-                            background_means=np.zeros(13))
+                            importance=shap_importance(phi))
         path = tmp_path / "phi.csv"
         write_phi_csv(report, path)
         buf = io.StringIO()
