@@ -12,6 +12,7 @@ import math
 import subprocess
 from dataclasses import dataclass
 from enum import Enum
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -140,20 +141,53 @@ def check_score_matrix(scores, m):
         raise ClassifierError("scores must be finite")
     if scores.size and (scores.min() < -SCORE_ROW_TOL or scores.max() > 1 + SCORE_ROW_TOL):
         raise ClassifierError("scores must lie in [0, 1]")
-    if scores.size and np.max(np.abs(scores.sum(axis=1) - 1.0)) > SCORE_ROW_TOL:
+    if scores.size and np.max(np.abs(_row_sums(list(scores.T)) - 1.0)) > SCORE_ROW_TOL:
         raise ClassifierError(f"score rows must sum to 1 within {SCORE_ROW_TOL}")
     return scores
 
 
 def _softmax(logits):
+    """Row softmax of the (..., m) logits, worked on a contiguous copy of their
+    class columns: the row max is a left fold of np.maximum, and each row's
+    total adds its exps in sorted order, so relabeling classes permutes the
+    scores exactly, not just to rounding. Returns a view of those columns."""
+    columns = np.moveaxis(logits, -1, 0).copy()
     # logits spanning more than the float range shift to -inf, whose exp is 0
     with np.errstate(over="ignore", invalid="ignore"):
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        expd = np.exp(shifted)
-    # canonical (sorted) summation order so relabeling classes permutes the
-    # scores exactly, not just to rounding
-    totals = np.sort(expd, axis=1).sum(axis=1, keepdims=True)
-    return expd / totals
+        columns -= reduce(np.maximum, columns)
+        np.exp(columns, out=columns)
+    columns /= _row_sums(_sorted_columns(columns))
+    return np.moveaxis(columns, 0, -1)
+
+
+def _sorted_columns(columns):
+    """The columns sorted elementwise by an odd-even transposition network of
+    np.minimum and np.maximum: entry i of the k-th result is the k-th
+    smallest of the columns' entries i."""
+    columns = list(columns)
+    for start in range(len(columns)):
+        for k in range(start % 2, len(columns) - 1, 2):
+            low, high = columns[k], columns[k + 1]
+            columns[k], columns[k + 1] = np.minimum(low, high), np.maximum(low, high)
+    return columns
+
+
+def _row_sums(columns):
+    """The elementwise sum of the columns, added in the order numpy's pairwise
+    summation adds one row of that many values: left to right below 8; up to
+    128, eight running sums combined as a tree, then the rest left to right;
+    above, the two halves' sums."""
+    m = len(columns)
+    if m < 8:
+        return reduce(np.add, columns)
+    if m > 128:
+        half = m // 2 - m // 2 % 8
+        return _row_sums(columns[:half]) + _row_sums(columns[half:])
+    runs = columns[:8]
+    for start in range(8, m - m % 8, 8):
+        runs = [run + column for run, column in zip(runs, columns[start:start + 8])]
+    a, b, c, d, e, f, g, h = runs
+    return reduce(np.add, columns[m - m % 8:], ((a + b) + (c + d)) + ((e + f) + (g + h)))
 
 
 def _onehot(labels, m):
@@ -468,7 +502,11 @@ def run_external(command, split: SampleSplit, pool: DatasetPool):
         for name, rows in (("train", split.train_indices), ("test", split.test_indices)):
             write_pool_csv(DatasetPool(pool.features[rows], pool.labels[rows]),
                            base / f"{name}.csv")
-        proc = subprocess.run(command + [str(base)], capture_output=True, text=True)
+        try:
+            proc = subprocess.run(command + [str(base)], capture_output=True, text=True)
+        except OSError as exc:  # no such program, or not executable
+            raise ExternalRunnerError(f"external runner {command} could not start: "
+                                      f"{exc.strerror or exc}") from None
         if proc.returncode != 0:
             raise ExternalRunnerError(
                 f"external runner {command} exited {proc.returncode}\n"

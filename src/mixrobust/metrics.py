@@ -26,33 +26,45 @@ class MetricsError(ValueError):
     pass
 
 
-def midranks(values):
-    """Ranks 1..n with tied values sharing the average of their positions."""
-    values = np.asarray(values, dtype=float)
-    order = np.argsort(values, kind="mergesort")
-    sv = values[order]
-    boundaries = np.flatnonzero(np.r_[True, sv[1:] != sv[:-1], True])
-    sizes = np.diff(boundaries)
-    group_mid = (boundaries[:-1] + boundaries[1:] - 1) / 2.0 + 1.0
-    ranks = np.empty(values.size)
-    ranks[order] = np.repeat(group_mid, sizes)
-    return ranks
-
-
 def auc_ovr(scores, labels, class_j):
     """One-vs-rest AUC of class_j's score column via rank sums, O(n log n)."""
     scores = np.asarray(scores, dtype=float)
     labels = np.asarray(labels)
-    column = scores[:, class_j - 1]
-    positive = labels == class_j
+    return _auc(scores[:, class_j - 1], labels == class_j, class_j)
+
+
+def aucs_ovr(scores, labels):
+    """`auc_ovr` of every class 1..m of the (n, m) scores, in class order."""
+    scores = np.asarray(scores, dtype=float)
+    labels = np.asarray(labels)
+    return [_auc(scores[:, j - 1], labels == j, j) for j in range(1, scores.shape[1] + 1)]
+
+
+def _auc(column, positive, class_j):
     n_pos = int(positive.sum())
     n_neg = int(positive.size - n_pos)
     if n_pos == 0 or n_neg == 0:
         raise MetricsError(f"class {class_j}: AUC needs at least one positive and "
                            f"one negative example (got {n_pos} / {n_neg})")
-    ranks = midranks(column)
-    rank_sum = float(ranks[positive].sum())
+    rank_sum = _twice_rank_sum(column, positive) / 2
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+
+def _twice_rank_sum(column, positive):
+    """Twice the sum of the positive entries' midranks (ranks 1..n, tied values
+    sharing the average of their positions), as an exact integer: a tie
+    group at sorted positions lo..hi - 1 gives each entry lo + hi + 1. That
+    does not depend on the order within a group, so any sort will do; only
+    NaNs, which never compare equal, rank apart, in input order as a stable
+    sort leaves them."""
+    order = np.argsort(column)
+    if np.isnan(column[order[-1]]):  # NaNs sort last
+        order = np.argsort(column, kind="stable")
+    sv = column[order]
+    starts = np.flatnonzero(np.concatenate(([True], sv[1:] != sv[:-1], [True])))
+    twice_ranks = np.empty(column.size, dtype=np.int64)
+    twice_ranks[order] = np.repeat(starts[:-1] + starts[1:] + 1, np.diff(starts))
+    return int(twice_ranks[positive].sum())
 
 
 def mean_auc(aucs):

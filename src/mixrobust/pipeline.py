@@ -22,7 +22,7 @@ from .classifiers import (ClassifierError, ClassifierKind, SyntheticDataConfig,
                           train_and_score_batch)
 from .design import (ALL_SCENARIOS, DesignConfig, DesignError, RunPlan, RunSpec,
                      TestScenario, real_table, whole_number)
-from .metrics import MetricsError, RunOutcome, auc_ovr
+from .metrics import MetricsError, RunOutcome, aucs_ovr
 from .sampling import (DatasetPool, SamplingConfig, SamplingError, class_counts,
                        compose_split, load_pool_csv, split_sizes)
 from .seeding import generator
@@ -73,7 +73,12 @@ class PoolSpec:
 
 @dataclass
 class ExperimentConfig:
-    """Everything one experiment needs: design, sizing, level assignments."""
+    """Everything one experiment needs: design, sizing, level assignments.
+
+    Every level of the classifier covariate z1 needs a classifier, and every
+    level of the pool covariate z2 a pool; the scenarios, parsed by
+    `TestScenario.parse`, are a nonempty tuple. Otherwise raises ConfigError.
+    """
 
     design: DesignConfig
     sampling: SamplingConfig
@@ -81,6 +86,17 @@ class ExperimentConfig:
     pool_specs: dict
     scenarios: tuple = ALL_SCENARIOS
     output_dir: Path = Path("out")
+
+    def __post_init__(self):
+        sections = (("classifiers", self.classifiers), ("pools", self.pool_specs))
+        for k, (name, entries) in zip(range(self.design.h), sections):
+            for level in self.design.covariate_levels[k]:
+                if level not in entries:
+                    raise ConfigError(f"{name}: no entry for z{k + 1} level {level:g}")
+        with _section("scenarios"):
+            self.scenarios = tuple(map(TestScenario.parse, self.scenarios))
+            if not self.scenarios:
+                raise ConfigError("the list must be nonempty")
 
     def classifier_for(self, spec: RunSpec) -> ClassifierSpec:
         level = spec.covariates[0]
@@ -132,8 +148,7 @@ def execute_batch(specs, pool: DatasetPool, classifier: ClassifierSpec,
             results[i] = _failure(spec, scores)
             continue
         try:
-            labels = pool.labels[split.test_indices]
-            aucs = [auc_ovr(scores, labels, j) for j in range(1, pool.m + 1)]
+            aucs = aucs_ovr(scores, pool.labels[split.test_indices])
             results[i] = RunOutcome.from_aucs(spec.run_id, spec.replicate, spec.scenario,
                                               spec.covariates, spec.train_mixture, aucs)
         except MetricsError as exc:
@@ -294,14 +309,14 @@ def _parse_classifier(doc):
 
 def _parse_synthetic(doc):
     """Means from `class_means` or `separation` are checked after m and d, as the
-    dataclass checks them. A null or empty `separability_boost` means none."""
+    dataclass checks them. A null or an empty list `separability_boost` means none."""
     m, d = (whole_number(_require(doc, key), key) for key in ("m", "d"))
     means = (real_table(doc["class_means"], "class_means") if "class_means" in doc
              else default_class_means(m, d, **_given(doc, "separation")))
     _require(doc, "n_per_class")
-    fields = _given(doc, "n_per_class", "noise_scale", "seed")
-    if doc.get("separability_boost"):
-        fields["separability_boost"] = doc["separability_boost"]
+    fields = _given(doc, "n_per_class", "noise_scale", "separability_boost", "seed")
+    if fields.get("separability_boost") == []:
+        fields["separability_boost"] = None
     return SyntheticDataConfig(m=m, d=d, class_means=means, **fields)
 
 
@@ -345,23 +360,10 @@ def parse_experiment_config(doc: dict, base_dir=Path(".")) -> ExperimentConfig:
         with _section(f"pools[{level:g}]"):
             pools[level] = _parse_pool(sub, base_dir)
 
-    sections = (("classifiers", classifiers), ("pools", pools))
-    for k, (name, entries) in zip(range(design.h), sections):
-        for level in design.covariate_levels[k]:
-            if level not in entries:
-                raise ConfigError(f"{name}: no entry for z{k + 1} level {level:g}")
-
-    with _section("scenarios"):
-        scenarios = tuple(map(TestScenario.parse,
-                              doc.get("scenarios", ExperimentConfig.scenarios)))
-        if not scenarios:
-            raise ConfigError("the list must be nonempty")
-
+    config = ExperimentConfig(design=design, sampling=sampling, classifiers=classifiers,
+                              pool_specs=pools, **_given(doc, "scenarios"))
     with _section("output_dir"):
-        output_dir = base_dir / doc.get("output_dir", ExperimentConfig.output_dir)
-    return ExperimentConfig(design=design, sampling=sampling, classifiers=classifiers,
-                            pool_specs=pools, scenarios=scenarios,
-                            output_dir=output_dir)
+        return replace(config, output_dir=base_dir / doc.get("output_dir", config.output_dir))
 
 
 def with_master_seed(config: ExperimentConfig, seed) -> ExperimentConfig:

@@ -4,7 +4,7 @@ import pytest
 from mixrobust import (ClassifierError, ClassifierKind, DatasetPool,
                        ExternalRunnerError, SampleSplit, SyntheticDataConfig,
                        auc_ovr, default_class_means, generate_pool, train_and_score)
-from mixrobust.classifiers import (HYPER_DEFAULTS, _onehot, _presort, _softmax,
+from mixrobust.classifiers import (HYPER_DEFAULTS, _onehot, _presort, _row_sums,
                                    best_stump_split, boosted_stump_scores,
                                    check_score_matrix, fit_logistic_ovr, resolve_hyper,
                                    train_and_score_batch)
@@ -132,6 +132,28 @@ def oracle_logistic_weights(features, labels, m, epochs=500, step=0.1, l2=1e-4):
     return weights
 
 
+def oracle_softmax(logits):
+    """The row-at-a-time softmax the column form replaced: numpy's row max, and
+    each row's total as numpy's sum of the row sorted."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        expd = np.exp(logits - logits.max(axis=1, keepdims=True))
+    return expd / np.sort(expd, axis=1).sum(axis=1, keepdims=True)
+
+
+def oracle_check_score_matrix(scores, m):
+    """The score check as it was written with numpy's row sums."""
+    scores = np.asarray(scores, dtype=float)
+    if scores.ndim != 2 or scores.shape[1] != m:
+        raise ClassifierError(f"score matrix has shape {scores.shape}")
+    if not np.isfinite(scores).all():
+        raise ClassifierError("scores must be finite")
+    if scores.size and (scores.min() < -1e-9 or scores.max() > 1 + 1e-9):
+        raise ClassifierError("scores must lie in [0, 1]")
+    if scores.size and np.max(np.abs(scores.sum(axis=1) - 1.0)) > 1e-9:
+        raise ClassifierError("score rows must sum to 1 within 1e-09")
+    return scores
+
+
 def overflow_pool():
     """A two-class pool whose rows 80..159 repeat rows 0..79 scaled by 1e307:
     still finite, as a pool must be, but a fit on them overflows."""
@@ -200,7 +222,7 @@ class TestStackedLogistic:
             test = pool.features[split.test_indices]
             weights = oracle_logistic_weights(pool.features[split.train_indices],
                                               pool.labels[split.train_indices], 3, epochs=40)
-            expected = _softmax(np.hstack([test, np.ones((len(test), 1))]) @ weights)
+            expected = oracle_softmax(np.hstack([test, np.ones((len(test), 1))]) @ weights)
             assert scores.tobytes() == expected.tobytes()
 
     def test_logits_beyond_float_range_score_without_warning(self):
@@ -386,7 +408,7 @@ class TestBoostedStumpsOracle:
         assert raw.tobytes() == expected_raw.tobytes()
         scores = train_and_score(ClassifierKind.BOOSTED_STUMPS, split_of(train, test),
                                  pool, hyper={"rounds": rounds})
-        assert scores.tobytes() == _softmax(expected_raw).tobytes()
+        assert scores.tobytes() == oracle_softmax(expected_raw).tobytes()
 
     @pytest.mark.parametrize("seed", [1, 3, 4, 11])
     def test_unrounded_five_classes_equal_oracle_bits(self, seed):
@@ -407,7 +429,7 @@ class TestBoostedStumpsOracle:
         train = np.arange(12)
         scores = train_and_score(ClassifierKind.BOOSTED_STUMPS, split_of(train, train),
                                  pool, hyper={"rounds": 5})
-        expected = _softmax(oracle_boosted_raw(features, labels, features, 3, 5))
+        expected = oracle_softmax(oracle_boosted_raw(features, labels, features, 3, 5))
         assert scores.tobytes() == expected.tobytes()
 
 
@@ -522,6 +544,14 @@ class TestScoreMatrixFinite:
     def test_non_finite_rejected(self, bad):
         with pytest.raises(ClassifierError, match="finite"):
             check_score_matrix(np.array([[0.5, 0.5], [bad, 0.5]]), 2)
+
+
+class TestRowSums:
+    @pytest.mark.parametrize("m", [2, 3, 7, 8, 9, 10, 16, 17, 128, 129, 130, 300])
+    def test_equal_numpy_row_sum_bits(self, m):
+        # _softmax and check_score_matrix add a row's values in this order
+        values = np.exp(generator(m, "row-sums").normal(scale=3.0, size=(40, m)))
+        assert _row_sums(list(values.T)).tobytes() == values.sum(axis=1).tobytes()
 
 
 class TestPermutationEquivariance:

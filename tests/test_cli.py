@@ -373,6 +373,15 @@ BAD_CONFIG_VALUES = [
                [["2.5", 0, 0], [0, 2.5, 0], [0, 0, 2.5]], "pools[1]", "class-means-string"),
     _bad_value(("pools", "1", "synthetic", "separability_boost"), [1, True, 1], "pools[1]",
                "separability-boost-bool"),
+    # only null and [] mean no boost; other falsy values are not a list
+    _bad_value(("pools", "1", "synthetic", "separability_boost"), False, "pools[1]",
+               "separability-boost-false"),
+    _bad_value(("pools", "1", "synthetic", "separability_boost"), 0, "pools[1]",
+               "separability-boost-zero"),
+    _bad_value(("pools", "1", "synthetic", "separability_boost"), "", "pools[1]",
+               "separability-boost-empty-string"),
+    _bad_value(("pools", "1", "synthetic", "separability_boost"), {}, "pools[1]",
+               "separability-boost-empty-object"),
 ]
 
 
@@ -501,6 +510,19 @@ class TestRunCommand:
         assert main(["run", "--config", str(config_path), "--jobs", "1"]) == EXIT_OK
         lines = (tmp_path / "out" / "outcomes.csv").read_text().splitlines()
         assert len(lines) == 1 + 28
+
+    def test_missing_runner_fails_each_run_by_name(self, tmp_path):
+        doc = small_config_doc(replicates=1)
+        doc["scenarios"] = ["balanced"]
+        doc["classifiers"]["1"] = {"kind": "external", "command": ["no-such-runner-xyz"]}
+        config_path = write_config(tmp_path, doc)
+        assert main(["run", "--config", str(config_path), "--jobs", "1"]) == EXIT_NUMERIC
+        failures = (tmp_path / "out" / "failures.csv").read_text().splitlines()
+        assert len(failures) == 1 + 14
+        assert all("external runner ['no-such-runner-xyz'] could not start" in line
+                   for line in failures[1:])
+        lines = (tmp_path / "out" / "outcomes.csv").read_text().splitlines()
+        assert len(lines) == 1 + 14
 
     def test_nan_scores_recorded_as_failures(self, tmp_path):
         runner = tmp_path / "runner.py"

@@ -6,8 +6,38 @@ import pytest
 
 from mixrobust import (MetricsError, RunOutcome, TestScenario, auc_ovr, log_sd,
                        mean_auc, read_outcomes_csv, write_outcomes_csv)
-from mixrobust.metrics import SD_FLOOR, midranks, outcomes_to_csv
+from mixrobust.metrics import SD_FLOOR, outcomes_to_csv
 from mixrobust.seeding import generator
+
+
+def midranks(values):
+    """Ranks 1..n with tied values sharing the average of their positions,
+    from a stable sort, as `auc_ovr` ranked before its rank sums became
+    exact integers."""
+    values = np.asarray(values, dtype=float)
+    order = np.argsort(values, kind="mergesort")
+    sv = values[order]
+    boundaries = np.flatnonzero(np.r_[True, sv[1:] != sv[:-1], True])
+    sizes = np.diff(boundaries)
+    group_mid = (boundaries[:-1] + boundaries[1:] - 1) / 2.0 + 1.0
+    ranks = np.empty(values.size)
+    ranks[order] = np.repeat(group_mid, sizes)
+    return ranks
+
+
+def oracle_auc_ovr(scores, labels, class_j):
+    """`auc_ovr` as it was written: the float sum of the positives' midranks."""
+    scores = np.asarray(scores, dtype=float)
+    labels = np.asarray(labels)
+    column = scores[:, class_j - 1]
+    positive = labels == class_j
+    n_pos = int(positive.sum())
+    n_neg = int(positive.size - n_pos)
+    if n_pos == 0 or n_neg == 0:
+        raise MetricsError(f"class {class_j}: AUC needs at least one positive and "
+                           f"one negative example (got {n_pos} / {n_neg})")
+    rank_sum = float(midranks(column)[positive].sum())
+    return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
 def auc_bruteforce(column, positive):

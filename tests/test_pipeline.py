@@ -1,17 +1,19 @@
 import inspect
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from mixrobust import (ClassifierKind, ConfigError, DesignConfig, DesignError, RunFailure,
-                       SamplingConfig, SamplingError, build_run_plan, execute_batch,
-                       parse_experiment_config, simulate_plan)
+                       SamplingConfig, SamplingError, TestScenario, build_run_plan,
+                       execute_batch, parse_experiment_config, simulate_plan)
 from mixrobust import pipeline
 from mixrobust.classifiers import (ClassifierError, SyntheticDataConfig, default_class_means,
                                    generate_pool)
 from mixrobust.design import plan_to_csv
-from mixrobust.pipeline import ClassifierSpec, plan_batches, resolve_jobs, with_master_seed
+from mixrobust.pipeline import (ClassifierSpec, ExperimentConfig, plan_batches, resolve_jobs,
+                               with_master_seed)
 
 
 def small_config_doc(n_per_class=400, replicates=1, master_seed=99):
@@ -44,6 +46,21 @@ class TestConfigParsing:
         assert config.pool_specs[0.0].synthetic.seed == 12
         assert len(config.scenarios) == 3
         assert config.output_dir == tmp_path / "out"
+
+    @pytest.mark.parametrize("boost", [None, []])
+    def test_null_or_empty_list_boost_means_none(self, tmp_path, boost):
+        doc = small_config_doc()
+        doc["pools"]["1"]["synthetic"]["separability_boost"] = boost
+        config = parse_experiment_config(doc, tmp_path)
+        assert config.pool_specs[1.0].synthetic.separability_boost == (1.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize("boost", [False, 0, "", {}])
+    def test_other_falsy_boost_rejected(self, tmp_path, boost):
+        doc = small_config_doc()
+        doc["pools"]["1"]["synthetic"]["separability_boost"] = boost
+        with pytest.raises(ConfigError, match=re.escape(
+                f"pools[1]: separability_boost must be a list of numbers, got {boost!r}")):
+            parse_experiment_config(doc, tmp_path)
 
     def test_missing_classifier_level_rejected(self, tmp_path):
         doc = small_config_doc()
@@ -180,6 +197,22 @@ class TestLibraryConfigsFollowTheJsonRules:
     def test_constructor_rejects_what_json_rejects(self, build, error, match):
         with pytest.raises(error, match=f"^{match}"):
             build()
+
+    def test_experiment_config_checks_levels_and_scenarios(self, tmp_path):
+        config = parse_experiment_config(small_config_doc(), tmp_path)
+        fields = dict(design=config.design, sampling=config.sampling,
+                      classifiers=config.classifiers, pool_specs=config.pool_specs)
+        for changes, match in [
+                (dict(scenarios=()), "scenarios: the list must be nonempty"),
+                (dict(scenarios=("balanced", "sideways")), "scenarios: unknown scenario"),
+                (dict(classifiers={1.0: config.classifiers[1.0]}),
+                 "classifiers: no entry for z1 level 0"),
+                (dict(pool_specs={0.0: config.pool_specs[0.0]}),
+                 "pools: no entry for z2 level 1")]:
+            with pytest.raises(ConfigError, match=f"^{match}"):
+                ExperimentConfig(**{**fields, **changes})
+        built = ExperimentConfig(**fields, scenarios=["reverse", TestScenario.BALANCED])
+        assert built.scenarios == (TestScenario.REVERSE, TestScenario.BALANCED)
 
     def test_master_seed_override_takes_whole_numbers_only(self, tmp_path):
         config = parse_experiment_config(small_config_doc(), tmp_path)

@@ -8,15 +8,19 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mixrobust import (DatasetPool, DesignConfig, RunOutcome, SamplingConfig, SamplingError,
-                       TestScenario, auc_ovr, build_run_plan, class_counts, compose_split,
-                       read_plan_csv, write_outcomes_csv, write_plan_csv)
-from mixrobust.classifiers import boosted_stump_scores, fit_logistic_ovr
+from mixrobust import (ClassifierError, DatasetPool, DesignConfig, MetricsError, RunOutcome,
+                       SamplingConfig, SamplingError, TestScenario, auc_ovr, build_run_plan,
+                       class_counts, compose_split, read_plan_csv, write_outcomes_csv,
+                       write_plan_csv)
+from mixrobust.classifiers import (_softmax, boosted_stump_scores, check_score_matrix,
+                                   fit_logistic_ovr)
 from mixrobust.design import stored_sum_bound
-from mixrobust.metrics import midranks, read_outcome_table
+from mixrobust.metrics import aucs_ovr, read_outcome_table
 from mixrobust.sampling import split_sizes
 
-from test_classifiers import oracle_boosted_raw, oracle_logistic_weights
+from test_classifiers import (oracle_boosted_raw, oracle_check_score_matrix,
+                              oracle_logistic_weights, oracle_softmax)
+from test_metrics import midranks, oracle_auc_ovr
 
 fixed = settings(derandomize=True, deadline=None, max_examples=150)
 
@@ -191,6 +195,123 @@ def test_auc_of_negated_scores_is_one_minus_auc(problem):
 def test_auc_unchanged_under_increasing_transform(problem, transform):
     score_matrix, labels = problem
     assert auc_ovr(transform(score_matrix), labels, 1) == auc_ovr(score_matrix, labels, 1)
+
+
+def outcome(call, *args):
+    """What call(*args) gives: its result's bits, or its error's type and text."""
+    try:
+        result = call(*args)
+    except (ClassifierError, MetricsError) as exc:
+        return type(exc), str(exc)
+    return np.asarray(result).tobytes()
+
+
+def column_of(kind, rng, shape):
+    """Values of one kind: continuous, coarse (many ties), signed zeros, all
+    tied, huge (so a shift by the row max overflows to -inf), or continuous
+    with NaNs and infinities among them."""
+    if kind == "coarse":
+        return rng.integers(-2, 3, size=shape).astype(float)
+    if kind == "zeros":
+        return rng.choice([0.0, -0.0], size=shape)
+    if kind == "tied":
+        return np.full(shape, rng.normal())
+    if kind == "huge":
+        return rng.choice([-1e308, 1e308, 0.0], size=shape)
+    values = rng.normal(scale=4.0, size=shape)
+    if kind == "special":
+        special = rng.random(shape) < 0.1
+        values[special] = rng.choice([np.nan, np.inf, -np.inf], size=int(special.sum()))
+    return values
+
+
+COLUMN_KINDS = ["normal", "coarse", "zeros", "tied", "huge", "special"]
+
+
+@st.composite
+def logit_stacks(draw):
+    """(B, n, m) logits over m = 2..10 classes, each class column of one kind."""
+    batch, n, m = draw(st.integers(1, 3)), draw(st.integers(1, 30)), draw(st.integers(2, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kinds = draw(st.lists(st.sampled_from(COLUMN_KINDS), min_size=m, max_size=m))
+    return np.stack([column_of(kind, rng, (batch, n)) for kind in kinds], axis=-1)
+
+
+@fixed
+@example(np.array([[[1.0, 2.0, np.nan], [3.0, 3.0, 3.0]]]))
+@example(np.array([[[1e308, -1e308], [-0.0, 0.0]]]))
+@given(logit_stacks())
+def test_softmax_and_score_check_equal_oracle_bits(logits):
+    m = logits.shape[-1]
+    stacked = _softmax(logits)
+    for run_logits, run_scores in zip(logits, stacked):
+        want = oracle_softmax(run_logits)
+        nan = np.isnan(want)
+        for got in (run_scores, _softmax(run_logits)):
+            assert np.isnan(got).tolist() == nan.tolist()
+            assert got[~nan].tobytes() == want[~nan].tobytes()
+        assert (outcome(check_score_matrix, run_scores, m)
+                == outcome(oracle_check_score_matrix, want, m))
+
+
+@st.composite
+def edge_score_matrices(draw):
+    """(n, m) softmax rows with entries nudged across the check's 1e-9 edges,
+    set in [-1e-9, 0) or set to a signed zero."""
+    n, m = draw(st.integers(1, 20)), draw(st.integers(2, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    scores = oracle_softmax(rng.normal(size=(n, m)))
+    nudged = rng.random((n, m)) < 0.2
+    scores[nudged] += rng.choice([-2e-9, -1e-9, -5e-10, 5e-10, 1e-9, 2e-9],
+                                 size=int(nudged.sum()))
+    below = rng.random((n, m)) < 0.1
+    scores[below] = rng.uniform(-1e-9, 0.0, size=int(below.sum()))
+    zeros = rng.random((n, m)) < 0.1
+    scores[zeros] = rng.choice([0.0, -0.0], size=int(zeros.sum()))
+    return scores
+
+
+@fixed
+# a row whose sum in numpy's pairwise order is over 1 + 1e-9, and left to right is not
+@example(np.array([[0.09938952476934443, 0.0551186074055968, 0.08677746137587217,
+                    0.020022556798263248, 0.32803063793185605, 0.0009455766204911917,
+                    0.2723426734410354, 0.055776299729174576, 0.029135617567510055,
+                    0.052461045360856134]]))
+@given(edge_score_matrices())
+def test_score_check_on_edge_matrices_equals_oracle(scores):
+    m = scores.shape[1]
+    assert outcome(check_score_matrix, scores, m) == outcome(oracle_check_score_matrix, scores, m)
+
+
+@st.composite
+def auc_problems(draw):
+    """(n, m) scores, each class column of one kind, and labels in 1..m in
+    which one class may hold a single row or none."""
+    n, m = draw(st.integers(1, 60)), draw(st.integers(2, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kinds = draw(st.lists(st.sampled_from(COLUMN_KINDS), min_size=m, max_size=m))
+    scores = np.column_stack([column_of(kind, rng, n) for kind in kinds])
+    labels = rng.integers(1, m + 1, size=n)
+    shown = draw(st.sampled_from(["all", "single", "none"]))
+    if shown != "all":
+        j = int(rng.integers(1, m + 1))
+        labels[labels == j] = j % m + 1
+        if shown == "single":
+            labels[rng.integers(n)] = j
+    return scores, labels
+
+
+@fixed
+@example((np.array([[0.5, 0.5]] * 4), np.array([1, 2, 1, 2])))
+@example((np.array([[0.2, 0.8], [0.7, 0.3], [0.7, 0.3]]), np.array([1, 2, 2])))
+@given(auc_problems())
+def test_aucs_equal_oracle_bits(problem):
+    scores, labels = problem
+    m = scores.shape[1]
+    want = [outcome(oracle_auc_ovr, scores, labels, j) for j in range(1, m + 1)]
+    assert [outcome(auc_ovr, scores, labels, j) for j in range(1, m + 1)] == want
+    errors = [error for error in want if isinstance(error, tuple)]
+    assert outcome(aucs_ovr, scores, labels) == (errors[0] if errors else b"".join(want))
 
 
 @st.composite
