@@ -1,4 +1,4 @@
-"""mixrobust command line: design, simulate, run, analyze, shap, contour, report.
+"""mixrobust command line: one subcommand per pipeline stage, listed in _STAGES.
 
 Every subcommand reads one JSON experiment config; stages exchange data
 through the CSV/JSON files written under the output directory. Exit codes:
@@ -55,14 +55,7 @@ def build_parser():
                      description="mixture-design experiments for classifier "
                                  "robustness under label imbalance and shift")
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
-    for name, help_text in [
-            ("design", "write the expanded run plan CSV"),
-            ("simulate", "execute built-in classifiers and write outcomes"),
-            ("run", "execute runs via the external-runner protocol"),
-            ("analyze", "fit both responses per scenario, write fit reports"),
-            ("shap", "write per-column attribution reports"),
-            ("contour", "write prediction grids and ternary SVG plots"),
-            ("report", "bundle fit reports into one text summary")]:
+    for name, (help_text, _) in _STAGES.items():
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", required=True, help="experiment config JSON")
         cmd.add_argument("--out", default=None, help="output directory override")
@@ -116,12 +109,6 @@ def cmd_design(config, args):
     return EXIT_OK
 
 
-def _write_failures(failures, path):
-    atomic_write_text(path, csv_text(
-        ["run_id", "replicate", "scenario", "reason"],
-        ([f.run_id, f.replicate, f.scenario.value, f.reason] for f in failures)))
-
-
 def _run_metadata(config):
     """Resolved settings snapshot so any run reproduces from the record."""
     classifiers = {}
@@ -160,31 +147,16 @@ def _execute(config, args, allow_external):
     path = config.output_dir / "outcomes.csv"
     write_outcomes_csv(outcomes, config.design.m, config.design.h, path)
     print(f"wrote {path} ({len(outcomes)} outcomes)")
-    if failures:
-        failures_path = config.output_dir / "failures.csv"
-        _write_failures(failures, failures_path)
-        print(f"{len(failures)} runs failed; see {failures_path}", file=sys.stderr)
-        return EXIT_NUMERIC
-    return EXIT_OK
-
-
-def cmd_simulate(config, args):
-    return _execute(config, args, allow_external=False)
-
-
-def cmd_run(config, args):
-    return _execute(config, args, allow_external=True)
-
-
-def _read_outcomes(config):
-    path = config.output_dir / "outcomes.csv"
-    try:
-        return read_outcome_table(path)
-    except OSError as exc:
-        raise CliFailure(EXIT_IO, f"cannot read outcomes {path}: {exc}; "
-                         "run `simulate` or `run` first") from None
-    except MetricsError as exc:
-        raise CliFailure(EXIT_IO, str(exc)) from None
+    failures_path = config.output_dir / "failures.csv"
+    if not failures:
+        # a previous run's failures no longer describe outcomes.csv
+        failures_path.unlink(missing_ok=True)
+        return EXIT_OK
+    atomic_write_text(failures_path, csv_text(
+        ["run_id", "replicate", "scenario", "reason"],
+        ([f.run_id, f.replicate, f.scenario.value, f.reason] for f in failures)))
+    print(f"{len(failures)} runs failed; see {failures_path}", file=sys.stderr)
+    return EXIT_NUMERIC
 
 
 def _fits(config, args):
@@ -192,7 +164,14 @@ def _fits(config, args):
     each response; every scenario is checked for rows before the first fit."""
     load_scipy()  # the pin reaches only the OpenBLAS libraries already mapped
     single_thread()
-    outcomes = _read_outcomes(config)
+    path = config.output_dir / "outcomes.csv"
+    try:
+        outcomes = read_outcome_table(path)
+    except OSError as exc:
+        raise CliFailure(EXIT_IO, f"cannot read outcomes {path}: {exc}; "
+                         "run `simulate` or `run` first") from None
+    except MetricsError as exc:
+        raise CliFailure(EXIT_IO, str(exc)) from None
     groups = []
     for scenario in _scenarios(config, args):
         rows = outcomes.where(outcomes.scenario == scenario)
@@ -211,34 +190,42 @@ def _fits(config, args):
             yield scenario, response, fit, matrix
 
 
-def cmd_analyze(config, args):
-    for scenario, response, fit, _ in _fits(config, args):
-        report = fit_report(fit, scenario, response)
-        path = config.output_dir / f"fit_{response}_{scenario.value}.json"
-        write_fit_report(report, path)
+def _fit_stage(write, config, args):
+    # the fits stay lazy: a fit that fails leaves the files written before it
+    write(config, _fits(config, args))
+    return EXIT_OK
+
+
+def _report_path(config, kind, response, scenario):
+    """The JSON that `analyze` (kind "fit") or `shap` (kind "shap") writes for
+    one fit, and that `report` reads."""
+    return config.output_dir / f"{kind}_{response}_{scenario.value}.json"
+
+
+def write_fit_reports(config, fits):
+    for scenario, response, fit, _ in fits:
+        path = _report_path(config, "fit", response, scenario)
+        write_fit_report(fit_report(fit, scenario, response), path)
         print(f"wrote {path}")
-    return EXIT_OK
 
 
-def cmd_shap(config, args):
-    for scenario, response, fit, matrix in _fits(config, args):
+def write_shap_reports(config, fits):
+    for scenario, response, fit, matrix in fits:
         report = shap_report(fit, matrix)
-        base = f"{response}_{scenario.value}"
-        write_shap_json(report, config.output_dir / f"shap_{base}.json",
-                        scenario=scenario.value, response=response)
-        write_phi_csv(report, config.output_dir / f"shap_phi_{base}.csv")
-        print(f"wrote {config.output_dir / f'shap_{base}.json'}")
-    return EXIT_OK
+        path = _report_path(config, "shap", response, scenario)
+        write_shap_json(report, path, scenario=scenario.value, response=response)
+        write_phi_csv(report, config.output_dir / f"shap_phi_{response}_{scenario.value}.csv")
+        print(f"wrote {path}")
 
 
-def cmd_contour(config, args):
+def write_contours(config, fits):
     design = config.design
     ternary = design.m == 3
     # no ternary projection beyond 3 classes: coarse lattice, CSV only; a
     # lattice with no point above the floor is a config error
     grid = TernaryGrid.build(q=CONTOUR_Q if ternary else min(CONTOUR_Q, 20),
                              min_prop=design.min_prop, m=design.m)
-    for scenario, response, fit, _ in _fits(config, args):
+    for scenario, response, fit, _ in fits:
         for z in itertools.product(*design.covariate_levels):
             grid_name, svg_name = surface_filenames(response, scenario.value, z)
             surface = replace(grid_predict(fit, grid, z),
@@ -247,7 +234,6 @@ def cmd_contour(config, args):
             if ternary:
                 write_ternary_svg(surface, config.output_dir / svg_name)
         print(f"wrote contour outputs for {response} / {scenario.value}")
-    return EXIT_OK
 
 
 def _fmt_p(p):
@@ -309,11 +295,11 @@ def _shap_lines(doc):
 def cmd_report(config, args):
     lines = ["mixrobust experiment summary", ""]
     for scenario in _scenarios(config, args):
-        fit_paths = [config.output_dir / f"fit_{response}_{scenario.value}.json"
+        fit_paths = [_report_path(config, "fit", response, scenario)
                      for response in RESPONSES]
         lines.extend(_report_lines(fit_paths, partial(_report_block, scenario)))
         lines.append("")
-        shap_path = config.output_dir / f"shap_mean_auc_{scenario.value}.json"
+        shap_path = _report_path(config, "shap", "mean_auc", scenario)
         if shap_path.exists():
             lines.extend(_report_lines([shap_path], _shap_lines))
     text = "\n".join(lines) + "\n"
@@ -324,14 +310,19 @@ def cmd_report(config, args):
     return EXIT_OK
 
 
-_COMMANDS = {
-    "design": cmd_design,
-    "simulate": cmd_simulate,
-    "run": cmd_run,
-    "analyze": cmd_analyze,
-    "shap": cmd_shap,
-    "contour": cmd_contour,
-    "report": cmd_report,
+# each subcommand's help text and stage(config, args), in pipeline order
+_STAGES = {
+    "design": ("write the expanded run plan CSV", cmd_design),
+    "simulate": ("execute built-in classifiers and write outcomes",
+                 partial(_execute, allow_external=False)),
+    "run": ("execute runs via the external-runner protocol",
+            partial(_execute, allow_external=True)),
+    "analyze": ("fit both responses per scenario, write fit reports",
+                partial(_fit_stage, write_fit_reports)),
+    "shap": ("write per-column attribution reports", partial(_fit_stage, write_shap_reports)),
+    "contour": ("write prediction grids and ternary SVG plots",
+                partial(_fit_stage, write_contours)),
+    "report": ("bundle fit reports into one text summary", cmd_report),
 }
 
 
@@ -343,7 +334,7 @@ def main(argv=None):
             raise CliFailure(EXIT_USAGE, "missing subcommand; see mixrobust --help")
         config = _load_config(args)
         try:
-            return _COMMANDS[args.command](config, args)
+            return _STAGES[args.command][1](config, args)
         except (ConfigError, ContourError, DesignError) as exc:
             raise CliFailure(EXIT_CONFIG, str(exc)) from None
         except OSError as exc:

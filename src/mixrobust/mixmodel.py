@@ -42,11 +42,9 @@ def load_scipy():
 
 def term_labels(m, h):
     """Column labels in model order: x_j, x_jx_j', x_jz_k (k-major), z_kz_k'."""
-    labels = [f"x{j}" for j in range(1, m + 1)]
-    labels += [f"x{j}x{jp}" for j in range(1, m + 1) for jp in range(j + 1, m + 1)]
-    labels += [f"x{j}z{k}" for k in range(1, h + 1) for j in range(1, m + 1)]
-    labels += [f"z{k}z{kp}" for k in range(1, h + 1) for kp in range(k + 1, h + 1)]
-    return labels
+    names = ([f"x{j}" for j in range(1, m + 1)] + [f"z{k}" for k in range(1, h + 1)]
+             + [""])  # the constant column
+    return [names[a] + names[b] for a, b in zip(*_term_factors(m, h))]
 
 
 def n_terms(m, h):
@@ -54,10 +52,11 @@ def n_terms(m, h):
 
 
 def _term_factors(m, h):
-    """Per model column, the two columns of [x | z | 1] whose product it is.
+    """Per model column, the two columns of [x | z | 1] whose product it is;
+    this order is the model's column order, and term_labels names it.
 
     Main effects pair x_j with the constant column; multiplying by 1.0 is
-    exact, so every column is one elementwise product in term_labels order.
+    exact, so every column is one elementwise product.
     """
     one = m + h
     pair_j, pair_jp = np.triu_indices(m, 1)

@@ -1,7 +1,9 @@
 import hashlib
 import json
+import re
 import shutil
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +11,18 @@ from mixrobust.cli import (EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK,
                            EXIT_USAGE, main)
 
 from test_pipeline import small_config_doc
+
+
+# each subcommand and its help text, in pipeline order
+STAGE_HELP = [
+    ("design", "write the expanded run plan CSV"),
+    ("simulate", "execute built-in classifiers and write outcomes"),
+    ("run", "execute runs via the external-runner protocol"),
+    ("analyze", "fit both responses per scenario, write fit reports"),
+    ("shap", "write per-column attribution reports"),
+    ("contour", "write prediction grids and ternary SVG plots"),
+    ("report", "bundle fit reports into one text summary"),
+]
 
 
 def write_config(tmp_path, doc=None, name="config.json"):
@@ -294,6 +308,22 @@ class TestMalformedOutcomes:
 
 
 class TestReportCommand:
+    def test_attribution_block_follows_shap(self, experiment_dir, tmp_path, capsys):
+        out, config_path = self._copied_outputs(experiment_dir, tmp_path)
+        for path in out.glob("shap_*"):
+            path.unlink()
+        assert main(["report", "--config", str(config_path)]) == EXIT_OK
+        assert "Attribution" not in (out / "report.txt").read_text()
+        assert main(["shap", "--config", str(config_path)]) == EXIT_OK
+        assert main(["report", "--config", str(config_path)]) == EXIT_OK
+        text = (out / "report.txt").read_text()
+        assert text.count("Attribution (mean AUC), descending:\n") == 3
+        for scenario in ("balanced", "consistent", "reverse"):
+            doc = json.loads((out / f"shap_mean_auc_{scenario}.json").read_text())
+            block = "".join(f"  {e['label']:<8}{e['importance']:>10.4f}\n"
+                            for e in doc["importances"])
+            assert f"Attribution (mean AUC), descending:\n{block}" in text
+
     def test_report_text(self, experiment_dir, capsys):
         tmp_path, config_path = experiment_dir
         assert main(["report", "--config", str(config_path)]) == EXIT_OK
@@ -454,6 +484,21 @@ class TestExitCodes:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == EXIT_OK
 
+    def test_help_lists_stages_in_readme_order(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "200")
+        assert main(["--help"]) == EXIT_OK
+        listed = re.findall(r"^    (\w+) +(.+)$", capsys.readouterr().out, re.MULTILINE)
+        assert listed == STAGE_HELP
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        assert re.findall(r"^mixrobust (\w+) +--config", readme, re.MULTILINE) == [
+            name for name, _ in STAGE_HELP]
+
+    @pytest.mark.parametrize("stage", [name for name, _ in STAGE_HELP])
+    def test_stage_help_exits_zero(self, capsys, stage):
+        assert main([stage, "--help"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert out.startswith(f"usage: mixrobust {stage} ") and "--config CONFIG" in out
+
     @pytest.mark.parametrize("under", [False, True], ids=["file", "file-sub"])
     @pytest.mark.parametrize("command", ["design", "simulate", "analyze"])
     def test_output_path_through_a_file_exits_io_naming_it(self, tmp_path, capsys,
@@ -523,6 +568,23 @@ class TestRunCommand:
                    for line in failures[1:])
         lines = (tmp_path / "out" / "outcomes.csv").read_text().splitlines()
         assert len(lines) == 1 + 14
+
+    def test_clean_rerun_removes_stale_failures(self, tmp_path, capsys):
+        doc = small_config_doc(replicates=1)
+        doc["scenarios"] = ["balanced"]
+        clean_path = write_config(tmp_path, doc, name="clean.json")
+        doc["classifiers"]["1"] = {"kind": "external", "command": ["no-such-runner-xyz"]}
+        failing_path = write_config(tmp_path, doc, name="failing.json")
+        failures = tmp_path / "out" / "failures.csv"
+        assert main(["run", "--config", str(failing_path), "--jobs", "1"]) == EXIT_NUMERIC
+        stale = failures.read_bytes()
+        # a stage stopped before its runs leaves the previous pair of files
+        assert main(["simulate", "--config", str(failing_path)]) == EXIT_CONFIG
+        assert failures.read_bytes() == stale
+        assert main(["simulate", "--config", str(clean_path), "--jobs", "1"]) == EXIT_OK
+        lines = (tmp_path / "out" / "outcomes.csv").read_text().splitlines()
+        assert len(lines) == 1 + 28
+        assert not failures.exists()
 
     def test_nan_scores_recorded_as_failures(self, tmp_path):
         runner = tmp_path / "runner.py"

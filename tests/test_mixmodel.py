@@ -1,5 +1,6 @@
 import ast
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -74,6 +75,23 @@ class TestModelRowAndLabels:
     def test_thirteen_columns_for_reference_shape(self):
         assert len(term_labels(3, 2)) == 13
         assert model_row((0.2, 0.3, 0.5), (1, 0)).size == 13
+
+    @pytest.mark.parametrize("m", range(2, 11))
+    @pytest.mark.parametrize("h", range(4))
+    def test_each_column_is_the_product_its_label_names(self, m, h):
+        rng = generator(90 + 4 * m + h, "labels")
+        mixtures = rng.dirichlet(np.ones(m), size=11)
+        covariates = rng.normal(size=(11, h))
+        factors = {f"x{j + 1}": mixtures[:, j] for j in range(m)}
+        factors.update({f"z{k + 1}": covariates[:, k] for k in range(h)})
+        matrix = model_matrix(mixtures, covariates)
+        labels = term_labels(m, h)
+        assert len(set(labels)) == len(labels) == matrix.shape[1]
+        for column, label in zip(matrix.T, labels):
+            names = re.findall(r"[xz]\d+", label)
+            assert "".join(names) == label and len(names) in (1, 2)
+            want = np.prod([factors[name] for name in names], axis=0)
+            assert column.tobytes() == want.tobytes(), label
 
 
 class TestModelMatrix:
