@@ -37,7 +37,7 @@ for z in itertools.product(*design.covariate_levels):
     surface.response = "mean_auc"
     surface.scenario = "balanced"
     grid_name, name = surface_filenames("mean_auc", "balanced", z)
-    write_ternary_svg(surface, out_dir / name, levels=10)
+    write_ternary_svg(surface, out_dir / name)
     write_grid_csv(surface, out_dir / grid_name)
     peak = surface.points[np.argmax(surface.values)]
     print(f"z={z}: wrote {name}; surface peak near {np.round(peak, 3)} "

@@ -26,8 +26,8 @@ from .pipeline import (ConfigError, ExperimentConfig, checked_pools,
                        parse_experiment_config, resolve_jobs, simulate_plan,
                        with_master_seed)
 from .shapley import shap_report, write_phi_csv, write_shap_json
-from .ternary import (ContourError, TernaryGrid, grid_predict, surface_filenames,
-                      write_grid_csv, write_ternary_svg)
+from .ternary import (ContourError, TernaryGrid, covariate_tag, grid_predict,
+                      surface_filenames, write_grid_csv, write_ternary_svg)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -161,7 +161,8 @@ def _execute(config, args, allow_external):
 
 def _fits(config, args):
     """Yield (scenario, response, fit, matrix) for each selected scenario and
-    each response; every scenario is checked for rows before the first fit."""
+    each response. The outcomes' m and h must be the design's, and every
+    scenario is checked for rows, before the first fit."""
     load_scipy()  # the pin reaches only the OpenBLAS libraries already mapped
     single_thread()
     path = config.output_dir / "outcomes.csv"
@@ -170,8 +171,12 @@ def _fits(config, args):
     except OSError as exc:
         raise CliFailure(EXIT_IO, f"cannot read outcomes {path}: {exc}; "
                          "run `simulate` or `run` first") from None
-    except MetricsError as exc:
-        raise CliFailure(EXIT_IO, str(exc)) from None
+    design = config.design
+    m, h = outcomes.train_mixture.shape[1], outcomes.covariates.shape[1]
+    if (m, h) != (design.m, design.h):
+        raise CliFailure(EXIT_IO, f"{path} holds outcomes of m={m} mixture parts and "
+                         f"h={h} covariates, but the design has m={design.m} and "
+                         f"h={design.h}; run `simulate` or `run` again")
     groups = []
     for scenario in _scenarios(config, args):
         rows = outcomes.where(outcomes.scenario == scenario)
@@ -181,13 +186,9 @@ def _fits(config, args):
         groups.append((scenario, rows))
     for scenario, rows in groups:
         for response in RESPONSES:
-            try:
-                data = dataset_from_table(rows, response)
-                matrix = build_design_matrix(data)
-                fit = fit_ols(matrix, data.y)
-            except ModelError as exc:
-                raise CliFailure(EXIT_NUMERIC, str(exc)) from None
-            yield scenario, response, fit, matrix
+            data = dataset_from_table(rows, response)
+            matrix = build_design_matrix(data)
+            yield scenario, response, fit_ols(matrix, data.y), matrix
 
 
 def _fit_stage(write, config, args):
@@ -225,8 +226,15 @@ def write_contours(config, fits):
     # lattice with no point above the floor is a config error
     grid = TernaryGrid.build(q=CONTOUR_Q if ternary else min(CONTOUR_Q, 20),
                              min_prop=design.min_prop, m=design.m)
+    # each covariate combination needs file names of its own
+    combos = {}
+    for z in itertools.product(*design.covariate_levels):
+        first = combos.setdefault(covariate_tag(z), z)
+        if first != z:
+            raise ContourError(f"covariate levels {first} and {z} would both write "
+                               f"contour files tagged {covariate_tag(z)}")
     for scenario, response, fit, _ in fits:
-        for z in itertools.product(*design.covariate_levels):
+        for z in combos.values():
             grid_name, svg_name = surface_filenames(response, scenario.value, z)
             surface = replace(grid_predict(fit, grid, z),
                               response=response, scenario=scenario.value)
@@ -326,6 +334,11 @@ _STAGES = {
 }
 
 
+# the exit code of each error class a stage raises; the message is the error's
+_EXIT_CODES = {ConfigError: EXIT_CONFIG, ContourError: EXIT_CONFIG, DesignError: EXIT_CONFIG,
+               MetricsError: EXIT_IO, ModelError: EXIT_NUMERIC}
+
+
 def main(argv=None):
     parser = build_parser()
     try:
@@ -335,8 +348,8 @@ def main(argv=None):
         config = _load_config(args)
         try:
             return _STAGES[args.command][1](config, args)
-        except (ConfigError, ContourError, DesignError) as exc:
-            raise CliFailure(EXIT_CONFIG, str(exc)) from None
+        except tuple(_EXIT_CODES) as exc:
+            raise CliFailure(_EXIT_CODES[type(exc)], str(exc)) from None
         except OSError as exc:
             # a writer's error; the readers word their own. A rename names
             # its target second.

@@ -138,9 +138,6 @@ class RunPlan:
     def __len__(self):
         return len(self.runs)
 
-    def __iter__(self):
-        return iter(self.runs)
-
 
 def check_floor(m, min_prop, error=DesignError):
     """The constrained simplex is nonempty: m >= 2 parts, each at or above a

@@ -15,6 +15,7 @@ import re
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 
 from .classifiers import (ClassifierError, ClassifierKind, SyntheticDataConfig,
@@ -34,6 +35,10 @@ BATCH_SIZE = 8
 
 class ConfigError(ValueError):
     pass
+
+
+_TWO_COVARIATES = ("the pipeline expects two covariates: the classifier level and "
+                   "the pool level")
 
 
 @dataclass(frozen=True)
@@ -75,9 +80,10 @@ class PoolSpec:
 class ExperimentConfig:
     """Everything one experiment needs: design, sizing, level assignments.
 
-    Every level of the classifier covariate z1 needs a classifier, and every
-    level of the pool covariate z2 a pool; the scenarios, parsed by
-    `TestScenario.parse`, are a nonempty tuple. Otherwise raises ConfigError.
+    The design has two covariates or more. Every level of the classifier
+    covariate z1 needs a classifier, and every level of the pool covariate
+    z2 a pool; the scenarios, parsed by `TestScenario.parse`, are a nonempty
+    tuple. Otherwise raises ConfigError.
     """
 
     design: DesignConfig
@@ -88,6 +94,8 @@ class ExperimentConfig:
     output_dir: Path = Path("out")
 
     def __post_init__(self):
+        if self.design.h < 2:
+            raise ConfigError(_TWO_COVARIATES)
         sections = (("classifiers", self.classifiers), ("pools", self.pool_specs))
         for k, (name, entries) in zip(range(self.design.h), sections):
             for level in self.design.covariate_levels[k]:
@@ -169,19 +177,23 @@ def resolve_jobs(jobs=None):
     return jobs
 
 
-_WORKER_STATE = {}
-
-
-def _init_worker(pools, classifiers, sampling):
-    _WORKER_STATE["pools"] = pools
-    _WORKER_STATE["classifiers"] = classifiers
-    _WORKER_STATE["sampling"] = sampling
-
-
-def _execute_batch_in_worker(specs):
+def _execute_planned(pools, classifiers, sampling, specs):
+    """execute_batch on the classifier and the pool of the batch's (z1, z2) group."""
     z1, z2 = specs[0].covariates[:2]
-    return execute_batch(specs, _WORKER_STATE["pools"][z2],
-                         _WORKER_STATE["classifiers"][z1], _WORKER_STATE["sampling"])
+    return execute_batch(specs, pools[z2], classifiers[z1], sampling)
+
+
+# (pools, classifiers, sampling), set by _init_worker in each worker process
+_worker_state = ()
+
+
+def _init_worker(*state):
+    global _worker_state
+    _worker_state = state
+
+
+def _execute_in_worker(specs):
+    return _execute_planned(*_worker_state, specs)
 
 
 def plan_batches(runs):
@@ -194,9 +206,17 @@ def plan_batches(runs):
             for start in range(0, len(group), BATCH_SIZE)]
 
 
-def _check_pools(pools, m):
-    """Every pool must hold exactly the labels 1..m, and all pools one
-    feature width; raises ConfigError before any run is attempted."""
+def checked_pools(plan: RunPlan, config: ExperimentConfig, pools=None):
+    """The pools the plan runs on, materialised unless given, once every pool
+    holds exactly the labels 1..m, all pools have one feature width, every
+    pool gives both sides of a split at least one row, and every run has a
+    classifier, a matching pool, a scenario and no test count above its
+    class's pool size (checked once per pool and test mixture). Raises
+    ConfigError or DesignError before any run is attempted."""
+    if plan.config.h < 2:
+        raise ConfigError(_TWO_COVARIATES)
+    pools = config.materialize_pools() if pools is None else pools
+    m = plan.config.m
     for level, pool in sorted(pools.items()):
         missing = [j + 1 for j, rows in enumerate(pool.class_index) if rows.size == 0]
         if pool.m != m or missing:
@@ -207,19 +227,6 @@ def _check_pools(pools, m):
     if len(set(widths.values())) > 1:
         raise ConfigError("pools differ in feature width: " + ", ".join(
             f"z2={level:g} has d={d}" for level, d in sorted(widths.items())))
-
-
-def checked_pools(plan: RunPlan, config: ExperimentConfig, pools=None):
-    """The pools the plan runs on, materialised unless given, once every pool
-    gives both sides of a split at least one row and every run has a
-    classifier, a matching pool, a scenario and no test count above its
-    class's pool size (checked once per pool and test mixture). Raises
-    ConfigError or DesignError before any run is attempted."""
-    if plan.config.h < 2:
-        raise ConfigError("the pipeline expects two covariates: the classifier "
-                          "level and the pool level")
-    pools = config.materialize_pools() if pools is None else pools
-    _check_pools(pools, plan.config.m)
     for level, pool in sorted(pools.items()):
         for key, size in zip(("train_frac", "test_frac"),
                              split_sizes(config.sampling, pool.n)):
@@ -253,23 +260,16 @@ def simulate_plan(plan: RunPlan, config: ExperimentConfig, jobs=1, pools=None):
     pools = checked_pools(plan, config, pools)
     batches = plan_batches(plan.runs)
     jobs = resolve_jobs(jobs)
+    state = (pools, config.classifiers, config.sampling)
     if jobs == 1 or len(batches) <= 1:
-        results = [result for batch in batches
-                   for result in execute_batch(batch, pools[batch[0].covariates[1]],
-                                               config.classifier_for(batch[0]),
-                                               config.sampling)]
+        results = list(map(partial(_execute_planned, *state), batches))
     else:
-        with ProcessPoolExecutor(
-                max_workers=jobs, initializer=_init_worker,
-                initargs=(pools, config.classifiers, config.sampling)) as executor:
-            results = [result for batch in executor.map(_execute_batch_in_worker, batches)
-                       for result in batch]
-
-    outcomes = sorted((r for r in results if isinstance(r, RunOutcome)),
-                      key=lambda o: o.run_id)
-    failures = sorted((r for r in results if isinstance(r, RunFailure)),
-                      key=lambda f: f.run_id)
-    return outcomes, failures
+        with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker,
+                                 initargs=state) as executor:
+            results = list(executor.map(_execute_in_worker, batches))
+    ordered = sorted((r for batch in results for r in batch), key=lambda r: r.run_id)
+    return ([r for r in ordered if isinstance(r, RunOutcome)],
+            [r for r in ordered if isinstance(r, RunFailure)])
 
 
 @contextmanager

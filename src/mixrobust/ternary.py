@@ -246,6 +246,7 @@ def render_ternary(grid: TernaryGrid, levels=CONTOUR_LEVELS) -> bytes:
     vmax = float(np.max(values))
     constant = vmax - vmin <= _FLAT_ULPS * np.spacing(max(abs(vmin), abs(vmax)))
     n_bands = 1 if constant else levels
+    colors = [_ramp_color((band + 0.5) / n_bands) for band in range(n_bands)]
 
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -265,10 +266,9 @@ def render_ternary(grid: TernaryGrid, levels=CONTOUR_LEVELS) -> bytes:
         cell_values = values[cells].sum(axis=1) / 3.0
         bands = ((cell_values - vmin) / (vmax - vmin) * levels).astype(int)
         bands = np.clip(bands, 0, levels - 1)
-    for band, loops in enumerate(_band_loops(bands, n_bands, lattice)):
+    for color, loops in zip(colors, _band_loops(bands, n_bands, lattice)):
         if not loops:
             continue
-        color = _ramp_color(0.5 if constant else (band + 0.5) / levels)
         path = "".join(loops)
         # the same-color stroke hides the anti-aliasing seam between bands
         parts.append(f'<path d="{path}" fill="{color}" stroke="{color}" '
@@ -300,8 +300,7 @@ def render_ternary(grid: TernaryGrid, levels=CONTOUR_LEVELS) -> bytes:
     legend_x = _MARGIN_LEFT + _SIDE + 30.0
     swatch = min(24.0, (_SIDE * SQRT3_2) / n_bands)
     legend_top = _MARGIN_TOP
-    for band in range(n_bands):
-        color = _ramp_color(0.5 if constant else (band + 0.5) / levels)
+    for band, color in enumerate(colors):
         y = legend_top + (n_bands - 1 - band) * swatch
         parts.append(f'<rect x="{legend_x:.1f}" y="{y:.1f}" width="18" '
                      f'height="{swatch:.1f}" fill="{color}" stroke="black" '
@@ -323,12 +322,18 @@ def _escape(text):
     return (str(text).replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;"))
 
 
+def covariate_tag(z):
+    """`z` followed by the levels of `z` with no separator, as in `z10`."""
+    return "z" + "".join(f"{float(v):g}" for v in z)
+
+
 def surface_filenames(response, scenario, z):
     """One surface's grid CSV and SVG names: `grid_<stem>.csv` and
-    `contour_<stem>.svg`, where the stem is `<response>_<scenario>_z<levels>`."""
-    stem = f"{response}_{scenario}_z{''.join(f'{float(v):g}' for v in z)}"
+    `contour_<stem>.svg`, where the stem is `<response>_<scenario>_<tag>`
+    and the tag is `covariate_tag(z)`."""
+    stem = f"{response}_{scenario}_{covariate_tag(z)}"
     return f"grid_{stem}.csv", f"contour_{stem}.svg"
 
 
-def write_ternary_svg(grid: TernaryGrid, path, levels=CONTOUR_LEVELS):
-    atomic_write_bytes(path, render_ternary(grid, levels=levels))
+def write_ternary_svg(grid: TernaryGrid, path):
+    atomic_write_bytes(path, render_ternary(grid))

@@ -68,6 +68,17 @@ class TestDesignCommand:
         assert (tmp_path / "out" / "plan.csv").read_text() != base
 
 
+    def test_one_covariate_config_exits_config_before_writing(self, tmp_path, capsys):
+        doc = small_config_doc()
+        doc["design"]["covariate_levels"] = [[1, 0]]
+        config_path = write_config(tmp_path, doc)
+        assert main(["design", "--config", str(config_path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"mixrobust: error: config {config_path}: the pipeline expects two "
+            "covariates: the classifier level and the pool level\n")
+        assert not (tmp_path / "out").exists()
+
+
 class TestSimulateCommand:
     def test_outcomes_written(self, experiment_dir):
         tmp_path, _ = experiment_dir
@@ -263,6 +274,49 @@ class TestEmptyContourLattice:
         assert main(["contour", "--config", str(config_path)]) == EXIT_CONFIG
         assert "q=20 has all m=7 parts at or above min_prop=0.14" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+class TestContourFileNames:
+    @pytest.mark.parametrize("levels,code", [
+        ([[1, 11], [1, 11]], EXIT_CONFIG),
+        # the c7 and m5 level sets pass the name check and reach the outcomes
+        ([[1, 0], [1, 0]], EXIT_IO),
+        ([[1, 0], [1, 0], [1, 0]], EXIT_IO)])
+    def test_colliding_file_names_exit_config(self, tmp_path, capsys, levels, code):
+        doc = small_config_doc()
+        doc["design"]["covariate_levels"] = levels
+        for section in ("classifiers", "pools"):
+            doc[section]["11"] = doc[section]["0"]
+        config_path = write_config(tmp_path, doc)
+        assert main(["contour", "--config", str(config_path)]) == code
+        err = capsys.readouterr().err
+        if code == EXIT_CONFIG:
+            assert err == ("mixrobust: error: covariate levels (1.0, 11.0) and (11.0, 1.0) "
+                           "would both write contour files tagged z111\n")
+        else:
+            assert "cannot read outcomes" in err
+        assert not (tmp_path / "out").exists()
+
+
+class TestOutcomesFromAnotherDesign:
+    @pytest.mark.parametrize("command", ["analyze", "shap", "contour"])
+    @pytest.mark.parametrize("change,shape", [
+        ({"covariate_levels": [[1, 0], [1, 0], [1, 0]]}, "m=3 and h=3"),
+        ({"m": 4}, "m=4 and h=2")])
+    def test_exits_io_before_any_fit(self, experiment_dir, tmp_path, capsys, command,
+                                     change, shape):
+        source, _ = experiment_dir
+        path = tmp_path / "out" / "outcomes.csv"
+        path.parent.mkdir()
+        shutil.copy(source / "out" / "outcomes.csv", path)
+        doc = small_config_doc()
+        doc["design"].update(change)
+        config_path = write_config(tmp_path, doc)
+        assert main([command, "--config", str(config_path)]) == EXIT_IO
+        assert capsys.readouterr().err == (
+            f"mixrobust: error: {path} holds outcomes of m=3 mixture parts and h=2 "
+            f"covariates, but the design has {shape}; run `simulate` or `run` again\n")
+        assert [p.name for p in path.parent.iterdir()] == ["outcomes.csv"]
 
 
 class TestNonFiniteOutcomes:

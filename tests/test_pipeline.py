@@ -208,7 +208,9 @@ class TestLibraryConfigsFollowTheJsonRules:
                 (dict(classifiers={1.0: config.classifiers[1.0]}),
                  "classifiers: no entry for z1 level 0"),
                 (dict(pool_specs={0.0: config.pool_specs[0.0]}),
-                 "pools: no entry for z2 level 1")]:
+                 "pools: no entry for z2 level 1"),
+                (dict(design=replace(config.design, covariate_levels=((1, 0),))),
+                 "the pipeline expects two covariates")]:
             with pytest.raises(ConfigError, match=f"^{match}"):
                 ExperimentConfig(**{**fields, **changes})
         built = ExperimentConfig(**fields, scenarios=["reverse", TestScenario.BALANCED])
@@ -372,11 +374,12 @@ class TestSimulatePlan:
         assert [o.aucs for o in first] == [o.aucs for o in second]
 
     def test_worker_pool_matches_serial(self, tmp_path):
+        # the whole plan: all four (z1, z2) groups, both classifier kinds
         config, plan = self._setup(tmp_path)
-        plan.runs = plan.runs[:12]
         serial, _ = simulate_plan(plan, config, jobs=1)
         parallel, _ = simulate_plan(plan, config, jobs=2)
-        assert [o.aucs for o in serial] == [o.aucs for o in parallel]
+        assert [o.run_id for o in serial] == list(range(1, 85))
+        assert serial == parallel
 
     def test_tiny_pool_records_failures(self, tmp_path):
         # 12-point training draws put zero observations in the rare classes,
