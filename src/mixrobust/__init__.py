@@ -9,8 +9,7 @@ effects, Shapley attribution, ternary prediction surfaces).
 
 from .design import (ALL_SCENARIOS, DesignConfig, DesignError, RunPlan, RunSpec,
                      TestScenario, build_run_plan, cross_array, expand_plan,
-                     read_plan_csv, scenario_test_proportions, simplex_centroid,
-                     write_plan_csv)
+                     scenario_test_proportions, simplex_centroid, write_plan_csv)
 from .sampling import (DatasetPool, SampleSplit, SamplingConfig, SamplingError,
                        class_counts, compose_split, compose_test, compose_training,
                        load_pool_csv, write_pool_csv)

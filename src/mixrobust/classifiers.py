@@ -231,21 +231,6 @@ def fit_logistic_ovr(features, labels, m, *, epochs=500, step=0.1, l2=1e-4):
     return weights
 
 
-def best_stump_split(values, residuals):
-    """Single-feature stump minimizing squared error on the residuals.
-
-    Returns (threshold, left_mean, right_mean, sse); threshold is the
-    midpoint between the adjacent sorted values around the best cut, and
-    None when the feature is constant. Needs at least two values. This is
-    the one-run, one-class, one-feature call of the booster's split search.
-    """
-    features = np.asarray(values, dtype=float)[None, :, None]
-    search = _StumpSearch(features, dense_ranks(features[0])[:, None], 1, 0)
-    split = search(np.asarray(residuals, dtype=float)[None, None])
-    threshold, left, right, sse = (float(table.item()) for table in split)
-    return None if threshold == np.inf else threshold, left, right, sse
-
-
 def _presort(features, ranks):
     """Per-run facts of the (B, n, d) training features, shared by every round
     and class, from their (d, B, n) dense ranks: the stable sort order of each

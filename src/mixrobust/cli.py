@@ -18,7 +18,7 @@ from pathlib import Path
 from .blas import single_thread
 from .classifiers import ClassifierKind, resolve_hyper
 from .design import DesignError, TestScenario, build_run_plan, write_plan_csv
-from .fileio import atomic_write_text, csv_text, write_json
+from .fileio import atomic_write_text, csv_text, read_csv, write_json
 from .metrics import MetricsError, read_outcome_table, write_outcomes_csv
 from .mixmodel import (RESPONSES, ModelError, build_design_matrix, dataset_from_table,
                        fit_ols, fit_report, load_scipy, write_fit_report)
@@ -36,6 +36,7 @@ EXIT_IO = 3
 EXIT_NUMERIC = 4
 
 CONTOUR_Q = 100  # grid steps per simplex edge
+FAILURES_HEADER = ["run_id", "replicate", "scenario", "reason"]
 
 
 class CliFailure(Exception):
@@ -153,16 +154,30 @@ def _execute(config, args, allow_external):
         failures_path.unlink(missing_ok=True)
         return EXIT_OK
     atomic_write_text(failures_path, csv_text(
-        ["run_id", "replicate", "scenario", "reason"],
+        FAILURES_HEADER,
         ([f.run_id, f.replicate, f.scenario.value, f.reason] for f in failures)))
     print(f"{len(failures)} runs failed; see {failures_path}", file=sys.stderr)
     return EXIT_NUMERIC
 
 
+def _failed_scenarios(path):
+    """The scenarios of the runs that the failures.csv at path lists; none
+    when there is no such file."""
+    def layout(header):
+        return FAILURES_HEADER, lambda row: TestScenario.parse(row[2])
+    try:
+        return set(read_csv(path, MetricsError, layout))
+    except FileNotFoundError:
+        return set()
+    except OSError as exc:
+        raise MetricsError(f"cannot read {path}: {exc}") from None
+
+
 def _fits(config, args):
     """Yield (scenario, response, fit, matrix) for each selected scenario and
     each response. The outcomes' m and h must be the design's, and every
-    scenario is checked for rows, before the first fit."""
+    scenario is checked for rows, before the first fit. A fit's ModelError
+    names its scenario and response."""
     load_scipy()  # the pin reaches only the OpenBLAS libraries already mapped
     single_thread()
     path = config.output_dir / "outcomes.csv"
@@ -181,14 +196,23 @@ def _fits(config, args):
     for scenario in _scenarios(config, args):
         rows = outcomes.where(outcomes.scenario == scenario)
         if not len(rows):
+            failures = path.with_name("failures.csv")
+            if scenario in _failed_scenarios(failures):
+                raise CliFailure(EXIT_NUMERIC, f"every run of scenario {scenario.value} "
+                                 f"failed; see {failures}")
             raise CliFailure(EXIT_IO, f"outcomes file has no rows for scenario "
                              f"{scenario.value}")
         groups.append((scenario, rows))
     for scenario, rows in groups:
         for response in RESPONSES:
-            data = dataset_from_table(rows, response)
-            matrix = build_design_matrix(data)
-            yield scenario, response, fit_ols(matrix, data.y), matrix
+            try:
+                data = dataset_from_table(rows, response)
+                matrix = build_design_matrix(data)
+                fit = fit_ols(matrix, data.y)
+            except ModelError as exc:
+                raise ModelError(f"scenario {scenario.value}, response {response}: "
+                                 f"{exc}") from None
+            yield scenario, response, fit, matrix
 
 
 def _fit_stage(write, config, args):
@@ -277,16 +301,16 @@ def _report_block(scenario, mean_rep, sd_rep):
     return lines
 
 
-def _report_lines(paths, format_docs):
-    """format_docs(*docs) for the JSON files at paths; a file that cannot be
-    read, decoded or formatted exits 3 naming it."""
+def _report_lines(paths, format_docs, stage):
+    """format_docs(*docs) for the JSON files at paths, which `stage` writes;
+    a file that cannot be read, decoded or formatted exits 3 naming it."""
     docs = []
     for path in paths:
         try:
             docs.append(json.loads(path.read_text()))
         except (OSError, ValueError) as exc:
-            raise CliFailure(EXIT_IO, f"cannot read {path}: {exc}; "
-                             "run `analyze` first") from None
+            raise CliFailure(EXIT_IO, f"cannot read {path}: {exc}; `{stage}` writes it "
+                             "and stops at the first fit that fails") from None
     try:
         return format_docs(*docs)
     except (KeyError, TypeError, ValueError) as exc:
@@ -305,11 +329,11 @@ def cmd_report(config, args):
     for scenario in _scenarios(config, args):
         fit_paths = [_report_path(config, "fit", response, scenario)
                      for response in RESPONSES]
-        lines.extend(_report_lines(fit_paths, partial(_report_block, scenario)))
+        lines.extend(_report_lines(fit_paths, partial(_report_block, scenario), "analyze"))
         lines.append("")
         shap_path = _report_path(config, "shap", "mean_auc", scenario)
         if shap_path.exists():
-            lines.extend(_report_lines([shap_path], _shap_lines))
+            lines.extend(_report_lines([shap_path], _shap_lines, "shap"))
     text = "\n".join(lines) + "\n"
     path = config.output_dir / "report.txt"
     atomic_write_text(path, text)
@@ -349,7 +373,8 @@ def main(argv=None):
         try:
             return _STAGES[args.command][1](config, args)
         except tuple(_EXIT_CODES) as exc:
-            raise CliFailure(_EXIT_CODES[type(exc)], str(exc)) from None
+            code = next(code for error, code in _EXIT_CODES.items() if isinstance(exc, error))
+            raise CliFailure(code, str(exc)) from None
         except OSError as exc:
             # a writer's error; the readers word their own. A rename names
             # its target second.

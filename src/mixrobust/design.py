@@ -17,7 +17,7 @@ from functools import partial
 
 import numpy as np
 
-from .fileio import atomic_write_text, csv_text, read_csv
+from .fileio import atomic_write_text, csv_text
 from .seeding import derive_seed, generator
 
 MIXTURE_SUM_TOL = 1e-12
@@ -309,51 +309,3 @@ def _plan_row(run: RunSpec):
 
 def write_plan_csv(plan: RunPlan, path):
     atomic_write_text(path, plan_to_csv(plan))
-
-
-def stored_sum_bound(m):
-    """How far from 1 the m printed proportions of a row can sum: rounding
-    each part moves it by at most half a unit in the last decimal, and
-    parsing and adding the parts by a few ulps more."""
-    return m * (0.5 * 10.0 ** -PROPORTION_DECIMALS + 4 * np.finfo(float).eps)
-
-
-def renormalize_rows(block, where, error=DesignError):
-    """Each row of an (n, m) block of stored proportions divided by its sum.
-
-    A sum outside 1 +/- stored_sum_bound(m) raises error("<where(i)>:
-    <reason>") for the first such row i.
-    """
-    block = np.asarray(block, dtype=float)
-    total = block.sum(axis=1)
-    bound = stored_sum_bound(block.shape[1])
-    bad = np.flatnonzero(~(np.abs(total - 1.0) <= bound))
-    if bad.size:
-        i = int(bad[0])
-        raise error(f"{where(i)}: stored proportions sum to {total[i]}, "
-                    f"outside 1 +/- {bound:.2g}")
-    return block / total[:, None]
-
-
-def read_plan_csv(path):
-    """Read run specs back; the printed proportions are renormalized to sum 1.
-    A malformed file or row raises DesignError naming it."""
-    return read_csv(path, DesignError, _plan_layout)
-
-
-def _plan_layout(header):
-    m = sum(1 for name in header if name.startswith("x"))
-    h = sum(1 for name in header if name.startswith("z") and not name.startswith("z_"))
-
-    def parse(row):
-        run_id = int(row[0])
-        train, test = renormalize_rows(
-            [row[3:3 + m], row[3 + m + h:3 + 2 * m + h]],
-            lambda i: f"run {run_id} {('train', 'test')[i]} mixture")
-        return RunSpec(
-            run_id=run_id, scenario=TestScenario.parse(row[1]), replicate=int(row[2]),
-            train_mixture=tuple(train),
-            covariates=tuple(float(v) for v in row[3 + m:3 + m + h]),
-            test_mixture=tuple(test),
-            seed=int(row[3 + 2 * m + h]))
-    return plan_header(m, h), parse

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .design import PROPORTION_DECIMALS, TestScenario, renormalize_rows
+from .design import PROPORTION_DECIMALS, TestScenario
 from .fileio import atomic_write_text, csv_text, iter_csv
 
 SD_FLOOR = 1e-8
@@ -178,6 +178,30 @@ class OutcomeTable:
 _parse_scenario = lru_cache(maxsize=16)(TestScenario.parse)
 
 
+def stored_sum_bound(m):
+    """How far from 1 the m printed proportions of a row can sum: rounding
+    each part moves it by at most half a unit in the last decimal, and
+    parsing and adding the parts by a few ulps more."""
+    return m * (0.5 * 10.0 ** -PROPORTION_DECIMALS + 4 * np.finfo(float).eps)
+
+
+def renormalize_rows(block, where):
+    """Each row of an (n, m) block of stored proportions divided by its sum.
+
+    A sum outside 1 +/- stored_sum_bound(m) raises MetricsError("<where(i)>:
+    <reason>") for the first such row i.
+    """
+    block = np.asarray(block, dtype=float)
+    total = block.sum(axis=1)
+    bound = stored_sum_bound(block.shape[1])
+    bad = np.flatnonzero(~(np.abs(total - 1.0) <= bound))
+    if bad.size:
+        i = int(bad[0])
+        raise MetricsError(f"{where(i)}: stored proportions sum to {total[i]}, "
+                           f"outside 1 +/- {bound:.2g}")
+    return block / total[:, None]
+
+
 def read_outcome_table(path) -> OutcomeTable:
     """Read outcome rows into columns; the training mixtures are renormalized
     to sum 1. A malformed file or row raises MetricsError naming the path, and
@@ -197,7 +221,7 @@ def _outcome_table(block, m, h, where, **columns):
     """The table of a float block (covariates, mixture, AUCs, mean_auc,
     log_sd per row) and the other columns; a stored mixture sum off 1 raises
     MetricsError("<where(i)>: ...") for the first such row i."""
-    mixtures = renormalize_rows(block[:, h:h + m], where, MetricsError)
+    mixtures = renormalize_rows(block[:, h:h + m], where)
     return OutcomeTable(covariates=block[:, :h], train_mixture=mixtures,
                         aucs=block[:, h + m:h + 2 * m], mean_auc=block[:, -2],
                         log_sd=block[:, -1], **columns)

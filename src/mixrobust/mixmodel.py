@@ -47,10 +47,6 @@ def term_labels(m, h):
     return [names[a] + names[b] for a, b in zip(*_term_factors(m, h))]
 
 
-def n_terms(m, h):
-    return m + m * (m - 1) // 2 + h * m + h * (h - 1) // 2
-
-
 def _term_factors(m, h):
     """Per model column, the two columns of [x | z | 1] whose product it is;
     this order is the model's column order, and term_labels names it.
@@ -132,10 +128,6 @@ class AnalysisDataset:
         _check_mixture_rows(self.mixtures)
 
     @property
-    def n(self):
-        return self.y.size
-
-    @property
     def m(self):
         return self.mixtures.shape[1]
 
@@ -178,10 +170,6 @@ class ModelMatrix:
     def n(self):
         return self.values.shape[0]
 
-    @property
-    def p(self):
-        return self.values.shape[1]
-
 
 def build_design_matrix(data: AnalysisDataset) -> ModelMatrix:
     return ModelMatrix(values=model_matrix(data.mixtures, data.covariates),
@@ -200,9 +188,6 @@ class MixtureModelFit:
     n: int
     rss: float
 
-    def coefficient(self, label):
-        return float(self.coefficients[self.labels.index(label)])
-
 
 @dataclass
 class TermInference:
@@ -211,10 +196,6 @@ class TermInference:
     se: float
     t: float
     p: float
-
-    @property
-    def degenerate(self):
-        return not math.isfinite(self.t)
 
 
 @dataclass

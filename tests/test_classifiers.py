@@ -5,9 +5,8 @@ from mixrobust import (ClassifierError, ClassifierKind, DatasetPool,
                        ExternalRunnerError, SampleSplit, SyntheticDataConfig,
                        auc_ovr, default_class_means, generate_pool, train_and_score)
 from mixrobust.classifiers import (HYPER_DEFAULTS, _onehot, _presort, _row_sums,
-                                   best_stump_split, boosted_stump_scores,
-                                   check_score_matrix, fit_logistic_ovr, resolve_hyper,
-                                   train_and_score_batch)
+                                   _StumpSearch, boosted_stump_scores, check_score_matrix,
+                                   fit_logistic_ovr, resolve_hyper, train_and_score_batch)
 from mixrobust.sampling import dense_ranks
 from mixrobust.seeding import generator
 
@@ -16,6 +15,17 @@ def split_of(train, test):
     train = np.asarray(train, dtype=int)
     test = np.asarray(test, dtype=int)
     return SampleSplit(train_indices=train, test_indices=test)
+
+
+def stump_split(values, residuals):
+    """The booster's split search for one run, one class and one feature:
+    (threshold, left_mean, right_mean, sse), the threshold None when the
+    feature is constant."""
+    features = np.asarray(values, dtype=float)[None, :, None]
+    search = _StumpSearch(features, dense_ranks(features[0])[:, None], 1, 0)
+    split = search(np.asarray(residuals, dtype=float)[None, None])
+    threshold, left, right, sse = (float(table.item()) for table in split)
+    return None if threshold == np.inf else threshold, left, right, sse
 
 
 def two_class_pool(n_per_class=500, gap=6.0, seed=0):
@@ -275,8 +285,7 @@ class TestBoostedStumps:
                                  split_of(train, train), pool, hyper={"rounds": 1})
         assert auc_ovr(scores, labels, 2) == 1.0
 
-        threshold, _, _, _ = best_stump_split(features[:, 0],
-                                              (labels == 2).astype(float) - 0.5)
+        threshold, _, _, _ = stump_split(features[:, 0], (labels == 2).astype(float) - 0.5)
         assert -0.5 < threshold < 0.5
 
     def test_best_split_matches_bruteforce_oracle(self):
@@ -285,7 +294,7 @@ class TestBoostedStumps:
             n = 20
             values = np.round(rng.normal(size=n), 1)
             residuals = rng.normal(size=n)
-            threshold, left, right, sse = best_stump_split(values, residuals)
+            threshold, left, right, sse = stump_split(values, residuals)
 
             # oracle: try every midpoint between adjacent distinct sorted values
             order = np.argsort(values)
@@ -309,8 +318,7 @@ class TestBoostedStumps:
                 assert threshold == pytest.approx(best_threshold, abs=1e-12)
 
     def test_constant_feature_fits_constant(self):
-        threshold, left, right, _ = best_stump_split(np.ones(6),
-                                                     np.array([1., 2, 3, 4, 5, 6]))
+        threshold, left, right, _ = stump_split(np.ones(6), np.array([1., 2, 3, 4, 5, 6]))
         assert threshold is None
         assert left == pytest.approx(3.5)
 

@@ -7,8 +7,12 @@ from pathlib import Path
 
 import pytest
 
+from mixrobust import cli
 from mixrobust.cli import (EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK,
                            EXIT_USAGE, main)
+from mixrobust.metrics import MetricsError
+from mixrobust.mixmodel import ModelError
+from mixrobust.pipeline import ConfigError
 
 from test_pipeline import small_config_doc
 
@@ -336,6 +340,105 @@ class TestNonFiniteOutcomes:
         assert "non-finite y in row" in err
 
 
+class TestFitErrorsNameTheFit:
+    def test_rank_deficient_fit_names_scenario_and_response(self, experiment_dir,
+                                                            tmp_path, capsys):
+        # without the consistent scenario's binary blends its pairwise
+        # columns are not identified
+        source, _ = experiment_dir
+        lines = (source / "out" / "outcomes.csv").read_text().splitlines()
+        header = lines[0].split(",")
+        parts = [header.index(f"x{j}") for j in (1, 2, 3)]
+
+        def binary_blend(line):
+            fields = line.split(",")
+            return (fields[2] == "consistent"
+                    and sum(float(fields[i]) > 0.1 for i in parts) == 2)
+        kept = [line for line in lines if not binary_blend(line)]
+        assert len(lines) - len(kept) == 12
+        path = tmp_path / "out" / "outcomes.csv"
+        path.parent.mkdir()
+        path.write_text("\n".join(kept) + "\n")
+        config_path = write_config(tmp_path)
+        assert main(["analyze", "--config", str(config_path)]) == EXIT_NUMERIC
+        assert capsys.readouterr().err.startswith(
+            "mixrobust: error: scenario consistent, response mean_auc: model matrix is "
+            "rank deficient; dependent columns: ")
+        # the balanced fits were written before the failing one
+        assert (tmp_path / "out" / "fit_log_sd_balanced.json").exists()
+        assert main(["report", "--config", str(config_path)]) == EXIT_IO
+        missing = tmp_path / "out" / "fit_mean_auc_consistent.json"
+        err = capsys.readouterr().err
+        assert err.startswith(f"mixrobust: error: cannot read {missing}: ")
+        assert err.endswith("; `analyze` writes it and stops at the first fit that fails\n")
+
+
+def all_reverse_runs_fail_doc():
+    """A config under which every reverse run fails: its tiny pools hold too
+    few rows of a class for some test draws."""
+    doc = small_config_doc(n_per_class=60)
+    doc["classifiers"] = {"1": {"kind": "logistic", "hyper": {"epochs": 3}},
+                          "0": {"kind": "boosted_stumps", "hyper": {"rounds": 2}}}
+    doc["sampling"] = {"train_frac": 0.3, "test_frac": 0.2}
+    return doc
+
+
+class TestScenarioWithoutOutcomes:
+    @pytest.fixture(scope="class")
+    def failed_dir(self, tmp_path_factory):
+        tmp_path = tmp_path_factory.mktemp("failed")
+        config_path = write_config(tmp_path, all_reverse_runs_fail_doc())
+        assert main(["simulate", "--config", str(config_path), "--jobs", "1"]) == EXIT_NUMERIC
+        failures = (tmp_path / "out" / "failures.csv").read_text().splitlines()
+        assert sum(",reverse," in line for line in failures) == 28
+        return tmp_path / "out"
+
+    @pytest.mark.parametrize("command", ["analyze", "shap", "contour"])
+    def test_every_run_failed_exits_numeric_naming_failures(self, failed_dir, tmp_path,
+                                                            capsys, command):
+        shutil.copytree(failed_dir, tmp_path / "out")
+        config_path = write_config(tmp_path, all_reverse_runs_fail_doc())
+        capsys.readouterr()
+        assert main([command, "--config", str(config_path)]) == EXIT_NUMERIC
+        failures = tmp_path / "out" / "failures.csv"
+        assert capsys.readouterr().err == (
+            f"mixrobust: error: every run of scenario reverse failed; see {failures}\n")
+
+    def test_malformed_failures_file_exits_io_naming_it(self, failed_dir, tmp_path,
+                                                         capsys):
+        shutil.copytree(failed_dir, tmp_path / "out")
+        failures = tmp_path / "out" / "failures.csv"
+        lines = failures.read_text().splitlines()
+        failures.write_text("\n".join(lines[:2] + ["7,1,sideways,boom"]) + "\n")
+        config_path = write_config(tmp_path, all_reverse_runs_fail_doc())
+        capsys.readouterr()
+        assert main(["analyze", "--config", str(config_path)]) == EXIT_IO
+        assert capsys.readouterr().err.startswith(
+            f"mixrobust: error: {failures}:3: unknown scenario 'sideways'")
+
+    def test_unreadable_failures_file_exits_io_naming_it(self, failed_dir, tmp_path,
+                                                           capsys):
+        shutil.copytree(failed_dir, tmp_path / "out")
+        failures = tmp_path / "out" / "failures.csv"
+        failures.unlink()
+        failures.mkdir()
+        config_path = write_config(tmp_path, all_reverse_runs_fail_doc())
+        capsys.readouterr()
+        assert main(["analyze", "--config", str(config_path)]) == EXIT_IO
+        assert capsys.readouterr().err.startswith(
+            f"mixrobust: error: cannot read {failures}: ")
+
+    def test_scenario_never_run_keeps_io_exit(self, tmp_path, capsys):
+        config_path = write_config(tmp_path)
+        assert main(["simulate", "--config", str(config_path), "--jobs", "1",
+                     "--scenario", "balanced"]) == EXIT_OK
+        assert not (tmp_path / "out" / "failures.csv").exists()
+        capsys.readouterr()
+        assert main(["analyze", "--config", str(config_path)]) == EXIT_IO
+        assert capsys.readouterr().err == (
+            "mixrobust: error: outcomes file has no rows for scenario consistent\n")
+
+
 class TestMalformedOutcomes:
     @pytest.mark.parametrize("column,value,match", [
         ("auc_2", "high", "could not convert string to float: 'high'"),
@@ -388,9 +491,11 @@ class TestReportCommand:
         assert "Mean AUC" in text and "Log SD" in text
         assert "z1" in text and "z2" in text
 
-    def test_missing_fits_is_io_error(self, tmp_path):
+    def test_missing_fits_is_io_error(self, tmp_path, capsys):
         config_path = write_config(tmp_path)
         assert main(["report", "--config", str(config_path)]) == EXIT_IO
+        assert capsys.readouterr().err.endswith(
+            "; `analyze` writes it and stops at the first fit that fails\n")
 
     def _copied_outputs(self, experiment_dir, tmp_path):
         source, _ = experiment_dir
@@ -581,6 +686,22 @@ class TestExitCodes:
         assert err.startswith("mixrobust: error: ") and err.count("\n") == 1
         assert f"cannot write {target}: " in err
         assert sorted(p.name for p in (tmp_path / "out").glob("*.tmp")) == []
+
+
+class TestExitCodeOfErrorSubclass:
+    @pytest.mark.parametrize("base,code", [(ConfigError, EXIT_CONFIG),
+                                           (MetricsError, EXIT_IO),
+                                           (ModelError, EXIT_NUMERIC)])
+    def test_subclass_exits_with_its_base_class_code(self, tmp_path, capsys, monkeypatch,
+                                                     base, code):
+        class Sub(base):
+            pass
+
+        def stage(config, args):
+            raise Sub("a subclass error")
+        monkeypatch.setitem(cli._STAGES, "report", ("", stage))
+        assert main(["report", "--config", str(write_config(tmp_path))]) == code
+        assert capsys.readouterr().err == "mixrobust: error: a subclass error\n"
 
 
 class TestRunCommand:

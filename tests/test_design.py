@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from mixrobust import (DesignConfig, DesignError, TestScenario, build_run_plan,
-                       cross_array, expand_plan, read_plan_csv,
-                       scenario_test_proportions, simplex_centroid, write_plan_csv)
+                       cross_array, expand_plan, scenario_test_proportions,
+                       simplex_centroid)
 from mixrobust import design
 from mixrobust.design import plan_to_csv
 from mixrobust.seeding import generator
@@ -196,18 +196,6 @@ class TestSeeding:
 
 
 class TestPlanCsv:
-    def test_round_trip_and_renormalization(self, tmp_path, reference_instance_plan):
-        path = tmp_path / "plan.csv"
-        write_plan_csv(reference_instance_plan, path)
-        runs = read_plan_csv(path)
-        assert len(runs) == 252
-        for run, original in zip(runs, reference_instance_plan.runs):
-            assert run.run_id == original.run_id
-            assert run.scenario == original.scenario
-            assert run.seed == original.seed
-            assert abs(sum(run.train_mixture) - 1.0) <= 1e-12
-            assert np.allclose(run.train_mixture, original.train_mixture, atol=1e-6)
-
     def test_centroid_prints_six_decimals(self, reference_instance_plan):
         text = plan_to_csv(reference_instance_plan)
         assert "0.333333" in text
@@ -215,35 +203,6 @@ class TestPlanCsv:
 
     def test_byte_stable(self, reference_instance_plan):
         assert plan_to_csv(reference_instance_plan) == plan_to_csv(reference_instance_plan)
-
-    @staticmethod
-    def _two_class_plan(tmp_path, last_row):
-        path = tmp_path / "plan.csv"
-        path.write_text("run_id,scenario,replicate,x1,x2,z1,test_x1,test_x2,seed\n"
-                        "1,balanced,1,0.990000,0.010000,1,0.500000,0.500000,7\n"
-                        + last_row + "\n")
-        return path
-
-    def test_non_numeric_field_names_path_and_line(self, tmp_path):
-        path = self._two_class_plan(
-            tmp_path, "2,balanced,1,abc,0.010000,1,0.500000,0.500000,8")
-        with pytest.raises(DesignError, match=r"plan\.csv:3: could not convert string "
-                                              r"to float: 'abc'"):
-            read_plan_csv(path)
-
-    @pytest.mark.parametrize("side,row", [
-        ("train", "2,balanced,1,0.990000,0.020000,1,0.500000,0.500000,8"),
-        ("test", "2,balanced,1,0.990000,0.010000,1,0.500000,nan,8")])
-    def test_mixture_off_one_names_run_and_side(self, tmp_path, side, row):
-        path = self._two_class_plan(tmp_path, row)
-        with pytest.raises(DesignError, match=rf"plan\.csv:3: run 2 {side} mixture: "
-                                              r"stored proportions sum to"):
-            read_plan_csv(path)
-
-    def test_short_row_names_path_line_and_field_count(self, tmp_path):
-        path = self._two_class_plan(tmp_path, "2,balanced,1,0.990000,0.010000,1")
-        with pytest.raises(DesignError, match=r"plan\.csv:3: expected 9 fields, got 6$"):
-            read_plan_csv(path)
 
 
 class TestMixtureChecks:

@@ -6,14 +6,11 @@ import re
 import pytest
 
 from mixrobust.classifiers import ExternalRunnerError, _read_scores_csv
-from mixrobust.design import DesignError, plan_header, read_plan_csv
 from mixrobust.metrics import MetricsError, outcomes_header, read_outcomes_csv
 from mixrobust.sampling import SamplingError, load_pool_csv
 
 # reader, its error class, a valid header and a valid row
 READERS = {
-    "plan": (read_plan_csv, DesignError, plan_header(3, 2),
-             "0,balanced,1,0.333333,0.333333,0.333334,1,0,0.333333,0.333333,0.333334,7"),
     "outcomes": (read_outcomes_csv, MetricsError, outcomes_header(3, 2),
                  "0,1,balanced,1,0,0.333333,0.333333,0.333334,0.9,0.8,0.7,0.8,-2.3,0"),
     "pool": (load_pool_csv, SamplingError, ["label", "f1", "f2"], "1,0.5,0.25"),

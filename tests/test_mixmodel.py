@@ -1,5 +1,6 @@
 import ast
 import json
+import math
 import re
 from pathlib import Path
 
@@ -13,7 +14,7 @@ from mixrobust import (AnalysisDataset, MixtureModelFit, ModelError, ModelMatrix
                        dataset_from_outcomes, fit_ols, fit_report,
                        implied_covariate_effect, model_matrix, model_row, predict,
                        predict_rows, term_inference, term_labels, write_fit_report)
-from mixrobust.mixmodel import MIXTURE_ROW_TOL, n_terms
+from mixrobust.mixmodel import MIXTURE_ROW_TOL
 from mixrobust.seeding import generator
 
 from reference_tables import CROSS_ARRAY_28, REFERENCE_INFERENCE
@@ -105,7 +106,7 @@ class TestModelMatrix:
         got = model_matrix(mixtures, covariates)
         want = np.array([reference_model_row(x, z)
                          for x, z in zip(mixtures, covariates)])
-        assert got.shape == (17, n_terms(m, h)) == (17, len(term_labels(m, h)))
+        assert got.shape == (17, len(term_labels(m, h)))
         assert got.tobytes() == want.tobytes()
         # row-major like the stacked rows, so the fit sees the same layout
         assert got.flags.c_contiguous
@@ -229,7 +230,7 @@ class TestInference:
     def test_degenerate_zero_se(self):
         fit = make_fit(np.ones(13))
         rows = term_inference(fit)
-        assert all(r.degenerate for r in rows)
+        assert all(not math.isfinite(r.t) for r in rows)
 
     def test_needs_residual_df(self):
         fit = make_fit(np.ones(13), df=0)
