@@ -1,11 +1,12 @@
 """Render fitted response surfaces over the constrained simplex as SVGs.
 
-One surface per covariate combination: the barycentric lattice is
+One surface per covariate combination: one barycentric lattice is
 evaluated through the fitted model and drawn as filled contour bands with
 a dashed inner triangle marking the proportion floor.
 """
 
 import itertools
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -33,13 +34,11 @@ fit = fit_ols(matrix, y)
 out_dir = Path("demo_output")
 grid = TernaryGrid.build(q=100, min_prop=design.min_prop)
 for z in itertools.product(*design.covariate_levels):
-    surface = grid_predict(fit, grid, z)
-    surface.response = "mean_auc"
-    surface.scenario = "balanced"
+    surface = replace(grid_predict(fit, grid, z), response="mean_auc", scenario="balanced")
     grid_name, name = surface_filenames("mean_auc", "balanced", z)
     write_ternary_svg(surface, out_dir / name)
     write_grid_csv(surface, out_dir / grid_name)
-    peak = surface.points[np.argmax(surface.values)]
+    peak = grid.points[np.argmax(surface.values)]
     print(f"z={z}: wrote {name}; surface peak near {np.round(peak, 3)} "
           f"(max {surface.values.max():.3f})")
 

@@ -62,6 +62,11 @@ def real_numbers(value, name, error=DesignError, depth=1):
 whole_number, real_table = partial(real_number, whole=True), partial(real_numbers, depth=2)
 
 
+def repeated(items):
+    """The items of the sequence `items` equal to an earlier item, in order."""
+    return [item for i, item in enumerate(items) if item in items[:i]]
+
+
 def check_fields(config, error, **rules):
     """Set each field of the frozen dataclass `config` to rule(value, name, error), in order."""
     for name, rule in rules.items():
@@ -105,8 +110,14 @@ class DesignConfig:
         check_floor(self.m, self.min_prop)
         if self.replicates < 1:
             raise DesignError("replicates must be >= 1")
-        if any(len(lv) == 0 for lv in self.covariate_levels):
-            raise DesignError("every covariate factor needs at least one level")
+        for k, levels in enumerate(self.covariate_levels, start=1):
+            if not levels:
+                raise DesignError("every covariate factor needs at least one level")
+            if not all(map(math.isfinite, levels)):
+                raise DesignError(f"covariate_levels: z{k} levels {list(levels)} must be finite")
+            repeats = repeated(levels)  # 0.0 == -0.0: one level
+            if repeats:
+                raise DesignError(f"covariate_levels: z{k} lists level {repeats[0]:g} twice")
 
     @property
     def h(self):

@@ -22,7 +22,7 @@ from .classifiers import (ClassifierError, ClassifierKind, SyntheticDataConfig,
                           default_class_means, generate_pool, resolve_hyper,
                           train_and_score_batch)
 from .design import (ALL_SCENARIOS, DesignConfig, DesignError, RunPlan, RunSpec,
-                     TestScenario, real_table, whole_number)
+                     TestScenario, real_table, repeated, whole_number)
 from .metrics import MetricsError, RunOutcome, aucs_ovr
 from .sampling import (DatasetPool, SamplingConfig, SamplingError, class_counts,
                        compose_split, load_pool_csv, split_sizes)
@@ -102,9 +102,14 @@ class ExperimentConfig:
                 if level not in entries:
                     raise ConfigError(f"{name}: no entry for z{k + 1} level {level:g}")
         with _section("scenarios"):
+            if not isinstance(self.scenarios, (list, tuple)):
+                raise ConfigError(f"expected a list of scenario names, got {self.scenarios!r}")
             self.scenarios = tuple(map(TestScenario.parse, self.scenarios))
             if not self.scenarios:
                 raise ConfigError("the list must be nonempty")
+            repeats = repeated(self.scenarios)
+            if repeats:
+                raise ConfigError(f"scenario {repeats[0].value} is listed twice")
 
     def classifier_for(self, spec: RunSpec) -> ClassifierSpec:
         level = spec.covariates[0]
@@ -293,13 +298,27 @@ def _given(doc, *keys):
     return {key: doc[key] for key in keys if key in doc}
 
 
+def _fields(doc, *keys):
+    """`_given(doc, *keys)` of the object `doc`, which holds no other key."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"expected an object, got {doc!r}")
+    unknown = [key for key in doc if key not in keys]
+    if unknown:
+        raise ConfigError(f"unknown key {unknown[0]!r}; allowed: {', '.join(keys)}")
+    return _given(doc, *keys)
+
+
 def _level_map(doc):
     if not isinstance(doc, dict):
         raise ConfigError("expected an object keyed by covariate level")
-    return {float(level): value for level, value in doc.items()}
+    levels = {float(level): value for level, value in doc.items()}
+    if len(levels) < len(doc):
+        raise ConfigError(f"level {repeated(list(map(float, doc)))[0]:g} is listed twice")
+    return levels
 
 
 def _parse_classifier(doc):
+    _fields(doc, "kind", "hyper", "command")
     kind = ClassifierKind.parse(_require(doc, "kind"))
     fields = _given(doc, "hyper", "command")
     if not isinstance(fields.get("hyper", {}), dict):
@@ -310,6 +329,8 @@ def _parse_classifier(doc):
 def _parse_synthetic(doc):
     """Means from `class_means` or `separation` are checked after m and d, as the
     dataclass checks them. A null or an empty list `separability_boost` means none."""
+    _fields(doc, "m", "d", "n_per_class", "class_means", "separation", "noise_scale",
+            "separability_boost", "seed")
     m, d = (whole_number(_require(doc, key), key) for key in ("m", "d"))
     means = (real_table(doc["class_means"], "class_means") if "class_means" in doc
              else default_class_means(m, d, **_given(doc, "separation")))
@@ -321,6 +342,8 @@ def _parse_synthetic(doc):
 
 
 def _parse_pool(doc, base_dir):
+    if len(_fields(doc, "synthetic", "csv")) > 1:
+        raise ConfigError("pool takes either a 'synthetic' or a 'csv' entry, not both")
     if "synthetic" in doc:
         return PoolSpec(synthetic=_parse_synthetic(doc["synthetic"]))
     if "csv" in doc:
@@ -336,9 +359,11 @@ def parse_experiment_config(doc: dict, base_dir=Path(".")) -> ExperimentConfig:
     base_dir = Path(base_dir)
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a JSON object")
+    _fields(doc, "design", "sampling", "classifiers", "pools", "scenarios", "output_dir",
+            "master_seed")
     with _section("design"):
-        fields = _given(dict(doc.get("design", {})), "m", "covariate_levels", "min_prop",
-                        "replicates")
+        fields = _fields(doc.get("design", {}), "m", "covariate_levels", "min_prop",
+                         "replicates")
         if "master_seed" in doc:
             fields["seed"] = doc["master_seed"]
         try:
@@ -346,8 +371,7 @@ def parse_experiment_config(doc: dict, base_dir=Path(".")) -> ExperimentConfig:
         except DesignError as exc:  # the document calls the seed master_seed
             raise DesignError(re.sub("^seed ", "master_seed ", str(exc))) from None
     with _section("sampling"):
-        sampling = SamplingConfig(**_given(dict(doc.get("sampling", {})),
-                                           "train_frac", "test_frac"))
+        sampling = SamplingConfig(**_fields(doc.get("sampling", {}), "train_frac", "test_frac"))
 
     with _section("classifiers"):
         classifiers = _level_map(_require(doc, "classifiers"))

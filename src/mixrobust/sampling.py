@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -27,7 +28,6 @@ class DatasetPool:
     features: np.ndarray
     labels: np.ndarray
     class_index: list = field(init=False)
-    _ranks: np.ndarray = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=float)
@@ -59,12 +59,10 @@ class DatasetPool:
     def m(self):
         return len(self.class_index)
 
-    @property
+    @cached_property
     def ranks(self):
         """The (d, n) `dense_ranks` of the features, computed on first use."""
-        if self._ranks is None:
-            self._ranks = dense_ranks(self.features)
-        return self._ranks
+        return dense_ranks(self.features)
 
 
 def dense_ranks(features):

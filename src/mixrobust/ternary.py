@@ -1,4 +1,5 @@
-"""Barycentric lattices over the constrained simplex and SVG contour plots.
+"""Barycentric lattices over the constrained simplex, the fitted surfaces
+predicted on them, and SVG contour plots.
 
 Points (x1, x2, x3) project onto the plane as (x2 + x3/2, sqrt(3)/2 * x3),
 which sends the three pure blends to an equilateral triangle of unit side.
@@ -11,7 +12,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -66,58 +68,69 @@ def simplex_lattice(q, m, min_prop=0.0):
     return (np.diff(slots, axis=1) - 1 + floor_count) / q
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class TernaryGrid:
+    """A lattice over the floored simplex; builds its CSV and SVG parts once."""
+
     q: int
     min_prop: float
     points: np.ndarray
-    values: np.ndarray | None = None
-    covariates: tuple = ()
-    response: str = ""
-    scenario: str = ""
-    # the lattice's own CSV and SVG parts, built on first use: replace() hands
-    # this same dict on, so every surface predicted on one lattice shares them
-    lattice_parts: dict = field(default_factory=dict, repr=False, compare=False)
 
     @classmethod
     def build(cls, q, min_prop=0.0, m=3):
         return cls(q=q, min_prop=min_prop, points=simplex_lattice(q, m, min_prop))
 
+    @cached_property
+    def csv_template(self):
+        """The lattice's CSV text with "%.10g" for each point's value."""
+        m = self.points.shape[1]
+        point = ",".join([f"%.{PROPORTION_DECIMALS}f"] * m) + ",%%.10g\n"
+        return (",".join([f"x{j}" for j in range(1, m + 1)] + ["value"]) + "\n"
+                + "".join([point % tuple(p) for p in self.points.tolist()]))
 
-def _lattice_part(grid: TernaryGrid, build):
-    """build(grid), computed once per (points array, q) and kept in the grid's
-    lattice_parts; a grid given other points or another q builds it anew."""
-    points, q, part = grid.lattice_parts.get(build, (None, None, None))
-    if points is not grid.points or q != grid.q:
-        part = build(grid)
-        grid.lattice_parts[build] = (grid.points, grid.q, part)
-    return part
+    @cached_property
+    def svg_lattice(self):
+        """The lattice cells, their edges' lattice directions and twins, and
+        each point's "x,y" in plot pixels.
+
+        Edge 3i + k runs from corner k of cell i to corner k + 1 (mod 3), so
+        every cell winds the same way.
+        """
+        cells = _micro_triangles(self).astype(np.int32)
+        starts, ends = cells.ravel(), np.roll(cells, -1, axis=1).ravel()
+        counts = np.rint(self.points[:, 1:3] * self.q).astype(np.int32)
+        steps = counts[ends] - counts[starts]  # each component is -1, 0 or 1
+        directions = (3 * steps[:, 0] + steps[:, 1]).astype(np.int8)
+        px, py = _to_px(barycentric_to_xy(self.points).T)
+        return (cells, directions, _twin_edges(starts, ends, directions, len(self.points)),
+                [f"{x:.2f},{y:.2f}" for x, y in zip(px.tolist(), py.tolist())])
 
 
-def grid_predict(fit: MixtureModelFit, grid: TernaryGrid, z) -> TernaryGrid:
+@dataclass
+class Surface:
+    """A fitted response's values at each point of a lattice, for covariate
+    levels `covariates`, labelled with its response and scenario."""
+
+    grid: TernaryGrid
+    values: np.ndarray
+    covariates: tuple = ()
+    response: str = ""
+    scenario: str = ""
+
+
+def grid_predict(fit: MixtureModelFit, grid: TernaryGrid, z) -> Surface:
     """Evaluate the fitted surface at every grid point for covariate levels z."""
     z = tuple(float(v) for v in z)
     covariates = np.broadcast_to(np.array(z, dtype=float), (len(grid.points), len(z)))
-    values = predict_rows(fit, grid.points, covariates)
-    return replace(grid, values=values, covariates=z)
+    return Surface(grid, predict_rows(fit, grid.points, covariates), z)
 
 
-def _csv_template(grid: TernaryGrid):
-    """The lattice's CSV text with "%.10g" for each point's value."""
-    m = grid.points.shape[1]
-    point = ",".join([f"%.{PROPORTION_DECIMALS}f"] * m) + ",%%.10g\n"
-    return (",".join([f"x{j}" for j in range(1, m + 1)] + ["value"]) + "\n"
-            + "".join([point % tuple(p) for p in grid.points.tolist()]))
+def grid_to_csv(surface: Surface) -> str:
+    return surface.grid.csv_template % tuple(surface.values.tolist())
 
 
-def grid_to_csv(grid: TernaryGrid) -> str:
-    if grid.values is None:
-        raise ContourError("grid has no values; predict before exporting")
-    return _lattice_part(grid, _csv_template) % tuple(grid.values.tolist())
-
-
-def write_grid_csv(grid: TernaryGrid, path):
-    atomic_write_text(path, grid_to_csv(grid))
+def write_grid_csv(surface: Surface, path):
+    atomic_write_text(path, grid_to_csv(surface))
 
 
 def _ramp_color(t):
@@ -128,23 +141,6 @@ def _ramp_color(t):
     frac = pos - low
     rgb = [(1 - frac) * _RAMP[low][c] + frac * _RAMP[high][c] for c in range(3)]
     return "#{:02x}{:02x}{:02x}".format(*(int(round(255 * v)) for v in rgb))
-
-
-def _svg_lattice(grid: TernaryGrid):
-    """The lattice cells, their edges' lattice directions and twins, and each
-    point's "x,y" in plot pixels.
-
-    Edge 3i + k runs from corner k of cell i to corner k + 1 (mod 3), so every
-    cell winds the same way.
-    """
-    cells = _micro_triangles(grid).astype(np.int32)
-    starts, ends = cells.ravel(), np.roll(cells, -1, axis=1).ravel()
-    counts = np.rint(grid.points[:, 1:3] * grid.q).astype(np.int32)
-    steps = counts[ends] - counts[starts]  # each component is -1, 0 or 1
-    directions = (3 * steps[:, 0] + steps[:, 1]).astype(np.int8)
-    px, py = _to_px(barycentric_to_xy(grid.points).T)
-    return (cells, directions, _twin_edges(starts, ends, directions, len(grid.points)),
-            [f"{x:.2f},{y:.2f}" for x, y in zip(px.tolist(), py.tolist())])
 
 
 def _twin_edges(starts, ends, directions, n_points):
@@ -224,20 +220,21 @@ def _to_px(xy):
             _MARGIN_TOP + _SIDE * SQRT3_2 - xy[1] * _SIDE)
 
 
-def render_ternary(grid: TernaryGrid, levels=CONTOUR_LEVELS) -> bytes:
+def render_ternary(surface: Surface, levels=CONTOUR_LEVELS) -> bytes:
     """Self-contained SVG: banded surface, outer simplex, dashed floor
     triangle, vertex labels and a value legend. Deterministic bytes.
 
     Each lattice cell takes the band of its corners' mean value. A band is one
     path of closed outline loops, filled by the default nonzero rule."""
-    if grid.values is None or len(grid.values) == 0:
+    grid = surface.grid
+    if len(surface.values) == 0:
         raise ContourError("cannot render an empty grid")
     if levels < 1:
         raise ContourError("levels must be >= 1")
     height = _MARGIN_TOP + _SIDE * SQRT3_2 + 60.0
     width = _MARGIN_LEFT + _SIDE + _LEGEND_WIDTH + 40.0
 
-    values = np.asarray(grid.values, dtype=float)
+    values = np.asarray(surface.values, dtype=float)
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
         raise ContourError(f"grid value at point {grid.points[bad[0]].tolist()} "
@@ -254,11 +251,11 @@ def render_ternary(grid: TernaryGrid, levels=CONTOUR_LEVELS) -> bytes:
         f'height="{height:.0f}" viewBox="0 0 {width:.0f} {height:.0f}">',
         f'<rect width="{width:.0f}" height="{height:.0f}" fill="white"/>',
     ]
-    title = f"{grid.response} ({grid.scenario}), z={grid.covariates}".strip()
+    title = f"{surface.response} ({surface.scenario}), z={surface.covariates}".strip()
     parts.append(f'<text x="{_MARGIN_LEFT:.1f}" y="24" font-family="sans-serif" '
                  f'font-size="15">{_escape(title)}</text>')
 
-    lattice = _lattice_part(grid, _svg_lattice)
+    lattice = grid.svg_lattice
     cells = lattice[0]
     if constant:
         bands = np.zeros(len(cells), dtype=int)
@@ -335,5 +332,5 @@ def surface_filenames(response, scenario, z):
     return f"grid_{stem}.csv", f"contour_{stem}.svg"
 
 
-def write_ternary_svg(grid: TernaryGrid, path):
-    atomic_write_bytes(path, render_ternary(grid))
+def write_ternary_svg(surface: Surface, path):
+    atomic_write_bytes(path, render_ternary(surface))

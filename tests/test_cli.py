@@ -3,18 +3,21 @@ import json
 import re
 import shutil
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mixrobust import cli
 from mixrobust.cli import (EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK,
                            EXIT_USAGE, main)
 from mixrobust.metrics import MetricsError
-from mixrobust.mixmodel import ModelError
-from mixrobust.pipeline import ConfigError
+from mixrobust.mixmodel import RESPONSES, ModelError
+from mixrobust.pipeline import ConfigError, parse_experiment_config
 
 from test_pipeline import small_config_doc
+from test_ternary import make_fit, spy_on_lattice_parts
 
 
 # each subcommand and its help text, in pipeline order
@@ -252,6 +255,30 @@ class TestShapAndContour:
         assert root.tag.endswith("svg")
         names = {p.name for p in svgs}
         assert "contour_mean_auc_balanced_z10.svg" in names
+
+
+class TestContourLatticeParts:
+    def test_one_stage_builds_each_part_once(self, experiment_dir, monkeypatch, capsys):
+        tmp_path, config_path = experiment_dir
+        calls = spy_on_lattice_parts(monkeypatch)
+        out = tmp_path / "parts"
+        shutil.copytree(tmp_path / "out", out)
+        assert main(["contour", "--config", str(config_path), "--out", str(out)]) == EXIT_OK
+        # 24 surfaces on one q=100 lattice
+        assert len(list(out.glob("grid_*.csv"))) == len(list(out.glob("contour_*.svg"))) == 24
+        assert sorted(calls) == ["_micro_triangles", "_twin_edges", "csv_template"]
+
+    def test_five_classes_build_the_csv_template_once(self, tmp_path, monkeypatch):
+        calls = spy_on_lattice_parts(monkeypatch)
+        doc = small_config_doc()
+        doc["design"].update(m=5, covariate_levels=[[1, 0], [1, 0], [1, 0]])
+        config = replace(parse_experiment_config(doc, tmp_path), output_dir=tmp_path)
+        fits = [(scenario, response, make_fit(np.full(33, 0.5), m=5, h=3), None)
+                for scenario in config.scenarios for response in RESPONSES]
+        cli.write_contours(config, fits)
+        assert len(list(tmp_path.glob("grid_*.csv"))) == 48
+        assert not list(tmp_path.glob("*.svg"))
+        assert calls == ["csv_template"]
 
 
 class TestEmptyContourLattice:
@@ -520,11 +547,12 @@ class TestReportCommand:
             capsys.readouterr().err)
 
 
-def _bad_value(keys, value, section, id):
-    return pytest.param(keys, value, section, id=id)
+def _bad_value(keys, value, section, id, message=""):
+    return pytest.param(keys, value, section, message, id=id)
 
 
-# one malformed value per row: (path of keys into the config, value, section)
+# one malformed value per row: (path of keys into the config, value, section,
+# start of the message); the top-level section is the config file itself
 BAD_CONFIG_VALUES = [
     _bad_value(("pools", "1", "synthetic", "m"), "x", "pools[1]", "pool-m-string"),
     _bad_value(("pools", "1", "synthetic", "m"), 1, "pools[1]", "pool-m-1"),
@@ -547,7 +575,42 @@ BAD_CONFIG_VALUES = [
     _bad_value(("design", "replicates"), True, "design", "replicates-bool"),
     _bad_value(("master_seed",), 1.5, "design", "master-seed-fraction"),
     _bad_value(("design", "covariate_levels"), 5, "design", "covariate-levels-number"),
-    _bad_value(("scenarios",), 5, "scenarios", "scenarios-number"),
+    _bad_value(("scenarios",), 5, "scenarios", "scenarios-number",
+               "expected a list of scenario names, got 5"),
+    # a string is not read letter by letter
+    _bad_value(("scenarios",), "balanced", "scenarios", "scenarios-string",
+               "expected a list of scenario names, got 'balanced'"),
+    _bad_value(("design",), 5, "design", "design-number", "expected an object, got 5"),
+    _bad_value(("sampling",), 5, "sampling", "sampling-number", "expected an object, got 5"),
+    # a misspelled key is refused in every section, not left to its default
+    _bad_value(("masterseed",), 4, "config.json", "top-level-unknown-key",
+               "unknown key 'masterseed'; allowed: design, sampling, classifiers, pools, "
+               "scenarios, output_dir, master_seed"),
+    _bad_value(("design", "replicate"), 5, "design", "design-unknown-key",
+               "unknown key 'replicate'; allowed: m, covariate_levels, min_prop, replicates"),
+    _bad_value(("sampling", "test_fraction"), 0.5, "sampling", "sampling-unknown-key",
+               "unknown key 'test_fraction'; allowed: train_frac, test_frac"),
+    _bad_value(("classifiers", "1", "epochs"), 5, "classifiers[1]", "classifier-unknown-key",
+               "unknown key 'epochs'; allowed: kind, hyper, command"),
+    _bad_value(("pools", "1", "seed"), 5, "pools[1]", "pool-unknown-key",
+               "unknown key 'seed'; allowed: synthetic, csv"),
+    _bad_value(("pools", "1", "synthetic", "noise_scal"), 9.0, "pools[1]",
+               "synthetic-unknown-key", "unknown key 'noise_scal'; allowed: m, d, "
+               "n_per_class, class_means, separation, noise_scale, separability_boost, seed"),
+    _bad_value(("pools", "1", "csv"), "nope.csv", "pools[1]", "pool-both-sources",
+               "pool takes either a 'synthetic' or a 'csv' entry, not both"),
+    # a repeat would run or fit the same cells twice
+    _bad_value(("scenarios",), ["balanced", "Balanced"], "scenarios", "scenario-repeated",
+               "scenario balanced is listed twice"),
+    _bad_value(("design", "covariate_levels"), [[1, 1, 0], [1, 0]], "design",
+               "covariate-level-repeated", "covariate_levels: z1 lists level 1 twice"),
+    _bad_value(("design", "covariate_levels"), [[1, 0], [0.0, 1, -0.0]], "design",
+               "covariate-level-signed-zero", "covariate_levels: z2 lists level -0 twice"),
+    # a third factor maps to no classifier or pool, so nothing else would refuse it
+    _bad_value(("design", "covariate_levels"), [[1, 0], [1, 0], [float("nan"), 0]], "design",
+               "covariate-level-nan", "covariate_levels: z3 levels [nan, 0.0] must be finite"),
+    _bad_value(("classifiers", "1.0"), {"kind": "logistic"}, "classifiers",
+               "classifier-level-repeated", "level 1 is listed twice"),
     # float keys take real numbers only, as `hyper` and the integer keys do
     _bad_value(("design", "min_prop"), "0.01", "design", "min-prop-string"),
     _bad_value(("design", "covariate_levels"), [["1", "0"], [1, 0]], "design",
@@ -575,9 +638,9 @@ BAD_CONFIG_VALUES = [
 
 
 class TestConfigErrorBoundary:
-    @pytest.mark.parametrize("keys,value,section", BAD_CONFIG_VALUES)
+    @pytest.mark.parametrize("keys,value,section,message", BAD_CONFIG_VALUES)
     def test_bad_value_exits_config_naming_section(self, tmp_path, capsys, keys, value,
-                                                   section):
+                                                   section, message):
         doc = small_config_doc(n_per_class=100)
         *parents, last = keys
         target = doc
@@ -588,7 +651,7 @@ class TestConfigErrorBoundary:
         config_path = write_config(tmp_path, doc)
         assert main(["simulate", "--config", str(config_path), "--out", str(out),
                      "--jobs", "1"]) == EXIT_CONFIG
-        assert f"{section}: " in capsys.readouterr().err
+        assert f"{section}: {message}" in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
 
     def test_malformed_pool_csv_exits_config(self, tmp_path, capsys):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -245,3 +247,13 @@ class TestConfigValidation:
     def test_rejects_zero_replicates(self):
         with pytest.raises(DesignError):
             DesignConfig(replicates=0)
+
+    @pytest.mark.parametrize("levels,match", [
+        (((1, 1, 0), (1, 0)), "z1 lists level 1 twice"),
+        (((1, 0), (0.0, -0.0)), "z2 lists level -0 twice"),  # one level, two signs
+        (((1, 0), (1, 0), (math.nan, 0)), r"z3 levels \[nan, 0\.0\] must be finite"),
+        (((1, -math.inf), (1, 0)), r"z1 levels \[1\.0, -inf\] must be finite"),
+    ])
+    def test_rejects_repeated_or_non_finite_level(self, levels, match):
+        with pytest.raises(DesignError, match=f"^covariate_levels: {match}$"):
+            DesignConfig(covariate_levels=levels)

@@ -96,7 +96,8 @@ class TestConfigParsing:
         ("1", {"kind": "logistc"}, "unknown classifier kind"),
         ("1", {"kind": "external", "command": "python3 runner.py"}, "command list"),
         ("1", {"kind": "external", "command": 5}, "command list"),
-        ("0", ["logistic"], "missing required key 'kind'"),
+        ("0", ["logistic"], r"expected an object, got \['logistic'\]"),
+        ("0", {"hyper": {"rounds": 2}}, "missing required key 'kind'"),
     ])
     def test_bad_classifier_entry_rejected(self, tmp_path, level, entry, match):
         doc = small_config_doc()
@@ -205,6 +206,10 @@ class TestLibraryConfigsFollowTheJsonRules:
         for changes, match in [
                 (dict(scenarios=()), "scenarios: the list must be nonempty"),
                 (dict(scenarios=("balanced", "sideways")), "scenarios: unknown scenario"),
+                (dict(scenarios=("balanced", TestScenario.BALANCED)),
+                 "scenarios: scenario balanced is listed twice"),
+                (dict(scenarios="reverse"),
+                 "scenarios: expected a list of scenario names, got 'reverse'"),
                 (dict(classifiers={1.0: config.classifiers[1.0]}),
                  "classifiers: no entry for z1 level 0"),
                 (dict(pool_specs={0.0: config.pool_specs[0.0]}),

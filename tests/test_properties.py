@@ -1,5 +1,10 @@
 """Property tests: random inputs, fixed example order (derandomized)."""
 
+import contextlib
+import copy
+import io
+import json
+import re
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -13,6 +18,7 @@ from mixrobust import (ClassifierError, DatasetPool, DesignConfig, MetricsError,
                        class_counts, compose_split, write_outcomes_csv)
 from mixrobust.classifiers import (_softmax, boosted_stump_scores, check_score_matrix,
                                    fit_logistic_ovr)
+from mixrobust.cli import main
 from mixrobust.metrics import aucs_ovr, read_outcome_table, stored_sum_bound
 from mixrobust.sampling import split_sizes
 
@@ -347,3 +353,103 @@ def test_outcomes_round_trip_for_every_design(design):
         table = read_outcome_table(Path(tmp) / "outcomes.csv")
     assert table.run_id.tolist() == [r.run_id for r in plan.runs]
     assert close_mixtures(table.train_mixture, [r.train_mixture for r in plan.runs])
+
+
+STAGES = ("design", "simulate", "run", "analyze", "shap", "contour", "report")
+
+
+@st.composite
+def experiment_docs(draw):
+    """A small valid config document: m = 2..4 classes, one replicate, two
+    covariate factors of 1-2 distinct levels, both classifier kinds, and
+    synthetic pools of at most 60 rows per class."""
+    m = draw(st.integers(2, 4))
+    levels = [draw(st.lists(st.sampled_from([0, 1, 2]), min_size=1, max_size=2, unique=True))
+              for _ in range(2)]
+    classifiers = {
+        f"{level:g}": draw(st.one_of(
+            st.builds(lambda epochs: {"kind": "logistic", "hyper": {"epochs": epochs}},
+                      st.integers(0, 20)),
+            st.builds(lambda rounds: {"kind": "boosted_stumps", "hyper": {"rounds": rounds}},
+                      st.integers(0, 3))))
+        for level in levels[0]}
+    pools = {f"{level:g}": {"synthetic": {
+        "m": m, "d": draw(st.integers(m, m + 1)), "n_per_class": draw(st.sampled_from([60, 30, 2])),
+        "separation": draw(st.sampled_from([0.5, 2.5])), "seed": draw(st.integers(0, 99))}}
+        for level in levels[1]}
+    return {
+        "design": {"m": m, "covariate_levels": levels, "replicates": 1,
+                   "min_prop": draw(st.sampled_from([0.1, 0.01, 0.0]))},
+        "sampling": {"train_frac": draw(st.sampled_from([0.5, 0.2, 0.05])),
+                     "test_frac": draw(st.sampled_from([0.2, 0.4, 0.05]))},
+        "classifiers": classifiers,
+        "pools": pools,
+        "scenarios": draw(st.lists(st.sampled_from(["balanced", "consistent", "reverse"]),
+                                   min_size=1, max_size=3, unique=True)),
+        "master_seed": draw(st.integers(0, 99)),
+    }
+
+
+def unknown_key_sections(doc):
+    """Each object of `doc` that the reader refuses a key in."""
+    level, pool = next(iter(doc["classifiers"])), next(iter(doc["pools"]))
+    return [doc, doc["design"], doc["sampling"], doc["classifiers"][level],
+            doc["pools"][pool], doc["pools"][pool]["synthetic"]]
+
+
+def snapshot(out):
+    return {path.name: path.read_bytes() for path in out.iterdir()} if out.exists() else None
+
+
+def run_stage(stage, config_path, out, jobs):
+    """The stage's exit code and stderr."""
+    argv = [stage, "--config", str(config_path), "--out", str(out), "--jobs", str(jobs)]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        return main(argv), err.getvalue()
+
+
+def run_stages(config_path, out, jobs):
+    """Each stage's exit code, once it is a mixrobust code, an exit 2 has
+    left `out` as it was, and a fit stage's exit 4 names its fit."""
+    codes = []
+    for stage in STAGES:
+        before = snapshot(out)
+        code, err = run_stage(stage, config_path, out, jobs)
+        assert code in (0, 2, 3, 4), (stage, code, err)
+        if code == 2:
+            assert snapshot(out) == before, stage
+        if code == 4 and stage in ("analyze", "shap", "contour"):
+            assert re.search(r"scenario \w+(, response \w+: | failed; see )", err), err
+        codes.append(code)
+    return codes
+
+
+# every stage of this config exits 0: the floor leaves each class rows on both sides
+WHOLE_PIPELINE_DOC = {
+    "design": {"m": 3, "covariate_levels": [[1, 0], [1, 0]], "replicates": 1, "min_prop": 0.1},
+    "sampling": {"train_frac": 0.2, "test_frac": 0.2},
+    "classifiers": {"1": {"kind": "logistic", "hyper": {"epochs": 20}},
+                    "0": {"kind": "boosted_stumps", "hyper": {"rounds": 3}}},
+    "pools": {level: {"synthetic": {"m": 3, "d": 3, "n_per_class": 60, "separation": 2.5,
+                                    "seed": seed}} for level, seed in (("1", 11), ("0", 12))},
+    "scenarios": ["balanced", "consistent", "reverse"],
+    "master_seed": 7,
+}
+
+
+@settings(fixed, max_examples=25)
+@example(doc=WHOLE_PIPELINE_DOC, section=5)
+@given(doc=experiment_docs(), section=st.integers(0, 5))
+def test_every_stage_of_a_valid_config_ends_in_a_known_exit_code(doc, section):
+    doc = copy.deepcopy(doc)
+    with tempfile.TemporaryDirectory() as tmp:
+        config_path, serial, pooled = (Path(tmp) / name for name in ("config.json", "1", "2"))
+        config_path.write_text(json.dumps(doc))
+        # the worker count changes neither an exit code nor a byte
+        assert run_stages(config_path, serial, 1) == run_stages(config_path, pooled, 2)
+        assert snapshot(serial) == snapshot(pooled)
+        unknown_key_sections(doc)[section]["unknown_key"] = 1
+        config_path.write_text(json.dumps(doc))
+        for stage in STAGES:
+            assert run_stage(stage, config_path, serial, 1)[0] == 2, stage

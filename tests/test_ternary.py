@@ -4,6 +4,7 @@ import math
 import re
 import xml.etree.ElementTree as ET
 from dataclasses import replace
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from mixrobust import (MixtureModelFit, TernaryGrid, barycentric_to_xy,
                        grid_predict, render_ternary, simplex_lattice, term_labels)
 from mixrobust import ternary
 from mixrobust.design import DesignError, check_floor
-from mixrobust.ternary import (ContourError, _micro_triangles, grid_to_csv,
+from mixrobust.ternary import (ContourError, Surface, _micro_triangles, grid_to_csv,
                                surface_filenames)
 from mixrobust.seeding import generator
 
@@ -48,7 +49,7 @@ def reference_bands(surface, levels):
     values = surface.values
     low, high = values.min(), values.max()
     bands = {}
-    for cell in reference_micro_triangles(surface):
+    for cell in reference_micro_triangles(surface.grid):
         mean = values[list(cell)].sum() / 3.0
         band = max(0, min(int((mean - low) / (high - low) * levels), levels - 1))
         bands.setdefault(band, []).append(cell)
@@ -63,14 +64,14 @@ def cancelled_edges(cells):
 
 def lattice_counts(surface):
     """Each grid row's (b, c) lattice counts, and the row of each count pair."""
-    counts = [tuple(c) for c in
-              np.rint(surface.points[:, 1:3] * surface.q).astype(int).tolist()]
+    grid = surface.grid
+    counts = [tuple(c) for c in np.rint(grid.points[:, 1:3] * grid.q).astype(int).tolist()]
     return counts, {count: row for row, count in enumerate(counts)}
 
 
 def svg_band_loops(svg, surface, levels):
     """{band: loops} read back from the SVG paths, each loop its corner rows."""
-    px, py = ternary._to_px(barycentric_to_xy(surface.points).T)
+    px, py = ternary._to_px(barycentric_to_xy(surface.grid.points).T)
     rows = {f"{x:.2f},{y:.2f}": row for row, (x, y) in enumerate(zip(px.tolist(),
                                                                       py.tolist()))}
     bands = {ternary._ramp_color((band + 0.5) / levels): band for band in range(levels)}
@@ -229,7 +230,7 @@ class TestGridPredict:
         fit = make_fit(coeffs)
         grid = TernaryGrid.build(q=30, min_prop=0.0)
         surface = grid_predict(fit, grid, (0, 0))
-        centroid_row = np.argmin(np.abs(surface.points - THIRD).sum(axis=1))
+        centroid_row = np.argmin(np.abs(grid.points - THIRD).sum(axis=1))
         assert surface.values[centroid_row] == pytest.approx(0.81483, abs=5e-6)
 
     def test_constant_fit_gives_constant_surface(self):
@@ -247,7 +248,7 @@ class TestGridPredict:
         coeffs[3:6] = 0.9
         fit = make_fit(coeffs)
         surface = grid_predict(fit, TernaryGrid.build(q=30, min_prop=0.0), (0, 0))
-        best = surface.points[np.argmax(surface.values)]
+        best = surface.grid.points[np.argmax(surface.values)]
         assert np.allclose(best, THIRD, atol=1e-12)
 
     def test_values_at_design_points_equal_predict(self):
@@ -256,13 +257,13 @@ class TestGridPredict:
         fit = make_fit(rng.normal(size=13))
         grid = TernaryGrid.build(q=100, min_prop=0.01)
         surface = grid_predict(fit, grid, (1, 0))
-        for row, point in enumerate(surface.points):
+        for row, point in enumerate(grid.points):
             assert surface.values[row] == predict(fit, point, (1, 0))
         fit5 = make_fit(rng.normal(size=33), m=5, h=3)
         grid5 = TernaryGrid(q=20, min_prop=0.01, points=simplex_lattice(20, 5, 0.01))
         surface5 = grid_predict(fit5, grid5, (1, 0, 1))
-        assert len(surface5.points) == 3876  # each count >= 1: C(15 + 4, 4)
-        for row, point in enumerate(surface5.points):
+        assert len(grid5.points) == 3876  # each count >= 1: C(15 + 4, 4)
+        for row, point in enumerate(grid5.points):
             assert surface5.values[row] == predict(fit5, point, (1, 0, 1))
 
 
@@ -315,7 +316,7 @@ class TestRender:
                                              (30, 0.05), (100, 0.01), (9, 0.3)])
     def test_twin_edges_are_the_reverse_edges(self, q, min_prop):
         grid = TernaryGrid.build(q=q, min_prop=min_prop)
-        cells, _, twins, _ = ternary._svg_lattice(grid)
+        cells, _, twins, _ = grid.svg_lattice
         assert twins.dtype == np.int32
         edges = [(cell[k], cell[(k + 1) % 3]) for cell in cells.tolist() for k in range(3)]
         edge_set = set(edges)
@@ -332,11 +333,11 @@ class TestRender:
         else:  # a noisy ramp: bands with holes, and bands touching at a point
             grid = TernaryGrid.build(q=30, min_prop=0.0)
             noise = generator(56, "noisy").normal(scale=0.1, size=len(grid.points))
-            surface = replace(grid, values=grid.points[:, 0] + grid.points[:, 2] / 2 + noise)
+            surface = Surface(grid, grid.points[:, 0] + grid.points[:, 2] / 2 + noise)
         svg = render_ternary(surface, levels=10).decode("utf-8")
         fills = re.findall(r'<path d="[^"]*" fill="(#[0-9a-f]{6})"', svg)
         assert len(fills) == len(set(fills)) > 1
-        assert svg.count("<polygon") == (2 if surface.min_prop > 0 else 1)
+        assert svg.count("<polygon") == (2 if surface.grid.min_prop > 0 else 1)
         cells = reference_bands(surface, levels=10)
         loops = svg_band_loops(svg, surface, levels=10)
         assert sorted(loops) == sorted(cells)
@@ -351,7 +352,8 @@ class TestRender:
             total += sum(areas)
             holes += sum(area < 0 for area in areas)
             pinches += len(edges) - len({start for start, _ in edges})
-        free = surface.q - 3 * math.ceil(surface.min_prop * surface.q - 1e-9)
+        grid = surface.grid
+        free = grid.q - 3 * math.ceil(grid.min_prop * grid.q - 1e-9)
         assert total == pytest.approx(free * free * cell_area, rel=1e-9)
         if kind == "noisy":
             assert holes > 0 and pinches > 0
@@ -359,7 +361,7 @@ class TestRender:
     @pytest.mark.parametrize("min_prop", [0.01, 0.0])
     def test_constant_surface_is_one_triangle(self, min_prop):
         grid = TernaryGrid.build(q=100, min_prop=min_prop)
-        surface = replace(grid, values=np.full(len(grid.points), 0.25))
+        surface = Surface(grid, np.full(len(grid.points), 0.25))
         svg = render_ternary(surface, levels=10).decode("utf-8")
         paths = re.findall(r'<path d="([^"]*)"', svg)
         assert len(paths) == 1
@@ -395,28 +397,35 @@ class TestRender:
             render_ternary(surface)
 
     def test_empty_grid_rejected(self):
-        grid = TernaryGrid(q=5, min_prop=0.0, points=np.zeros((0, 3)),
-                           values=np.zeros(0))
-        with pytest.raises(ContourError):
-            render_ternary(grid)
-        with pytest.raises(ContourError):
-            render_ternary(TernaryGrid.build(5, 0.0))  # no values yet
+        surface = Surface(TernaryGrid(q=5, min_prop=0.0, points=np.zeros((0, 3))), np.zeros(0))
+        with pytest.raises(ContourError, match="cannot render an empty grid"):
+            render_ternary(surface)
+
+
+def spy_on_lattice_parts(monkeypatch):
+    """The names of the lattice parts built from now on, one entry per build."""
+    calls = []
+    for name in ("_micro_triangles", "_twin_edges"):
+        build = getattr(ternary, name)
+        monkeypatch.setattr(ternary, name, lambda *args, name=name, build=build:
+                            calls.append(name) or build(*args))
+    template = TernaryGrid.csv_template.func
+    spy = cached_property(lambda grid: calls.append("csv_template") or template(grid))
+    spy.__set_name__(TernaryGrid, "csv_template")
+    monkeypatch.setattr(TernaryGrid, "csv_template", spy)
+    return calls
 
 
 class TestLatticeParts:
     def test_surfaces_of_one_lattice_format_it_once(self, monkeypatch):
-        calls = []
-        for name in ("_micro_triangles", "_twin_edges", "_csv_template"):
-            build = getattr(ternary, name)
-            monkeypatch.setattr(ternary, name, lambda *args, name=name, build=build:
-                                calls.append(name) or build(*args))
+        calls = spy_on_lattice_parts(monkeypatch)
         grid = TernaryGrid.build(q=20, min_prop=0.01)
         rng = generator(54, "parts")
         fits = [make_fit(rng.normal(size=13)) for _ in range(3)]
         surfaces = [replace(grid_predict(fit, grid, (1, 0)), response="mean_auc")
                     for fit in fits]
         outputs = [(grid_to_csv(s), render_ternary(s)) for s in surfaces]
-        assert sorted(calls) == ["_csv_template", "_micro_triangles", "_twin_edges"]
+        assert sorted(calls) == ["_micro_triangles", "_twin_edges", "csv_template"]
         # the same bytes as surfaces on lattices of their own
         for fit, output in zip(fits, outputs):
             alone = replace(grid_predict(fit, TernaryGrid.build(q=20, min_prop=0.01),
@@ -426,17 +435,16 @@ class TestLatticeParts:
     def test_other_points_rebuild_the_parts(self):
         rng = generator(55, "parts")
         fit = make_fit(rng.normal(size=13))
-        surface = grid_predict(fit, TernaryGrid.build(q=20, min_prop=0.01), (0, 1))
+        grid = TernaryGrid.build(q=20, min_prop=0.01)
+        surface = grid_predict(fit, grid, (0, 1))
         render_ternary(surface)
         grid_to_csv(surface)
         coarse = TernaryGrid.build(q=7, min_prop=0.01)
-        # replace() hands on the first lattice's parts with the new points
-        moved = grid_predict(fit, replace(surface, q=coarse.q, points=coarse.points),
-                             (0, 1))
+        moved = grid_predict(fit, replace(grid, q=coarse.q, points=coarse.points), (0, 1))
         alone = grid_predict(fit, coarse, (0, 1))
         assert grid_to_csv(moved) == grid_to_csv(alone)
         assert render_ternary(moved) == render_ternary(alone)
-        twins = [ternary._lattice_part(g, ternary._svg_lattice)[2] for g in (moved, alone)]
+        twins = [s.grid.svg_lattice[2] for s in (moved, alone)]
         assert len(twins[0]) == 3 * len(_micro_triangles(coarse))
         assert twins[0].tobytes() == twins[1].tobytes()
 
@@ -456,7 +464,7 @@ class TestCsvAndNames:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["x1", "x2", "x3", "value"])
-        for point, value in zip(surface.points, surface.values):
+        for point, value in zip(surface.grid.points, surface.values):
             writer.writerow([f"{v:.6f}" for v in point] + [f"{value:.10g}"])
         assert grid_to_csv(surface) == buf.getvalue()
 
