@@ -11,14 +11,14 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from functools import partial
 
 import numpy as np
 
 from .fileio import atomic_write_text, csv_text
-from .seeding import derive_seed, generator
+from .seeding import derive_seeds, generator
 
 MIXTURE_SUM_TOL = 1e-12
 # decimals of every proportion written to plan.csv, outcomes.csv and the grids
@@ -238,7 +238,7 @@ def scenario_test_proportions(train, scenario: TestScenario, rng=None, min_prop=
     if scenario is not TestScenario.REVERSE:
         raise DesignError(f"unknown scenario {scenario!r}")
 
-    low = x <= x.min() + 1e-12
+    low = _lowest(x)
     if low.all():
         # exact centroid: no rank pattern to reverse
         if rng is None:
@@ -257,6 +257,11 @@ def scenario_test_proportions(train, scenario: TestScenario, rng=None, min_prop=
     return out
 
 
+def _lowest(x):
+    """Which classes of the proportion array x sit at its minimum, within 1e-12."""
+    return x <= x.min() + 1e-12
+
+
 def expand_plan(base: RunPlan, scenarios=ALL_SCENARIOS) -> RunPlan:
     """Expand base cross-array runs over scenarios and replicates.
 
@@ -267,25 +272,37 @@ def expand_plan(base: RunPlan, scenarios=ALL_SCENARIOS) -> RunPlan:
     """
     cfg = base.config
     scenarios = tuple(map(TestScenario.parse, scenarios))
+    replicates = np.repeat(np.arange(1, cfg.replicates + 1), len(base.runs))
     runs = []
-    run_id = 1
     for scenario in scenarios:
-        for replicate in range(1, cfg.replicates + 1):
-            for baserun in base.runs:
-                seed = derive_seed(cfg.seed, run_id, replicate, scenario.value)
-                test = scenario_test_proportions(
-                    baserun.train_mixture, scenario,
-                    rng=partial(generator, seed, "reverse"), min_prop=cfg.min_prop)
-                runs.append(replace(
-                    baserun,
-                    run_id=run_id,
-                    scenario=scenario,
-                    test_mixture=tuple(float(v) for v in test),
-                    replicate=replicate,
-                    seed=seed,
-                ))
-                run_id += 1
+        run_ids = np.arange(len(runs) + 1, len(runs) + 1 + replicates.size)
+        seeds = derive_seeds(cfg.seed, run_ids, replicates, scenario.value)
+        tests = _test_mixtures(base, scenario)
+        for run_id, replicate, seed, baserun, test in zip(
+                run_ids.tolist(), replicates.tolist(), seeds.tolist(),
+                itertools.cycle(base.runs), itertools.cycle(tests)):
+            if test is None:
+                test = tuple(scenario_test_proportions(
+                    baserun.train_mixture, scenario, rng=partial(generator, seed, "reverse"),
+                    min_prop=cfg.min_prop).tolist())
+            runs.append(RunSpec(run_id, baserun.train_mixture, baserun.covariates, scenario,
+                                test, replicate, seed))
     return RunPlan(config=cfg, runs=runs)
+
+
+def _test_mixtures(base: RunPlan, scenario: TestScenario):
+    """The test mixture of each base run under scenario, computed once per
+    training mixture; None for the exact centroid under REVERSE, whose
+    instances each draw their own."""
+    keys = [repr(run.train_mixture) for run in base.runs]  # -0.0 apart from 0.0
+    by_point = {}
+    for key, run in zip(keys, base.runs):
+        if key not in by_point:
+            x = np.asarray(run.train_mixture, dtype=float)
+            draws = scenario is TestScenario.REVERSE and _lowest(x).all()
+            by_point[key] = None if draws else tuple(scenario_test_proportions(
+                x, scenario, min_prop=base.config.min_prop).tolist())
+    return [by_point[key] for key in keys]
 
 
 def build_run_plan(config: DesignConfig, scenarios=ALL_SCENARIOS) -> RunPlan:

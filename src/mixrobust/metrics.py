@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .design import PROPORTION_DECIMALS, TestScenario
-from .fileio import atomic_write_text, csv_text, iter_csv
+from .fileio import atomic_write_text, iter_csv
 
 SD_FLOOR = 1e-8
 
@@ -68,22 +68,27 @@ def _twice_rank_sum(column, positive):
 
 
 def mean_auc(aucs):
+    """The mean of the per-class AUCs, as np.mean computes it: numpy's
+    (pairwise) sum divided by the count."""
     aucs = np.asarray(aucs, dtype=float)
     if aucs.size < 1:
         raise MetricsError("mean AUC needs at least one class")
-    return float(aucs.mean())
+    return float(np.add.reduce(aucs, axis=None) / aucs.size)
 
 
 def log_sd(aucs):
     """Natural log of the sample SD (m-1 denominator) of the per-class AUCs.
 
-    Dispersion below SD_FLOOR is floored rather than dropped, flagged
-    degenerate, so downstream fits keep the balanced design.
+    The SD takes np.std(ddof=1)'s steps: the mean, the sum of squared
+    deviations from it over m - 1, the square root. Dispersion below
+    SD_FLOOR is floored rather than dropped, flagged degenerate, so
+    downstream fits keep the balanced design.
     """
     aucs = np.asarray(aucs, dtype=float)
     if aucs.size < 2:
         raise MetricsError("log SD needs at least two classes")
-    sd = float(np.std(aucs, ddof=1))
+    deviations = aucs - np.add.reduce(aucs, axis=None) / aucs.size
+    sd = math.sqrt(np.add.reduce(deviations * deviations, axis=None) / (aucs.size - 1))
     if sd < SD_FLOOR:
         return math.log(SD_FLOOR), True
     return math.log(sd), False
@@ -105,11 +110,12 @@ class RunOutcome:
 
     @classmethod
     def from_aucs(cls, run_id, replicate, scenario, covariates, train_mixture, aucs):
-        aucs = tuple(float(a) for a in aucs)
-        sd_log, degenerate = log_sd(aucs)
+        values = np.array(aucs, dtype=float)
+        aucs = tuple(values.tolist())
+        sd_log, degenerate = log_sd(values)
         return cls(run_id=run_id, replicate=replicate, scenario=scenario,
                    covariates=tuple(covariates), train_mixture=tuple(train_mixture),
-                   aucs=aucs, mean_auc=mean_auc(aucs), log_sd=sd_log,
+                   aucs=aucs, mean_auc=mean_auc(values), log_sd=sd_log,
                    degenerate_sd=degenerate)
 
 
@@ -122,13 +128,14 @@ def outcomes_header(m, h):
 
 
 def outcomes_to_csv(outcomes, m, h) -> str:
-    return csv_text(outcomes_header(m, h), (
-        [out.run_id, out.replicate, out.scenario.value]
-        + [f"{v:g}" for v in out.covariates]
-        + [f"{v:.{PROPORTION_DECIMALS}f}" for v in out.train_mixture]
-        + [f"{v:.10g}" for v in out.aucs]
-        + [f"{out.mean_auc:.10g}", f"{out.log_sd:.10g}", int(out.degenerate_sd)]
-        for out in sorted(outcomes, key=lambda o: o.run_id)))
+    """The outcome rows by run_id, each filled into one line template."""
+    line = ",".join(["%s"] * 3 + ["%g"] * h + [f"%.{PROPORTION_DECIMALS}f"] * m
+                    + ["%.10g"] * (m + 2) + ["%d"]) + "\n"
+    return ",".join(outcomes_header(m, h)) + "\n" + "".join([
+        line % (out.run_id, out.replicate, out.scenario.value, *out.covariates,
+                *out.train_mixture, *out.aucs, out.mean_auc, out.log_sd,
+                int(out.degenerate_sd))
+        for out in sorted(outcomes, key=lambda o: o.run_id)])
 
 
 def write_outcomes_csv(outcomes, m, h, path):

@@ -82,8 +82,9 @@ class ExperimentConfig:
 
     The design has two covariates or more. Every level of the classifier
     covariate z1 needs a classifier, and every level of the pool covariate
-    z2 a pool; the scenarios, parsed by `TestScenario.parse`, are a nonempty
-    tuple. Otherwise raises ConfigError.
+    z2 a pool, with no entry for a level the design does not have; the
+    scenarios, parsed by `TestScenario.parse`, are a nonempty tuple.
+    Otherwise raises ConfigError.
     """
 
     design: DesignConfig
@@ -98,9 +99,14 @@ class ExperimentConfig:
             raise ConfigError(_TWO_COVARIATES)
         sections = (("classifiers", self.classifiers), ("pools", self.pool_specs))
         for k, (name, entries) in zip(range(self.design.h), sections):
-            for level in self.design.covariate_levels[k]:
+            levels = self.design.covariate_levels[k]
+            for level in levels:
                 if level not in entries:
                     raise ConfigError(f"{name}: no entry for z{k + 1} level {level:g}")
+            for level in entries:  # no run would read it
+                if level not in levels:
+                    raise ConfigError(f"{name}: level {level:g} is not a z{k + 1} level "
+                                      f"(levels {', '.join(f'{v:g}' for v in levels)})")
         with _section("scenarios"):
             if not isinstance(self.scenarios, (list, tuple)):
                 raise ConfigError(f"expected a list of scenario names, got {self.scenarios!r}")
@@ -328,7 +334,9 @@ def _parse_classifier(doc):
 
 def _parse_synthetic(doc):
     """Means from `class_means` or `separation` are checked after m and d, as the
-    dataclass checks them. A null or an empty list `separability_boost` means none."""
+    dataclass checks them. A null or an empty list `separability_boost` means none.
+    A pool that gives both `class_means` and `separation` is refused once its
+    other fields have passed, so each other error reads as it would alone."""
     _fields(doc, "m", "d", "n_per_class", "class_means", "separation", "noise_scale",
             "separability_boost", "seed")
     m, d = (whole_number(_require(doc, key), key) for key in ("m", "d"))
@@ -338,7 +346,10 @@ def _parse_synthetic(doc):
     fields = _given(doc, "n_per_class", "noise_scale", "separability_boost", "seed")
     if fields.get("separability_boost") == []:
         fields["separability_boost"] = None
-    return SyntheticDataConfig(m=m, d=d, class_means=means, **fields)
+    config = SyntheticDataConfig(m=m, d=d, class_means=means, **fields)
+    if "class_means" in doc and "separation" in doc:
+        raise ConfigError("give either 'class_means' or 'separation', not both")
+    return config
 
 
 def _parse_pool(doc, base_dir):

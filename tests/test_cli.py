@@ -316,8 +316,10 @@ class TestContourFileNames:
     def test_colliding_file_names_exit_config(self, tmp_path, capsys, levels, code):
         doc = small_config_doc()
         doc["design"]["covariate_levels"] = levels
-        for section in ("classifiers", "pools"):
-            doc[section]["11"] = doc[section]["0"]
+        for section, section_levels in zip(("classifiers", "pools"), levels):
+            entries = doc[section]
+            doc[section] = {f"{level:g}": entries.get(f"{level:g}", entries["0"])
+                            for level in section_levels}
         config_path = write_config(tmp_path, doc)
         assert main(["contour", "--config", str(config_path)]) == code
         err = capsys.readouterr().err
@@ -634,6 +636,15 @@ BAD_CONFIG_VALUES = [
                "separability-boost-empty-string"),
     _bad_value(("pools", "1", "synthetic", "separability_boost"), {}, "pools[1]",
                "separability-boost-empty-object"),
+    # the means come from one source, never silently from the first of two
+    _bad_value(("pools", "1", "synthetic", "class_means"),
+               [[2.5, 0, 0], [0, 2.5, 0], [0, 0, 2.5]], "pools[1]", "synthetic-both-means",
+               "give either 'class_means' or 'separation', not both"),
+    # an entry for a level the design lacks is read by no run
+    _bad_value(("pools", "5"), {"synthetic": {"m": 3, "d": 3, "n_per_class": 100}}, "pools",
+               "pool-level-not-in-design", "level 5 is not a z2 level (levels 1, 0)"),
+    _bad_value(("classifiers", "0.5"), {"kind": "logistic"}, "classifiers",
+               "classifier-level-not-in-design", "level 0.5 is not a z1 level (levels 1, 0)"),
 ]
 
 

@@ -3,10 +3,14 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mixrobust import (MetricsError, RunOutcome, TestScenario, auc_ovr, log_sd,
                        mean_auc, read_outcomes_csv, write_outcomes_csv)
-from mixrobust.metrics import SD_FLOOR, outcomes_to_csv
+from mixrobust.design import PROPORTION_DECIMALS
+from mixrobust.fileio import csv_text
+from mixrobust.metrics import SD_FLOOR, outcomes_header, outcomes_to_csv
 from mixrobust.seeding import generator
 
 
@@ -204,3 +208,84 @@ class TestOutcomesCsv:
     def test_byte_stable(self):
         outs = self._outcomes()
         assert outcomes_to_csv(outs, 3, 2) == outcomes_to_csv(outs, 3, 2)
+
+
+fixed = settings(derandomize=True, deadline=None, max_examples=200)
+
+aucs_values = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.5, 0.999, 1.0, 0.0]),
+                        st.floats(0.7, 0.75))
+auc_tables = st.integers(2, 12).flatmap(lambda m: st.one_of(
+    st.lists(st.lists(aucs_values, min_size=m, max_size=m), min_size=1, max_size=4),
+    # all equal: the SD_FLOOR branch
+    aucs_values.map(lambda v: [[v] * m]),
+    # equal up to the last bits
+    st.floats(0.5, 0.99).map(lambda v: [[v, *[np.nextafter(v, 1.0)] * (m - 1)]])))
+
+
+def bits(value):
+    return float(value).hex()
+
+
+@fixed
+@given(auc_tables)
+@example([[0.9] * 9])
+@example([[0.1 * k for k in range(1, 13)]])
+def test_responses_keep_the_bits_of_np_mean_and_np_std(rows):
+    """np.mean's and np.std(ddof=1)'s bits, also from m = 9, where numpy's
+    pairwise summation order shows, for rows of a contiguous 2-D array,
+    tuples, lists and RunOutcome.from_aucs."""
+    table = np.ascontiguousarray(rows, dtype=float)
+    for row in table:
+        want_mean = bits(np.mean(row))
+        sd = float(np.std(row, ddof=1))
+        want_sd = (math.log(SD_FLOOR), True) if sd < SD_FLOOR else (math.log(sd), False)
+        for aucs in (row, tuple(row.tolist()), row.tolist()):
+            assert bits(mean_auc(aucs)) == want_mean
+            value, flag = log_sd(aucs)
+            assert (bits(value), flag) == (bits(want_sd[0]), want_sd[1])
+        out = RunOutcome.from_aucs(1, 1, TestScenario.BALANCED, (1.0, 0.0),
+                                   (1 / len(row),) * len(row), row)
+        assert (bits(out.mean_auc), bits(out.log_sd), out.degenerate_sd) == (
+            want_mean, bits(want_sd[0]), want_sd[1])
+
+
+def oracle_outcomes_to_csv(outcomes, m, h):
+    """outcomes_to_csv as it was written: one csv.writer row per outcome."""
+    return csv_text(outcomes_header(m, h), (
+        [out.run_id, out.replicate, out.scenario.value]
+        + [f"{v:g}" for v in out.covariates]
+        + [f"{v:.{PROPORTION_DECIMALS}f}" for v in out.train_mixture]
+        + [f"{v:.10g}" for v in out.aucs]
+        + [f"{out.mean_auc:.10g}", f"{out.log_sd:.10g}", int(out.degenerate_sd)]
+        for out in sorted(outcomes, key=lambda o: o.run_id)))
+
+
+special = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 1e-7, 1e21, 1e-300,
+                           123456789.123, 0.1 + 0.2])
+numbers = st.one_of(st.floats(allow_nan=True, allow_infinity=True), special)
+fields = st.one_of(numbers, numbers.map(np.float64), st.floats(width=32).map(np.float32))
+whole = st.tuples(st.integers(0, 10 ** 6), st.sampled_from([int, np.int64, np.uint32]))
+
+
+@st.composite
+def outcome_tables(draw):
+    m, h = draw(st.integers(2, 6)), draw(st.integers(1, 4))
+    outcomes = [RunOutcome(
+        run_id=cast(run_id), replicate=draw(whole.map(lambda p: p[1](p[0] % 1000))),
+        scenario=draw(st.sampled_from(list(TestScenario))),
+        covariates=tuple(draw(st.lists(fields, min_size=h, max_size=h))),
+        train_mixture=tuple(draw(st.lists(fields, min_size=m, max_size=m))),
+        aucs=tuple(draw(st.lists(fields, min_size=m, max_size=m))),
+        mean_auc=draw(fields), log_sd=draw(fields),
+        degenerate_sd=draw(st.sampled_from([False, True, np.False_, np.True_])))
+        for run_id, cast in draw(st.lists(whole, max_size=8))]
+    return outcomes, m, h
+
+
+@fixed
+@given(outcome_tables())
+def test_outcomes_csv_matches_the_csv_writer(table):
+    """nan, inf, -0, numpy scalar fields and covariate levels such as 1e-7
+    and 1e21 print as the csv.writer formatter printed them."""
+    outcomes, m, h = table
+    assert outcomes_to_csv(outcomes, m, h) == oracle_outcomes_to_csv(outcomes, m, h)

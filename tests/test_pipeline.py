@@ -214,6 +214,10 @@ class TestLibraryConfigsFollowTheJsonRules:
                  "classifiers: no entry for z1 level 0"),
                 (dict(pool_specs={0.0: config.pool_specs[0.0]}),
                  "pools: no entry for z2 level 1"),
+                (dict(classifiers={**config.classifiers, 2.0: config.classifiers[1.0]}),
+                 r"classifiers: level 2 is not a z1 level \(levels 1, 0\)$"),
+                (dict(pool_specs={**config.pool_specs, -1.5: config.pool_specs[0.0]}),
+                 r"pools: level -1.5 is not a z2 level \(levels 1, 0\)$"),
                 (dict(design=replace(config.design, covariate_levels=((1, 0),))),
                  "the pipeline expects two covariates")]:
             with pytest.raises(ConfigError, match=f"^{match}"):
