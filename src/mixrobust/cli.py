@@ -21,12 +21,12 @@ from .design import DesignError, TestScenario, build_run_plan, write_plan_csv
 from .fileio import atomic_write_text, csv_text, read_csv, write_json
 from .metrics import MetricsError, read_outcome_table, write_outcomes_csv
 from .mixmodel import (RESPONSES, ModelError, build_design_matrix, dataset_from_table,
-                       fit_ols, fit_report, load_scipy, write_fit_report)
+                       factorize, fit_report, load_scipy, write_fit_report)
 from .pipeline import (ConfigError, ExperimentConfig, checked_pools,
                        parse_experiment_config, resolve_jobs, simulate_plan,
                        with_master_seed)
 from .shapley import shap_report, write_phi_csv, write_shap_json
-from .ternary import (ContourError, TernaryGrid, covariate_tag, grid_predict,
+from .ternary import (ContourError, TernaryGrid, covariate_tag, grid_surfaces,
                       surface_filenames, write_grid_csv, write_ternary_svg)
 
 EXIT_OK = 0
@@ -204,15 +204,17 @@ def _fits(config, args):
                              f"{scenario.value}")
         groups.append((scenario, rows))
     for scenario, rows in groups:
+        factors = None  # both responses share the scenario's model matrix and its QR
         for response in RESPONSES:
             try:
                 data = dataset_from_table(rows, response)
-                matrix = build_design_matrix(data)
-                fit = fit_ols(matrix, data.y)
+                if factors is None:
+                    factors = factorize(build_design_matrix(data))
+                fit = factors.fit(data.y)
             except ModelError as exc:
                 raise ModelError(f"scenario {scenario.value}, response {response}: "
                                  f"{exc}") from None
-            yield scenario, response, fit, matrix
+            yield scenario, response, fit, factors.matrix
 
 
 def _fit_stage(write, config, args):
@@ -258,10 +260,10 @@ def write_contours(config, fits):
             raise ContourError(f"covariate levels {first} and {z} would both write "
                                f"contour files tagged {covariate_tag(z)}")
     for scenario, response, fit, _ in fits:
-        for z in combos.values():
-            grid_name, svg_name = surface_filenames(response, scenario.value, z)
-            surface = replace(grid_predict(fit, grid, z),
-                              response=response, scenario=scenario.value)
+        for surface in grid_surfaces(fit, grid, combos.values()):
+            grid_name, svg_name = surface_filenames(response, scenario.value,
+                                                    surface.covariates)
+            surface = replace(surface, response=response, scenario=scenario.value)
             write_grid_csv(surface, config.output_dir / grid_name)
             if ternary:
                 write_ternary_svg(surface, config.output_dir / svg_name)

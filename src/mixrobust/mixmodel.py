@@ -63,19 +63,6 @@ def _term_factors(m, h):
     return left, right
 
 
-def _factor_columns(mixtures, covariates):
-    """[x | z | 1] as one (n, m + h + 1) array from raw 2-D inputs, with m and h."""
-    mixtures = np.asarray(mixtures, dtype=float)
-    covariates = np.asarray(covariates, dtype=float)
-    if mixtures.ndim != 2 or covariates.ndim != 2:
-        raise ModelError("mixtures and covariates must be 2-D, one row per observation")
-    n = mixtures.shape[0]
-    if covariates.shape[0] != n:
-        raise ModelError(f"{n} mixture rows but {covariates.shape[0]} covariate rows")
-    factors = np.column_stack([mixtures, covariates, np.ones(n)])
-    return factors, mixtures.shape[1], covariates.shape[1]
-
-
 def _check_mixture_rows(mixtures):
     """Raise ModelError naming the first row of `mixtures` whose sum is not
     within MIXTURE_ROW_TOL of 1 (a NaN sum included)."""
@@ -88,8 +75,15 @@ def _check_mixture_rows(mixtures):
 
 def model_matrix(mixtures, covariates):
     """Model-matrix rows for raw (uncentered) mixtures (n, m) and covariates (n, h)."""
-    factors, m, h = _factor_columns(mixtures, covariates)
-    left, right = _term_factors(m, h)
+    mixtures = np.asarray(mixtures, dtype=float)
+    covariates = np.asarray(covariates, dtype=float)
+    if mixtures.ndim != 2 or covariates.ndim != 2:
+        raise ModelError("mixtures and covariates must be 2-D, one row per observation")
+    n = mixtures.shape[0]
+    if covariates.shape[0] != n:
+        raise ModelError(f"{n} mixture rows but {covariates.shape[0]} covariate rows")
+    factors = np.column_stack([mixtures, covariates, np.ones(n)])  # [x | z | 1]
+    left, right = _term_factors(mixtures.shape[1], covariates.shape[1])
     # row-major like a stack of rows: the fit's BLAS results depend on layout
     return np.take(factors, left, axis=1) * np.take(factors, right, axis=1)
 
@@ -148,9 +142,10 @@ def dataset_from_table(table: OutcomeTable, response):
     """dataset_from_outcomes for the rows of an outcome table."""
     if not len(table):
         raise ModelError("no outcomes to analyze")
-    scenarios = set(table.scenario.tolist())
-    if len(scenarios) != 1:
-        raise ModelError(f"outcomes mix scenarios {sorted(s.value for s in scenarios)}; "
+    # members compare by identity, so no row is hashed unless they differ
+    if not (table.scenario == table.scenario[0]).all():
+        scenarios = sorted({s.value for s in table.scenario.tolist()})
+        raise ModelError(f"outcomes mix scenarios {scenarios}; "
                          "analyze each scenario separately")
     if response not in RESPONSES:
         raise ModelError(f"unknown response {response!r}")
@@ -217,36 +212,81 @@ def _dependent_columns(values, labels):
     return sorted(labels[i] for i in pivots[rank:])
 
 
-def fit_ols(matrix: ModelMatrix, y) -> MixtureModelFit:
-    """Least squares through a QR factorization (never the normal equations).
+def _checked_response(y, n):
+    """y as a float array of length n, every value finite."""
+    y = np.asarray(y, dtype=float)
+    if y.shape != (n,):
+        raise ModelError(f"response length {y.shape} does not match {n} rows")
+    if not np.isfinite(y).all():
+        row = int(np.argmin(np.isfinite(y)))
+        raise ModelError(f"non-finite response {y[row]} in row {row} (rows counted from 0)")
+    return y
 
-    Needs n > p, so inference has at least one residual degree of freedom.
-    A rank-deficient matrix is rejected with the dependent column set named.
+
+@dataclass(frozen=True, eq=False)
+class QRFactorization:
+    """One model matrix's QR factorization, shared by every response fitted
+    on it: least squares with several right-hand sides needs one QR.
+
+    `unscaled_covariance` is R^-1 R^-T, the inverse of X'X.
+    """
+
+    matrix: ModelMatrix
+    q: np.ndarray
+    r: np.ndarray
+    unscaled_covariance: np.ndarray
+
+    def fit(self, y) -> MixtureModelFit:
+        """The least-squares fit of response y, one value per matrix row."""
+        from scipy import linalg
+
+        matrix = self.matrix
+        values = np.asarray(matrix.values, dtype=float)
+        n, p = values.shape
+        y = _checked_response(y, n)
+        beta = linalg.solve_triangular(self.r, self.q.T @ y)
+        residuals = y - values @ beta
+        rss = float(residuals @ residuals)
+        df = n - p
+        sigma2 = rss / df
+        return MixtureModelFit(coefficients=beta, covariance=sigma2 * self.unscaled_covariance,
+                               sigma2=sigma2, df=df, labels=list(matrix.labels), m=matrix.m,
+                               h=matrix.h, n=n, rss=rss)
+
+
+def factorize(matrix: ModelMatrix) -> QRFactorization:
+    """QR-factor a model matrix (never the normal equations).
+
+    Needs n > p, so inference has at least one residual degree of freedom,
+    and finite values. A rank-deficient matrix is rejected with the
+    dependent column set named.
     """
     from scipy import linalg
 
     values = np.asarray(matrix.values, dtype=float)
-    y = np.asarray(y, dtype=float)
     n, p = values.shape
-    if y.shape != (n,):
-        raise ModelError(f"response length {y.shape} does not match {n} rows")
     if n <= p:
         raise ModelError(f"need at least {p + 1} observations for p={p} terms, got {n}")
+    finite = np.isfinite(values)
+    if not finite.all():
+        row, column = divmod(int(np.argmin(finite)), p)
+        raise ModelError(f"non-finite model matrix value {values[row, column]} in row {row}, "
+                         f"column {matrix.labels[column]} (rows counted from 0)")
     q, r = np.linalg.qr(values)
     singvals = np.linalg.svd(r, compute_uv=False)  # the singular values of X
     if singvals[-1] <= RANK_RTOL * singvals[0]:
         dependent = _dependent_columns(values, matrix.labels)
         raise ModelError("model matrix is rank deficient; dependent columns: "
                          + ", ".join(dependent))
-    beta = linalg.solve_triangular(r, q.T @ y)
-    residuals = y - values @ beta
-    rss = float(residuals @ residuals)
-    df = n - p
     r_inv = linalg.solve_triangular(r, np.eye(p))
-    sigma2 = rss / df
-    return MixtureModelFit(coefficients=beta, covariance=sigma2 * (r_inv @ r_inv.T),
-                           sigma2=sigma2, df=df, labels=list(matrix.labels), m=matrix.m,
-                           h=matrix.h, n=n, rss=rss)
+    return QRFactorization(matrix=matrix, q=q, r=r, unscaled_covariance=r_inv @ r_inv.T)
+
+
+def fit_ols(matrix: ModelMatrix, y) -> MixtureModelFit:
+    """The least-squares fit of one response: `factorize(matrix).fit(y)`,
+    with the response's length checked first."""
+    _checked_response(y, np.shape(matrix.values)[0])
+    return factorize(matrix).fit(y)
 
 
 def term_inference(fit: MixtureModelFit):
@@ -298,20 +338,36 @@ def implied_covariate_effect(fit: MixtureModelFit, k) -> ImpliedEffect:
 
 
 def predict_rows(fit: MixtureModelFit, mixtures, covariates):
-    """Model predictions for rows of mixtures (n, m) and covariates (n, h).
+    """Model predictions for rows of mixtures (n, m) and covariates (..., h).
 
-    Column times coefficient is accumulated elementwise in term order, so a
-    row gets the same bits whether it is evaluated alone or in a batch; the
-    full model matrix is never materialized.
+    The covariates' leading axes broadcast against the n mixture rows:
+    covariates (n, h) give n values, and (c, 1, h) give c rows of n values,
+    one row per covariate combination, from one pass over the mixture
+    columns. Column times coefficient is accumulated elementwise in term
+    order, so a value gets the same bits whether it is evaluated alone, in a
+    batch or broadcast; no model-matrix block is materialized.
     """
-    factors, m, h = _factor_columns(mixtures, covariates)
+    mixtures = np.asarray(mixtures, dtype=float)
+    covariates = np.asarray(covariates, dtype=float)
+    if mixtures.ndim != 2 or covariates.ndim < 2:
+        raise ModelError("mixtures must be 2-D and covariates at least 2-D, "
+                         "one row per observation")
+    m, h = mixtures.shape[1], covariates.shape[-1]
     if (m, h) != (fit.m, fit.h):
         raise ModelError(f"fit expects {fit.m} mixture parts and {fit.h} covariates, "
                          f"got {m} and {h}")
-    _check_mixture_rows(factors[:, :fit.m])
-    out = np.zeros(factors.shape[0])
-    for a, b, beta in zip(*_term_factors(fit.m, fit.h), fit.coefficients):
-        out += factors[:, a] * factors[:, b] * beta
+    try:
+        shape = np.broadcast_shapes(covariates.shape[:-1], mixtures.shape[:1])
+    except ValueError:
+        raise ModelError(f"{mixtures.shape[0]} mixture rows but covariate rows of shape "
+                         f"{covariates.shape[:-1]}") from None
+    _check_mixture_rows(mixtures)
+    # the columns of [x | z | 1], each broadcastable to `shape`
+    factors = ([mixtures[:, j] for j in range(m)] + [covariates[..., k] for k in range(h)]
+               + [1.0])
+    out = np.zeros(shape)
+    for a, b, beta in zip(*_term_factors(m, h), fit.coefficients):
+        out += factors[a] * factors[b] * beta
     return out
 
 

@@ -118,11 +118,17 @@ class Surface:
     scenario: str = ""
 
 
+def grid_surfaces(fit: MixtureModelFit, grid: TernaryGrid, zs):
+    """The fitted surface at every grid point for each covariate combination
+    in zs, from one prediction call over the lattice."""
+    zs = [tuple(float(v) for v in z) for z in zs]
+    values = predict_rows(fit, grid.points, np.array(zs, dtype=float)[:, None, :])
+    return [Surface(grid, row, z) for z, row in zip(zs, values)]
+
+
 def grid_predict(fit: MixtureModelFit, grid: TernaryGrid, z) -> Surface:
     """Evaluate the fitted surface at every grid point for covariate levels z."""
-    z = tuple(float(v) for v in z)
-    covariates = np.broadcast_to(np.array(z, dtype=float), (len(grid.points), len(z)))
-    return Surface(grid, predict_rows(fit, grid.points, covariates), z)
+    return grid_surfaces(fit, grid, [z])[0]
 
 
 def grid_to_csv(surface: Surface) -> str:

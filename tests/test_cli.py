@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mixrobust import cli
+from mixrobust import cli, ternary
 from mixrobust.cli import (EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK,
                            EXIT_USAGE, main)
 from mixrobust.metrics import MetricsError
@@ -369,25 +369,29 @@ class TestNonFiniteOutcomes:
         assert "non-finite y in row" in err
 
 
+def write_rank_deficient_consistent(source, path):
+    """The outcomes at source without the consistent scenario's binary blends,
+    so that scenario's pairwise columns are not identified."""
+    lines = source.read_text().splitlines()
+    header = lines[0].split(",")
+    parts = [header.index(f"x{j}") for j in (1, 2, 3)]
+
+    def binary_blend(line):
+        fields = line.split(",")
+        return (fields[2] == "consistent"
+                and sum(float(fields[i]) > 0.1 for i in parts) == 2)
+    kept = [line for line in lines if not binary_blend(line)]
+    assert len(lines) - len(kept) == 12
+    path.parent.mkdir()
+    path.write_text("\n".join(kept) + "\n")
+
+
 class TestFitErrorsNameTheFit:
     def test_rank_deficient_fit_names_scenario_and_response(self, experiment_dir,
                                                             tmp_path, capsys):
-        # without the consistent scenario's binary blends its pairwise
-        # columns are not identified
         source, _ = experiment_dir
-        lines = (source / "out" / "outcomes.csv").read_text().splitlines()
-        header = lines[0].split(",")
-        parts = [header.index(f"x{j}") for j in (1, 2, 3)]
-
-        def binary_blend(line):
-            fields = line.split(",")
-            return (fields[2] == "consistent"
-                    and sum(float(fields[i]) > 0.1 for i in parts) == 2)
-        kept = [line for line in lines if not binary_blend(line)]
-        assert len(lines) - len(kept) == 12
-        path = tmp_path / "out" / "outcomes.csv"
-        path.parent.mkdir()
-        path.write_text("\n".join(kept) + "\n")
+        write_rank_deficient_consistent(source / "out" / "outcomes.csv",
+                                        tmp_path / "out" / "outcomes.csv")
         config_path = write_config(tmp_path)
         assert main(["analyze", "--config", str(config_path)]) == EXIT_NUMERIC
         assert capsys.readouterr().err.startswith(
@@ -400,6 +404,57 @@ class TestFitErrorsNameTheFit:
         err = capsys.readouterr().err
         assert err.startswith(f"mixrobust: error: cannot read {missing}: ")
         assert err.endswith("; `analyze` writes it and stops at the first fit that fails\n")
+
+
+    # the balanced scenario's files: a report per fit, two shap files per fit,
+    # and a grid and an SVG per fit and covariate combination
+    @pytest.mark.parametrize("command,count", [("analyze", 2), ("shap", 4), ("contour", 16)])
+    def test_stage_stops_at_the_second_scenarios_factorization(self, experiment_dir,
+                                                               tmp_path, capsys,
+                                                               command, count):
+        source, _ = experiment_dir
+        write_rank_deficient_consistent(source / "out" / "outcomes.csv",
+                                        tmp_path / "out" / "outcomes.csv")
+        config_path = write_config(tmp_path)
+        assert main([command, "--config", str(config_path)]) == EXIT_NUMERIC
+        assert capsys.readouterr().err.startswith(
+            "mixrobust: error: scenario consistent, response mean_auc: model matrix is "
+            "rank deficient; dependent columns: ")
+        written = sorted(p.name for p in (tmp_path / "out").iterdir())
+        written.remove("outcomes.csv")
+        assert len(written) == count
+        assert all("_balanced" in name for name in written), written
+        assert {response for response in RESPONSES
+                if any(response in name for name in written)} == set(RESPONSES)
+
+
+class TestOneFactorizationPerScenario:
+    @pytest.mark.parametrize("scenario,scenarios", [(None, 3), ("reverse", 1)])
+    @pytest.mark.parametrize("command", ["analyze", "shap", "contour"])
+    def test_each_fit_stage_factors_each_scenario_once(self, experiment_dir, tmp_path,
+                                                       monkeypatch, command, scenario,
+                                                       scenarios):
+        source, _ = experiment_dir
+        (tmp_path / "out").mkdir()
+        shutil.copy(source / "out" / "outcomes.csv", tmp_path / "out" / "outcomes.csv")
+        config_path = write_config(tmp_path)
+        calls = {"qr": 0, "predict_rows": 0}
+
+        def counted(name, fn):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return call
+        monkeypatch.setattr(np.linalg, "qr", counted("qr", np.linalg.qr))
+        monkeypatch.setattr(ternary, "predict_rows",
+                            counted("predict_rows", ternary.predict_rows))
+        argv = [command, "--config", str(config_path)]
+        if scenario is not None:
+            argv += ["--scenario", scenario]
+        assert main(argv) == EXIT_OK
+        fits = scenarios * len(RESPONSES)
+        assert calls == {"qr": scenarios,
+                         "predict_rows": fits if command == "contour" else 0}
 
 
 def all_reverse_runs_fail_doc():

@@ -11,7 +11,7 @@ from scipy import stats
 import mixrobust
 from mixrobust import (AnalysisDataset, MixtureModelFit, ModelError, ModelMatrix,
                        RunOutcome, TestScenario, build_design_matrix,
-                       dataset_from_outcomes, fit_ols, fit_report,
+                       dataset_from_outcomes, factorize, fit_ols, fit_report,
                        implied_covariate_effect, model_matrix, model_row, predict,
                        predict_rows, term_inference, term_labels, write_fit_report)
 from mixrobust.mixmodel import MIXTURE_ROW_TOL
@@ -209,6 +209,56 @@ class TestFitOls:
         assert "dependent columns" in message
         assert "z1" in message
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_matrix_names_its_first_row_and_column(self, reference_matrix_84,
+                                                              bad):
+        values = reference_matrix_84.copy()
+        labels = term_labels(3, 2)
+        values[17, labels.index("x2z1")] = bad
+        values[17, labels.index("z1z2")] = bad
+        values[40, 0] = np.nan
+        message = (f"non-finite model matrix value {bad} in row 17, column x2z1 "
+                   "(rows counted from 0)")
+        for call in (lambda: fit_ols(make_matrix(values), np.zeros(84)),
+                     lambda: factorize(make_matrix(values))):
+            with pytest.raises(ModelError) as err:
+                call()
+            assert str(err.value) == message
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_response_names_its_first_row(self, reference_matrix_84, bad):
+        y = np.zeros(84)
+        y[[9, 30]] = bad
+        message = f"non-finite response {bad} in row 9 (rows counted from 0)"
+        factors = factorize(make_matrix(reference_matrix_84))
+        for call in (lambda: fit_ols(make_matrix(reference_matrix_84), y),
+                     lambda: factors.fit(y)):
+            with pytest.raises(ModelError) as err:
+                call()
+            assert str(err.value) == message
+
+    def test_error_order_is_length_then_size_then_rank(self):
+        rank_one = make_matrix(np.ones((20, 13)))
+        with pytest.raises(ModelError, match="^response length"):
+            fit_ols(make_matrix(np.ones((5, 13))), np.zeros(6))
+        with pytest.raises(ModelError, match="^need at least 14 observations"):
+            fit_ols(make_matrix(np.ones((5, 13))), np.zeros(5))
+        with pytest.raises(ModelError, match="^model matrix is rank deficient"):
+            fit_ols(rank_one, np.zeros(20))
+
+    def test_one_factorization_fits_each_response_as_fit_ols_does(self,
+                                                                 reference_matrix_84):
+        rng = generator(26, "shared")
+        matrix = make_matrix(reference_matrix_84)
+        factors = factorize(matrix)
+        for _ in range(3):
+            y = reference_matrix_84 @ rng.normal(size=13) + rng.normal(size=84)
+            shared, alone = factors.fit(y), fit_ols(matrix, y)
+            assert shared.coefficients.tobytes() == alone.coefficients.tobytes()
+            assert shared.covariance.tobytes() == alone.covariance.tobytes()
+            assert (shared.sigma2, shared.rss, shared.df) == (alone.sigma2, alone.rss,
+                                                              alone.df)
+
     def test_sigma2_is_rss_over_df(self, reference_matrix_84):
         rng = generator(25, "s2")
         y = reference_matrix_84 @ rng.normal(size=13) + rng.normal(size=84)
@@ -333,6 +383,17 @@ class TestDatasetAndReport:
                                        (0.01, 0.01, 0.98), (0.9, 0.8, 0.7))
         with pytest.raises(ModelError, match="separately"):
             dataset_from_outcomes(outs, "mean_auc")
+
+    def test_mixed_scenarios_name_each_scenario_once_sorted(self):
+        outs = self._outcomes()
+        for i, scenario in ((0, TestScenario.REVERSE), (5, TestScenario.CONSISTENT),
+                            (9, TestScenario.REVERSE)):
+            outs[i] = RunOutcome.from_aucs(i + 1, 1, scenario, (1, 1), (0.01, 0.01, 0.98),
+                                           (0.9, 0.8, 0.7))
+        with pytest.raises(ModelError) as err:
+            dataset_from_outcomes(outs, "mean_auc")
+        assert str(err.value) == ("outcomes mix scenarios ['balanced', 'consistent', "
+                                  "'reverse']; analyze each scenario separately")
 
     def test_unknown_response_refused(self):
         with pytest.raises(ModelError):

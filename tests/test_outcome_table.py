@@ -156,9 +156,9 @@ def test_stored_sum_bound_is_half_a_millionth_per_part(tmp_path, m):
 def test_analyze_datasets_equal_row_reader(tmp_path, monkeypatch, name, scenario):
     config_path = shaped_experiment(tmp_path, name)
     seen = []
-    build = cli.build_design_matrix
-    monkeypatch.setattr(cli, "build_design_matrix",
-                        lambda data: seen.append(data) or build(data))
+    build = cli.dataset_from_table
+    monkeypatch.setattr(cli, "dataset_from_table",
+                        lambda *args: seen.append(build(*args)) or seen[-1])
     argv = ["analyze", "--config", str(config_path)]
     if scenario is not None:
         argv += ["--scenario", scenario]

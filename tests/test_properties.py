@@ -3,6 +3,7 @@
 import contextlib
 import copy
 import io
+import itertools
 import json
 import re
 import tempfile
@@ -18,13 +19,19 @@ from mixrobust import (ClassifierError, DatasetPool, DesignConfig, MetricsError,
                        class_counts, compose_split, write_outcomes_csv)
 from mixrobust.classifiers import (_softmax, boosted_stump_scores, check_score_matrix,
                                    fit_logistic_ovr)
+from mixrobust import cli
 from mixrobust.cli import main
 from mixrobust.metrics import aucs_ovr, read_outcome_table, stored_sum_bound
+from mixrobust.mixmodel import (MixtureModelFit, _term_factors, build_design_matrix,
+                                dataset_from_table, fit_ols, predict_rows, term_labels)
 from mixrobust.sampling import split_sizes
+from mixrobust.ternary import TernaryGrid, grid_surfaces
 
 from test_classifiers import (oracle_boosted_raw, oracle_check_score_matrix,
                               oracle_logistic_weights, oracle_softmax)
 from test_metrics import midranks, oracle_auc_ovr
+from test_outcome_table import write_shaped_outcomes
+from test_pipeline import small_config_doc
 
 fixed = settings(derandomize=True, deadline=None, max_examples=150)
 
@@ -453,3 +460,113 @@ def test_every_stage_of_a_valid_config_ends_in_a_known_exit_code(doc, section):
         config_path.write_text(json.dumps(doc))
         for stage in STAGES:
             assert run_stage(stage, config_path, serial, 1)[0] == 2, stage
+
+
+def oracle_fit_ols(values, y):
+    """One response's fit with a QR of its own: coefficients, covariance,
+    sigma2 and rss, each step as a one-response fit makes it."""
+    from scipy import linalg
+
+    n, p = values.shape
+    q, r = np.linalg.qr(values)
+    beta = linalg.solve_triangular(r, q.T @ y)
+    residuals = y - values @ beta
+    rss = float(residuals @ residuals)
+    r_inv = linalg.solve_triangular(r, np.eye(p))
+    sigma2 = rss / (n - p)
+    return beta, sigma2 * (r_inv @ r_inv.T), sigma2, rss
+
+
+@st.composite
+def fit_experiments(draw):
+    """An analysis config of m parts and h two-level covariates, with its
+    synthetic outcomes: (m, levels, replicates, seed)."""
+    m, h = draw(st.integers(2, 6)), draw(st.integers(2, 3))
+    levels = [draw(st.sampled_from([[1, 0], [0, 1.5], [-0.5, 2.25]])) for _ in range(h)]
+    return m, levels, draw(st.integers(1, 3)), draw(st.integers(0, 2 ** 32 - 1))
+
+
+@settings(fixed, max_examples=30)
+@example((2, [[1, 0], [1, 0]], 1, 0))
+@example((6, [[1, 0], [1, 0], [1, 0]], 3, 0))
+@given(fit_experiments())
+def test_each_stage_fit_equals_a_fit_of_its_own_bit_for_bit(experiment):
+    """`_fits` factors each scenario's matrix once for both responses; each
+    fit keeps the bits of a fit that factors a freshly built matrix itself."""
+    m, levels, replicates, seed = experiment
+    doc = small_config_doc(replicates=replicates, master_seed=seed)
+    doc["design"].update(m=m, covariate_levels=levels)
+    # classifiers are keyed by the z1 levels, pools by the z2 levels
+    doc["classifiers"] = dict(zip((f"{v:g}" for v in levels[0]), doc["classifiers"].values()))
+    doc["pools"] = dict(zip((f"{v:g}" for v in levels[1]), doc["pools"].values()))
+    for spec in doc["pools"].values():
+        spec["synthetic"].update(m=m, d=m)
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        out.mkdir()
+        write_shaped_outcomes(out / "outcomes.csv", (m, levels, replicates), seed=seed)
+        config_path = Path(tmp) / "config.json"
+        config_path.write_text(json.dumps(doc))
+        args = cli.build_parser().parse_args(["analyze", "--config", str(config_path)])
+        config = cli._load_config(args)
+        fits = list(cli._fits(config, args))
+        table = read_outcome_table(out / "outcomes.csv")
+    assert [(s, r) for s, r, _, _ in fits] == [(s, r) for s in config.scenarios
+                                               for r in cli.RESPONSES]
+    for scenario, response, fit, matrix in fits:
+        data = dataset_from_table(table.where(table.scenario == scenario), response)
+        fresh = build_design_matrix(data)
+        assert matrix.values.tobytes() == fresh.values.tobytes()
+        beta, covariance, sigma2, rss = oracle_fit_ols(fresh.values, data.y)
+        for got in (fit, fit_ols(fresh, data.y)):
+            assert got.coefficients.tobytes() == beta.tobytes()
+            assert got.covariance.tobytes() == covariance.tobytes()
+            assert (got.sigma2, got.rss) == (sigma2, rss)
+
+
+def oracle_predict_rows(fit, mixtures, covariates):
+    """Predictions for one covariate row per mixture row, from the stacked
+    (n, m + h + 1) factor array: one strided column product per term."""
+    factors = np.column_stack([mixtures, covariates, np.ones(len(mixtures))])
+    out = np.zeros(len(mixtures))
+    for a, b, beta in zip(*_term_factors(fit.m, fit.h), fit.coefficients):
+        out += factors[:, a] * factors[:, b] * beta
+    return out
+
+
+# the lattices `contour` predicts on: the ternary one and m=5's coarse one
+LATTICES = {3: TernaryGrid.build(q=100, min_prop=0.01, m=3),
+            5: TernaryGrid.build(q=20, min_prop=0.01, m=5)}
+
+
+@st.composite
+def broadcast_problems(draw):
+    """A fit on one of LATTICES, and each covariate's levels, signed zeros
+    and non-integers among them."""
+    m, h = draw(st.sampled_from(sorted(LATTICES))), draw(st.integers(1, 3))
+    labels = term_labels(m, h)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    fit = MixtureModelFit(coefficients=rng.normal(size=len(labels)),
+                          covariance=np.zeros((len(labels),) * 2), sigma2=0.0, df=1,
+                          labels=labels, m=m, h=h, n=len(labels) + 1, rss=0.0)
+    levels = [draw(st.lists(st.sampled_from([-0.0, 0.0, 1.0, 0.5, -1.25, 1e-7, 3.7]),
+                            min_size=1, max_size=3)) for _ in range(h)]
+    return fit, levels
+
+
+@settings(fixed, max_examples=40)
+@given(broadcast_problems())
+def test_broadcast_prediction_equals_each_combination_bit_for_bit(problem):
+    fit, levels = problem
+    grid = LATTICES[fit.m]
+    n = len(grid.points)
+    combos = list(itertools.product(*levels))
+    broadcast = predict_rows(fit, grid.points, np.array(combos)[:, None, :])
+    assert broadcast.shape == (len(combos), n)
+    for z, row, surface in zip(combos, broadcast, grid_surfaces(fit, grid, combos)):
+        covariates = np.tile(np.array(z, dtype=float), (n, 1))
+        want = oracle_predict_rows(fit, grid.points, covariates).tobytes()
+        assert row.tobytes() == want
+        assert predict_rows(fit, grid.points, covariates).tobytes() == want
+        assert surface.values.tobytes() == want
+        assert surface.covariates == z
