@@ -13,9 +13,9 @@ from .design import (ALL_SCENARIOS, DesignConfig, DesignError, RunPlan, RunSpec,
 from .sampling import (DatasetPool, SampleSplit, SamplingConfig, SamplingError,
                        class_counts, compose_split, compose_test, compose_training,
                        load_pool_csv, write_pool_csv)
-from .classifiers import (ClassifierError, ClassifierKind, ExternalRunnerError,
-                          SyntheticDataConfig, default_class_means, generate_pool,
-                          train_and_score)
+from .classifiers import (ClassifierError, ClassifierKind, ClassifierSpec,
+                          ExternalRunnerError, SyntheticDataConfig, default_class_means,
+                          generate_pool, train_and_score)
 from .metrics import (MetricsError, RunOutcome, auc_ovr, log_sd, mean_auc,
                       read_outcomes_csv, write_outcomes_csv)
 from .mixmodel import (AnalysisDataset, ImpliedEffect, MixtureModelFit, ModelError,
@@ -28,9 +28,9 @@ from .shapley import (ShapReport, exact_shapley_oracle, shap_importance,
                       shap_per_observation, shap_report, write_shap_json)
 from .ternary import (TernaryGrid, barycentric_to_xy, grid_predict, grid_surfaces,
                       render_ternary, simplex_lattice, write_grid_csv, write_ternary_svg)
-from .pipeline import (ClassifierSpec, ConfigError, ExperimentConfig, PoolSpec,
-                       RunFailure, execute_batch, parse_experiment_config,
-                       simulate_plan, with_master_seed)
+from .pipeline import (ConfigError, ExperimentConfig, PoolSpec, RunFailure,
+                       execute_batch, parse_experiment_config, simulate_plan,
+                       with_master_seed)
 from .seeding import derive_seed, generator
 
 __version__ = "0.1.0"

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import math
 import subprocess
-from dataclasses import dataclass
+import tempfile
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import reduce
 from pathlib import Path
@@ -398,20 +399,51 @@ HYPER_DEFAULTS = {
 }
 
 
+@dataclass(frozen=True)
+class ClassifierSpec:
+    """A classifier kind, its hyper overrides as sorted (key, float) pairs, an
+    external command as a tuple of strings, and its trainer's `settings`."""
+
+    kind: ClassifierKind
+    hyper: tuple = ()
+    command: tuple = None
+    settings: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        kind, hyper, command = ClassifierKind.parse(self.kind), dict(self.hyper), self.command
+        resolve_hyper(kind, hyper)
+        if kind is ClassifierKind.EXTERNAL and not isinstance(command or None, (list, tuple)):
+            raise ClassifierError("external classifier needs a command list")
+        if kind is not ClassifierKind.EXTERNAL and command:
+            raise ClassifierError("only external classifiers take a command")
+        hyper = {str(k): float(v) for k, v in hyper.items()}
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "hyper", tuple(sorted(hyper.items())))
+        object.__setattr__(self, "command", tuple(map(str, command)) if command else None)
+        # each keyword argument of the trainer, of its default's type
+        object.__setattr__(self, "settings", {key: type(default)(hyper.get(key, default))
+                                              for key, default in HYPER_DEFAULTS[kind].items()})
+
+    @property
+    def hyper_dict(self):
+        return dict(self.hyper)
+
+
 def train_and_score(kind, split: SampleSplit, pool: DatasetPool, hyper=None, command=None):
     """Fit the requested classifier on the split and score the test rows.
 
     Returns an (n_test, m) row-stochastic score matrix. EXTERNAL delegates
     to `command` via the file protocol. This is the one-split call of
-    `train_and_score_batch`, and raises what that returns as the error.
+    `train_and_score_batch` on the ClassifierSpec of the arguments, and
+    raises what that returns as the error.
     """
-    [result] = train_and_score_batch(kind, [split], pool, hyper=hyper, command=command)
+    [result] = train_and_score_batch(ClassifierSpec(kind, hyper or (), command), [split], pool)
     if isinstance(result, Exception):
         raise result
     return result
 
 
-def train_and_score_batch(kind, splits, pool: DatasetPool, hyper=None, command=None):
+def train_and_score_batch(spec: ClassifierSpec, splits, pool: DatasetPool):
     """`train_and_score` for every split of one pool. Returns, per split, its
     score matrix or the ClassifierError or ExternalRunnerError it raised, so
     one split's failure leaves the others' scores as they would be alone.
@@ -421,15 +453,8 @@ def train_and_score_batch(kind, splits, pool: DatasetPool, hyper=None, command=N
     as one stacked booster, and each run's scores are the checked softmax of
     its raw scores. External runners go one split at a time.
     """
-    try:
-        kind = ClassifierKind.parse(kind)
-        # each setting as its trainer takes it, of its default's type
-        settings = {key: type(HYPER_DEFAULTS[kind][key])(value)
-                    for key, value in resolve_hyper(kind, hyper).items()}
-    except ClassifierError as exc:
-        return [exc] * len(splits)
-    if kind is ClassifierKind.EXTERNAL:
-        return [_caught(run_external, command, split, pool) for split in splits]
+    if spec.kind is ClassifierKind.EXTERNAL:
+        return [_caught(run_external, spec.command, split, pool) for split in splits]
 
     results = [_caught(_training_rows, split, pool) for split in splits]
     stacks = {}
@@ -440,12 +465,12 @@ def train_and_score_batch(kind, splits, pool: DatasetPool, hyper=None, command=N
         train = np.stack([results[i] for i in stack])
         test = pool.features[np.array([splits[i].test_indices for i in stack], dtype=int)]
         diverged = np.zeros(len(stack), dtype=bool)
-        if kind is ClassifierKind.BOOSTED_STUMPS:
+        if spec.kind is ClassifierKind.BOOSTED_STUMPS:
             raw = boosted_stump_scores(pool.features[train], _onehot(pool.labels[train], pool.m),
-                                       test, ranks=pool.ranks[:, train], **settings)
+                                       test, ranks=pool.ranks[:, train], **spec.settings)
         else:
             weights = fit_logistic_ovr(pool.features[train], pool.labels[train], pool.m,
-                                       **settings)
+                                       **spec.settings)
             diverged = ~np.isfinite(weights).all(axis=(-2, -1))
             weights[diverged] = 0.0  # those runs fail by name below
             # one gemm per run, with the bits of that run's unstacked product
@@ -476,12 +501,7 @@ def run_external(command, split: SampleSplit, pool: DatasetPool):
     """File protocol: in a fresh temporary directory, write train.csv and
     test.csv, run `command <directory>`, read scores.csv (header
     score_1..score_m, one row per test row, rows sum to 1 within 1e-6)."""
-    import tempfile
-
-    if command is None:
-        raise ClassifierError("external classifier needs a command")
-    command = [str(part) for part in (command if isinstance(command, (list, tuple))
-                                      else [command])]
+    command = list(command)  # a ClassifierSpec's tuple; the messages print a list
     with tempfile.TemporaryDirectory() as tmp:
         base = Path(tmp)
         for name, rows in (("train", split.train_indices), ("test", split.test_indices)):

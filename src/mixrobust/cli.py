@@ -2,7 +2,7 @@
 
 Every subcommand reads one JSON experiment config; stages exchange data
 through the CSV/JSON files written under the output directory. Exit codes:
-1 usage, 2 config, 3 I/O, 4 numerical failure.
+1 usage, 2 config, 3 I/O, 4 numerical failure or a dead worker process.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ import argparse
 import itertools
 import json
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
@@ -144,7 +145,11 @@ def _execute(config, args, allow_external):
     jobs = resolve_jobs(args.jobs)
     write_plan_csv(plan, config.output_dir / "plan.csv")
     write_json(config.output_dir / "run_metadata.json", _run_metadata(config))
-    outcomes, failures = simulate_plan(plan, config, jobs=jobs, pools=pools)
+    try:
+        outcomes, failures = simulate_plan(plan, config, jobs=jobs, pools=pools)
+    except BrokenProcessPool:
+        raise CliFailure(EXIT_NUMERIC, "a worker process died; this run wrote no "
+                         "outcomes") from None
     path = config.output_dir / "outcomes.csv"
     write_outcomes_csv(outcomes, config.design.m, config.design.h, path)
     print(f"wrote {path} ({len(outcomes)} outcomes)")

@@ -223,8 +223,8 @@ def scenario_test_proportions(train, scenario: TestScenario, rng=None, min_prop=
     swaps the rank pattern: the classes sitting at the training minimum take
     over the dominant (equal) share while every other class drops to the
     floor. The exact centroid has no minimum group, so it maps to a pure-
-    dominant point with a uniformly random dominant class drawn from rng: a
-    Generator, or a function returning one, called only for that draw.
+    dominant point with a uniformly random dominant class drawn from the
+    Generator rng.
 
     min_prop is the floor used when constructing REVERSE points; it defaults
     to the training minimum (which on a design point is the design floor).
@@ -244,8 +244,6 @@ def scenario_test_proportions(train, scenario: TestScenario, rng=None, min_prop=
         if rng is None:
             raise DesignError("REVERSE at the exact centroid needs an rng")
         floor = 0.0 if min_prop is None else float(min_prop)
-        if callable(rng):
-            rng = rng()
         dominant = int(rng.integers(m))
         out = np.full(m, floor)
         out[dominant] = 1.0 - (m - 1) * floor
@@ -283,7 +281,7 @@ def expand_plan(base: RunPlan, scenarios=ALL_SCENARIOS) -> RunPlan:
                 itertools.cycle(base.runs), itertools.cycle(tests)):
             if test is None:
                 test = tuple(scenario_test_proportions(
-                    baserun.train_mixture, scenario, rng=partial(generator, seed, "reverse"),
+                    baserun.train_mixture, scenario, rng=generator(seed, "reverse"),
                     min_prop=cfg.min_prop).tolist())
             runs.append(RunSpec(run_id, baserun.train_mixture, baserun.covariates, scenario,
                                 test, replicate, seed))

@@ -18,9 +18,8 @@ from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
 
-from .classifiers import (ClassifierError, ClassifierKind, SyntheticDataConfig,
-                          default_class_means, generate_pool, resolve_hyper,
-                          train_and_score_batch)
+from .classifiers import (ClassifierKind, ClassifierSpec, SyntheticDataConfig,
+                          default_class_means, generate_pool, train_and_score_batch)
 from .design import (ALL_SCENARIOS, DesignConfig, DesignError, RunPlan, RunSpec,
                      TestScenario, real_table, repeated, whole_number)
 from .metrics import MetricsError, RunOutcome, aucs_ovr
@@ -39,30 +38,6 @@ class ConfigError(ValueError):
 
 _TWO_COVARIATES = ("the pipeline expects two covariates: the classifier level and "
                    "the pool level")
-
-
-@dataclass(frozen=True)
-class ClassifierSpec:
-    """A classifier kind, its hyper overrides as sorted pairs, an external command."""
-
-    kind: ClassifierKind
-    hyper: tuple = ()
-    command: tuple = None
-
-    def __post_init__(self):
-        kind, hyper, command = ClassifierKind.parse(self.kind), dict(self.hyper), self.command
-        resolve_hyper(kind, hyper)
-        if kind is ClassifierKind.EXTERNAL and not isinstance(command or None, (list, tuple)):
-            raise ClassifierError("external classifier needs a command list")
-        if kind is not ClassifierKind.EXTERNAL and command:
-            raise ClassifierError("only external classifiers take a command")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "hyper", tuple(sorted((str(k), float(v)) for k, v in hyper.items())))
-        object.__setattr__(self, "command", tuple(map(str, command)) if command else None)
-
-    @property
-    def hyper_dict(self):
-        return dict(self.hyper)
 
 
 @dataclass(frozen=True)
@@ -159,8 +134,7 @@ def execute_batch(specs, pool: DatasetPool, classifier: ClassifierSpec,
                                            test_rng=generator(spec.seed, "test"))))
         except SamplingError as exc:
             results[i] = _failure(spec, exc)
-    scored = train_and_score_batch(classifier.kind, [split for _, split in drawn], pool,
-                                   hyper=classifier.hyper_dict, command=classifier.command)
+    scored = train_and_score_batch(classifier, [split for _, split in drawn], pool)
     for (i, split), scores in zip(drawn, scored):
         spec = specs[i]
         if isinstance(scores, Exception):

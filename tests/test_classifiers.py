@@ -4,9 +4,10 @@ import pytest
 from mixrobust import (ClassifierError, ClassifierKind, DatasetPool,
                        ExternalRunnerError, SampleSplit, SyntheticDataConfig,
                        auc_ovr, default_class_means, generate_pool, train_and_score)
-from mixrobust.classifiers import (HYPER_DEFAULTS, _onehot, _presort, _row_sums,
-                                   _StumpSearch, boosted_stump_scores, check_score_matrix,
-                                   fit_logistic_ovr, resolve_hyper, train_and_score_batch)
+from mixrobust.classifiers import (HYPER_DEFAULTS, ClassifierSpec, _onehot, _presort,
+                                   _row_sums, _StumpSearch, boosted_stump_scores,
+                                   check_score_matrix, fit_logistic_ovr, resolve_hyper,
+                                   train_and_score_batch)
 from mixrobust.sampling import dense_ranks
 from mixrobust.seeding import generator
 
@@ -213,7 +214,7 @@ class TestStackedLogistic:
         test = np.arange(0, 80, 3)
         splits = [split_of(np.arange(80), test), split_of(np.arange(80, 160), test),
                   split_of(np.arange(80)[::-1], test)]
-        results = train_and_score_batch("logistic", splits, pool, hyper={"epochs": 50})
+        results = train_and_score_batch(ClassifierSpec("logistic", {"epochs": 50}), splits, pool)
         assert isinstance(results[1], ClassifierError)
         assert "logistic weights are not finite" in str(results[1])
         for i in (0, 2):
@@ -227,7 +228,7 @@ class TestStackedLogistic:
         rng = generator(24, "batch")
         splits = [split_of(rng.integers(0, pool.n, size=60),
                            rng.integers(0, pool.n, size=25)) for _ in range(8)]
-        results = train_and_score_batch("logistic", splits, pool, hyper={"epochs": 40})
+        results = train_and_score_batch(ClassifierSpec("logistic", {"epochs": 40}), splits, pool)
         for split, scores in zip(splits, results):
             test = pool.features[split.test_indices]
             weights = oracle_logistic_weights(pool.features[split.train_indices],
@@ -265,7 +266,7 @@ class TestStackedLogistic:
                   split_of(pool.class_index[1][:60 // 2].repeat(2), test),
                   split_of(rng.integers(0, pool.n, size=60), test),
                   split_of(rng.integers(0, pool.n, size=45), test)]
-        results = train_and_score_batch(kind, splits, pool, hyper=hyper)
+        results = train_and_score_batch(ClassifierSpec(kind, hyper), splits, pool)
         assert str(results[1]) == "training multiset covers fewer than 2 classes"
         for i in (0, 2, 3):
             alone = train_and_score(kind, splits[i], pool, hyper=hyper)
@@ -502,7 +503,8 @@ class TestStackedBoostedStumps:
         splits[4] = split_of(pool.class_index[2][:90], np.arange(30))
         # a different test size stacks apart
         splits[6] = split_of(splits[6].train_indices, np.arange(0, pool.n, 25))
-        results = train_and_score_batch("boosted_stumps", splits, pool, hyper={"rounds": 30})
+        spec = ClassifierSpec("boosted_stumps", {"rounds": 30})
+        results = train_and_score_batch(spec, splits, pool)
         assert str(results[4]) == "training multiset covers fewer than 2 classes"
         for i in (0, 1, 2, 3, 5, 6, 7):
             alone = train_and_score("boosted_stumps", splits[i], pool, hyper={"rounds": 30})
@@ -721,3 +723,17 @@ class TestExternalRunner:
         pool = self._pool()
         with pytest.raises(ClassifierError, match="command"):
             train_and_score(ClassifierKind.EXTERNAL, self._split(pool), pool)
+
+    def test_command_on_a_built_in_kind_rejected(self):
+        pool = self._pool()
+        with pytest.raises(ClassifierError, match="^only external classifiers take a command$"):
+            train_and_score(ClassifierKind.LOGISTIC, self._split(pool), pool,
+                            command=["python3", "runner.py"])
+
+    def test_string_command_rejected(self, tmp_path):
+        command, kept = self._keeping_runner(tmp_path)
+        pool = self._pool()
+        with pytest.raises(ClassifierError, match="^external classifier needs a command list$"):
+            train_and_score(ClassifierKind.EXTERNAL, self._split(pool), pool,
+                            command=" ".join(command))
+        assert list(kept.iterdir()) == []  # the runner never started

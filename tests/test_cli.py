@@ -1,5 +1,7 @@
 import hashlib
 import json
+import multiprocessing
+import os
 import re
 import shutil
 import xml.etree.ElementTree as ET
@@ -9,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mixrobust import cli, ternary
+from mixrobust import classifiers, cli, pipeline, ternary
 from mixrobust.cli import (EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK,
                            EXIT_USAGE, main)
 from mixrobust.metrics import MetricsError
@@ -180,6 +182,40 @@ class TestSimulateCommand:
         doc["classifiers"]["1"] = {"kind": "external", "command": ["true"]}
         config_path = write_config(tmp_path, doc)
         assert main(["simulate", "--config", str(config_path)]) == EXIT_CONFIG
+
+    def test_hyper_resolved_per_classifier_not_per_batch(self, tmp_path, monkeypatch):
+        real, calls = classifiers.resolve_hyper, []
+        monkeypatch.setattr(classifiers, "resolve_hyper",
+                            lambda *args: calls.append(args) or real(*args))
+        counts = []
+        for replicates in (1, 2):  # 4 and 8 batches
+            doc = small_config_doc(replicates=replicates)
+            doc["scenarios"] = ["balanced"]
+            config_path = write_config(tmp_path, doc, name=f"r{replicates}.json")
+            calls.clear()
+            assert main(["simulate", "--config", str(config_path), "--jobs", "1",
+                         "--out", str(tmp_path / f"out{replicates}")]) == EXIT_OK
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="the patched batch reaches the workers by fork")
+    def test_dead_worker_exits_numeric_without_outcomes(self, tmp_path, capsys,
+                                                        monkeypatch):
+        real = pipeline._execute_planned
+
+        def dying(pools, classifiers, sampling, specs):
+            if specs[0].run_id > 40:
+                os._exit(1)
+            return real(pools, classifiers, sampling, specs)
+        monkeypatch.setattr(pipeline, "_execute_planned", dying)
+        config_path = write_config(tmp_path)
+        assert main(["simulate", "--config", str(config_path), "--jobs", "2"]) == EXIT_NUMERIC
+        assert capsys.readouterr().err == ("mixrobust: error: a worker process died; "
+                                           "this run wrote no outcomes\n")
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+            "plan.csv", "run_metadata.json"]
+        assert multiprocessing.active_children() == []
 
     def test_failures_exit_numeric(self, tmp_path):
         doc = small_config_doc(n_per_class=40)
