@@ -1,4 +1,5 @@
-"""OpenBLAS thread count through ctypes, for the fit stages.
+"""OpenBLAS thread count through ctypes, for the fit stages, and each mapped
+OpenBLAS's kernel name.
 
 The fit stages factor small matrices (a few thousand rows by at most a few
 dozen columns), where OpenBLAS threads cost more in hand-offs than they
@@ -30,10 +31,10 @@ def _loaded_paths():
         return []
 
 
-def _symbol(lib, action):
+def _symbol(lib, name):
     for prefix in _PREFIXES:
         for suffix in _SUFFIXES:
-            fn = getattr(lib, f"{prefix}_{action}_num_threads{suffix}", None)
+            fn = getattr(lib, f"{prefix}_{name}{suffix}", None)
             if fn is not None:
                 return fn
     return None
@@ -44,7 +45,7 @@ def _libraries():
     found = []
     for path in _loaded_paths():
         lib = ctypes.CDLL(path)
-        get, put = _symbol(lib, "get"), _symbol(lib, "set")
+        get, put = _symbol(lib, "get_num_threads"), _symbol(lib, "set_num_threads")
         if get is None or put is None:
             continue
         get.argtypes, get.restype = [], ctypes.c_int
@@ -56,6 +57,19 @@ def _libraries():
 def openblas_threads():
     """{library file name: its current thread count} for every mapped OpenBLAS."""
     return {name: get() for name, get, _ in _libraries()}
+
+
+def openblas_corenames():
+    """{library file name: the kernel it runs, such as "SkylakeX" or "Haswell"}
+    for every mapped OpenBLAS that reports one. The kernel decides the bits of
+    some results, so a run is reproducible byte for byte only under one."""
+    names = {}
+    for path in _loaded_paths():
+        get = _symbol(ctypes.CDLL(path), "get_corename")
+        if get is not None:
+            get.argtypes, get.restype = [], ctypes.c_char_p
+            names[Path(path).name] = get().decode()
+    return names
 
 
 def set_openblas_threads(n):

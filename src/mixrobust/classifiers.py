@@ -81,22 +81,25 @@ def resolve_hyper(kind: ClassifierKind, hyper=None):
 @dataclass(frozen=True)
 class SyntheticDataConfig:
     """Gaussian blobs: class j sits at class_means[j] with isotropic noise
-    scaled by noise_scale / separability_boost[j]."""
+    scaled by noise_scale / separability_boost[j]. Without class_means the
+    means are `default_class_means(m, d)`; a None or empty boost means none."""
 
     m: int
     d: int
     n_per_class: int
-    class_means: tuple
+    class_means: tuple = None
     noise_scale: float = 1.0
     separability_boost: tuple = None
     seed: int = 0
 
     def __post_init__(self):
         check_fields(self, ClassifierError, m=whole_number, d=whole_number,
-                     class_means=real_table, n_per_class=whole_number,
-                     noise_scale=real_number,
+                     class_means=lambda means, *rule: (
+                         default_class_means(self.m, self.d) if means is None
+                         else real_table(means, *rule)),
+                     n_per_class=whole_number, noise_scale=real_number,
                      separability_boost=lambda boost, *rule: (
-                         boost if boost is None else real_numbers(boost, *rule)),
+                         boost if boost is None else real_numbers(boost, *rule) or None),
                      seed=whole_number)
         if self.m < 2 or self.d < 1 or self.n_per_class < 1:
             raise ClassifierError("m, d and n_per_class must be positive (m >= 2)")
@@ -119,7 +122,7 @@ def default_class_means(m, d, separation=3.0):
         raise ClassifierError(f"default means need d >= m (got d={d}, m={m})")
     means = np.zeros((m, d))
     means[np.arange(m), np.arange(m)] = separation
-    return tuple(tuple(row) for row in means)
+    return tuple(map(tuple, means.tolist()))
 
 
 def generate_pool(config: SyntheticDataConfig) -> DatasetPool:

@@ -145,18 +145,19 @@ def _execute(config, args, allow_external):
     jobs = resolve_jobs(args.jobs)
     write_plan_csv(plan, config.output_dir / "plan.csv")
     write_json(config.output_dir / "run_metadata.json", _run_metadata(config))
+    # an earlier run's results no longer describe this plan, even if this run
+    # stops before it writes its own
+    path, failures_path = config.output_dir / "outcomes.csv", config.output_dir / "failures.csv"
+    for stale in (path, failures_path):
+        stale.unlink(missing_ok=True)
     try:
         outcomes, failures = simulate_plan(plan, config, jobs=jobs, pools=pools)
     except BrokenProcessPool:
         raise CliFailure(EXIT_NUMERIC, "a worker process died; this run wrote no "
                          "outcomes") from None
-    path = config.output_dir / "outcomes.csv"
     write_outcomes_csv(outcomes, config.design.m, config.design.h, path)
     print(f"wrote {path} ({len(outcomes)} outcomes)")
-    failures_path = config.output_dir / "failures.csv"
     if not failures:
-        # a previous run's failures no longer describe outcomes.csv
-        failures_path.unlink(missing_ok=True)
         return EXIT_OK
     atomic_write_text(failures_path, csv_text(
         FAILURES_HEADER,

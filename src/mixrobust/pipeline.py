@@ -18,10 +18,10 @@ from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
 
-from .classifiers import (ClassifierKind, ClassifierSpec, SyntheticDataConfig,
-                          default_class_means, generate_pool, train_and_score_batch)
+from .classifiers import (ClassifierSpec, SyntheticDataConfig, default_class_means,
+                          generate_pool, train_and_score_batch)
 from .design import (ALL_SCENARIOS, DesignConfig, DesignError, RunPlan, RunSpec,
-                     TestScenario, real_table, repeated, whole_number)
+                     TestScenario, repeated)
 from .metrics import MetricsError, RunOutcome, aucs_ovr
 from .sampling import (DatasetPool, SamplingConfig, SamplingError, class_counts,
                        compose_split, load_pool_csv, split_sizes)
@@ -42,8 +42,18 @@ _TWO_COVARIATES = ("the pipeline expects two covariates: the classifier level an
 
 @dataclass(frozen=True)
 class PoolSpec:
+    """A pool from exactly one source, a synthetic config or a CSV file;
+    otherwise raises ConfigError."""
+
     synthetic: SyntheticDataConfig = None
     csv_path: Path = None
+
+    def __post_init__(self):
+        sources = sum(source is not None for source in (self.synthetic, self.csv_path))
+        if sources > 1:
+            raise ConfigError("pool takes either a 'synthetic' or a 'csv' entry, not both")
+        if not sources:
+            raise ConfigError("pool needs either a 'synthetic' or a 'csv' entry")
 
     def materialize(self) -> DatasetPool:
         if self.synthetic is not None:
@@ -298,42 +308,36 @@ def _level_map(doc):
 
 
 def _parse_classifier(doc):
-    _fields(doc, "kind", "hyper", "command")
-    kind = ClassifierKind.parse(_require(doc, "kind"))
-    fields = _given(doc, "hyper", "command")
+    fields = _fields(doc, "kind", "hyper", "command")
+    _require(doc, "kind")
     if not isinstance(fields.get("hyper", {}), dict):
         raise ConfigError("hyper must be an object of numbers")
-    return ClassifierSpec(kind, **fields)
+    return ClassifierSpec(**fields)
 
 
 def _parse_synthetic(doc):
-    """Means from `class_means` or `separation` are checked after m and d, as the
-    dataclass checks them. A null or an empty list `separability_boost` means none.
-    A pool that gives both `class_means` and `separation` is refused once its
-    other fields have passed, so each other error reads as it would alone."""
-    _fields(doc, "m", "d", "n_per_class", "class_means", "separation", "noise_scale",
-            "separability_boost", "seed")
-    m, d = (whole_number(_require(doc, key), key) for key in ("m", "d"))
-    means = (real_table(doc["class_means"], "class_means") if "class_means" in doc
-             else default_class_means(m, d, **_given(doc, "separation")))
-    _require(doc, "n_per_class")
-    fields = _given(doc, "n_per_class", "noise_scale", "separability_boost", "seed")
-    if fields.get("separability_boost") == []:
-        fields["separability_boost"] = None
-    config = SyntheticDataConfig(m=m, d=d, class_means=means, **fields)
-    if "class_means" in doc and "separation" in doc:
+    """`separation`, a JSON-only key, scales the one-hot default means once
+    the other fields have passed, so each other error reads as it would
+    alone; a pool that also gives `class_means` is refused there."""
+    fields = _fields(doc, "m", "d", "n_per_class", "class_means", "separation", "noise_scale",
+                     "separability_boost", "seed")
+    for key in ("m", "d", "n_per_class"):
+        _require(doc, key)
+    fields.pop("separation", None)
+    config = SyntheticDataConfig(**fields)
+    if "separation" not in doc:
+        return config
+    if "class_means" in doc:
         raise ConfigError("give either 'class_means' or 'separation', not both")
-    return config
+    return replace(config, class_means=default_class_means(config.m, config.d,
+                                                           doc["separation"]))
 
 
 def _parse_pool(doc, base_dir):
-    if len(_fields(doc, "synthetic", "csv")) > 1:
-        raise ConfigError("pool takes either a 'synthetic' or a 'csv' entry, not both")
-    if "synthetic" in doc:
-        return PoolSpec(synthetic=_parse_synthetic(doc["synthetic"]))
-    if "csv" in doc:
-        return PoolSpec(csv_path=(base_dir / doc["csv"]).resolve())
-    raise ConfigError("pool needs either a 'synthetic' or a 'csv' entry")
+    fields = _fields(doc, "synthetic", "csv")
+    return PoolSpec(
+        synthetic=_parse_synthetic(fields["synthetic"]) if "synthetic" in fields else None,
+        csv_path=(base_dir / fields["csv"]).resolve() if "csv" in fields else None)
 
 
 def parse_experiment_config(doc: dict, base_dir=Path(".")) -> ExperimentConfig:

@@ -233,6 +233,9 @@ def render_ternary(surface: Surface, levels=CONTOUR_LEVELS) -> bytes:
     Each lattice cell takes the band of its corners' mean value. A band is one
     path of closed outline loops, filled by the default nonzero rule."""
     grid = surface.grid
+    m = grid.points.shape[1]
+    if m != 3:
+        raise ContourError(f"a ternary plot needs points of 3 parts, not m={m}")
     if len(surface.values) == 0:
         raise ContourError("cannot render an empty grid")
     if levels < 1:

@@ -1,12 +1,19 @@
 """The fit stages pin OpenBLAS to one thread; their outputs do not depend on
-the BLAS thread count, and `simulate` leaves the count alone."""
+the BLAS thread count, and `simulate` leaves the count alone. Every mapped
+OpenBLAS names the kernel it runs."""
 
 import json
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import mixrobust
 from mixrobust import blas, cli
-from mixrobust.blas import openblas_threads, set_openblas_threads
+from mixrobust.blas import openblas_corenames, openblas_threads, set_openblas_threads
 from mixrobust.cli import EXIT_OK, main
 
 from test_outcome_table import shaped_experiment
@@ -71,3 +78,23 @@ def test_simulate_leaves_thread_count_alone(tmp_path, unpinned):
     config_path.write_text(json.dumps(small_config_doc()))
     assert main(["simulate", "--config", str(config_path), "--jobs", "1"]) == EXIT_OK
     assert set(openblas_threads().values()) == {2}
+
+
+def test_every_mapped_openblas_names_its_kernel():
+    names = openblas_corenames()
+    assert sorted(names) == sorted(Path(path).name for path in blas._loaded_paths())
+    assert all(names.values())
+
+
+@pytest.mark.skipif(platform.machine() != "x86_64", reason="Haswell is an x86-64 kernel")
+def test_forced_kernel_is_the_one_named():
+    # the kernel is chosen when OpenBLAS loads, so only a new process can change it
+    src = str(Path(mixrobust.__file__).parents[1])
+    env = dict(os.environ, OPENBLAS_CORETYPE="Haswell",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", "import json, scipy.linalg; from mixrobust.blas import "
+         "openblas_corenames; print(json.dumps(openblas_corenames()))"],
+        env=env, capture_output=True, text=True, check=True)
+    names = json.loads(done.stdout)
+    assert names and set(names.values()) == {"Haswell"}

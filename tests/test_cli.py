@@ -217,6 +217,30 @@ class TestSimulateCommand:
             "plan.csv", "run_metadata.json"]
         assert multiprocessing.active_children() == []
 
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="the patched batch reaches the workers by fork")
+    def test_dead_worker_leaves_no_earlier_outcomes(self, tmp_path, capsys, monkeypatch):
+        # pools small enough that the earlier run leaves failures.csv too
+        config_path = write_config(tmp_path, small_config_doc(n_per_class=40))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(config_path), "--seed", "99",
+                     "--jobs", "1"]) == EXIT_NUMERIC
+        assert (out / "outcomes.csv").exists() and (out / "failures.csv").exists()
+        real = pipeline._execute_planned
+
+        def dying(pools, classifiers, sampling, specs):
+            if specs[0].run_id > 40:
+                os._exit(1)
+            return real(pools, classifiers, sampling, specs)
+        monkeypatch.setattr(pipeline, "_execute_planned", dying)
+        assert main(["simulate", "--config", str(config_path), "--seed", "5",
+                     "--jobs", "2"]) == EXIT_NUMERIC
+        assert sorted(p.name for p in out.iterdir()) == ["plan.csv", "run_metadata.json"]
+        capsys.readouterr()
+        # so the fit stages cannot fit the seed-99 outcomes under seed 5's metadata
+        assert main(["analyze", "--config", str(config_path), "--seed", "5"]) == EXIT_IO
+        assert capsys.readouterr().err.endswith("; run `simulate` or `run` first\n")
+
     def test_failures_exit_numeric(self, tmp_path):
         doc = small_config_doc(n_per_class=40)
         config_path = write_config(tmp_path, doc)

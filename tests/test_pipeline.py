@@ -1,6 +1,7 @@
 import inspect
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,8 +13,8 @@ from mixrobust import pipeline
 from mixrobust.classifiers import (ClassifierError, SyntheticDataConfig, default_class_means,
                                    generate_pool)
 from mixrobust.design import plan_to_csv
-from mixrobust.pipeline import (ClassifierSpec, ExperimentConfig, plan_batches, resolve_jobs,
-                               with_master_seed)
+from mixrobust.pipeline import (ClassifierSpec, ExperimentConfig, PoolSpec, plan_batches,
+                               resolve_jobs, with_master_seed)
 
 
 def small_config_doc(n_per_class=400, replicates=1, master_seed=99):
@@ -163,8 +164,7 @@ class TestConfigParsing:
 
 
 def _synthetic(**settings):
-    return SyntheticDataConfig(**{"m": 3, "d": 3, "n_per_class": 5,
-                                  "class_means": default_class_means(3, 3), **settings})
+    return SyntheticDataConfig(**{"m": 3, "d": 3, "n_per_class": 5, **settings})
 
 
 class TestLibraryConfigsFollowTheJsonRules:
@@ -194,10 +194,32 @@ class TestLibraryConfigsFollowTheJsonRules:
          ClassifierError, "external classifier needs a command list"),
         (lambda: ClassifierSpec(ClassifierKind.LOGISTIC, command=("true",)), ClassifierError,
          "only external classifiers take a command"),
+        (lambda: PoolSpec(), ConfigError, "pool needs either a 'synthetic' or a 'csv' entry"),
+        (lambda: PoolSpec(synthetic=_synthetic(), csv_path=Path("pool.csv")), ConfigError,
+         "pool takes either a 'synthetic' or a 'csv' entry, not both"),
     ])
     def test_constructor_rejects_what_json_rejects(self, build, error, match):
         with pytest.raises(error, match=f"^{match}"):
             build()
+
+    def test_synthetic_defaults_are_the_json_defaults(self, tmp_path):
+        doc = small_config_doc()
+        doc["pools"]["1"] = {"synthetic": {"m": 3, "d": 3, "n_per_class": 5}}
+        parsed = parse_experiment_config(doc, tmp_path).pool_specs[1.0].synthetic
+        built = SyntheticDataConfig(m=3, d=3, n_per_class=5)
+        assert built == parsed and built.class_means == default_class_means(3, 3)
+        assert all(type(v) is float for row in built.class_means for v in row)
+        # as the reader reads a null or an empty list, an empty boost means none
+        for boost in ((), [], np.array([])):
+            assert SyntheticDataConfig(m=3, d=3, n_per_class=5,
+                                       separability_boost=boost) == built
+
+    def test_null_class_means_take_the_default(self, tmp_path):
+        doc = small_config_doc()
+        del doc["pools"]["1"]["synthetic"]["separation"]
+        doc["pools"]["1"]["synthetic"]["class_means"] = None
+        parsed = parse_experiment_config(doc, tmp_path).pool_specs[1.0].synthetic
+        assert parsed.class_means == default_class_means(3, 3)
 
     def test_experiment_config_checks_levels_and_scenarios(self, tmp_path):
         config = parse_experiment_config(small_config_doc(), tmp_path)
@@ -273,7 +295,7 @@ class TestLibraryConfigsFollowTheJsonRules:
          lambda c: c.sampling.train_frac, SamplingConfig().train_frac),
         (("sampling", "test_frac"), "SamplingConfig", "test_frac",
          lambda c: c.sampling.test_frac, SamplingConfig().test_frac),
-        (("pools", "*", "synthetic", "separation"), "default_class_means", "separation",
+        (("pools", "*", "synthetic", "separation"), "SyntheticDataConfig", "class_means",
          lambda c: c.pool_specs[1.0].synthetic.class_means, default_class_means(3, 3)),
         (("pools", "*", "synthetic", "noise_scale"), "SyntheticDataConfig", "noise_scale",
          lambda c: c.pool_specs[1.0].synthetic.noise_scale, _synthetic().noise_scale),
@@ -548,7 +570,6 @@ class TestPoolSpecMaterialization:
 
     def test_csv_pool_spec(self, tmp_path):
         from mixrobust import write_pool_csv
-        from mixrobust.pipeline import PoolSpec
 
         pool = generate_pool(SyntheticDataConfig(
             m=2, d=2, n_per_class=10, class_means=default_class_means(2, 2), seed=3))

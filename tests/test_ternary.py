@@ -396,6 +396,14 @@ class TestRender:
         with pytest.raises(ContourError, match="cannot assign a band"):
             render_ternary(surface)
 
+    def test_lattice_of_five_parts_rejected(self):
+        # the plot would show the second and third parts only
+        fit = make_fit(generator(53, "render").normal(size=33), m=5, h=3)
+        surface = grid_predict(fit, TernaryGrid.build(q=20, min_prop=0.01, m=5), (1, 0, 1))
+        with pytest.raises(ContourError, match="^a ternary plot needs points of 3 parts, "
+                                               "not m=5$"):
+            render_ternary(surface)
+
     def test_empty_grid_rejected(self):
         surface = Surface(TernaryGrid(q=5, min_prop=0.0, points=np.zeros((0, 3))), np.zeros(0))
         with pytest.raises(ContourError, match="cannot render an empty grid"):
