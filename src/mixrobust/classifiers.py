@@ -94,15 +94,17 @@ class SyntheticDataConfig:
 
     def __post_init__(self):
         check_fields(self, ClassifierError, m=whole_number, d=whole_number,
+                     n_per_class=whole_number)
+        if self.m < 2 or self.d < 1 or self.n_per_class < 1:
+            raise ClassifierError("m, d and n_per_class must be positive (m >= 2)")
+        check_fields(self, ClassifierError,
                      class_means=lambda means, *rule: (
                          default_class_means(self.m, self.d) if means is None
                          else real_table(means, *rule)),
-                     n_per_class=whole_number, noise_scale=real_number,
+                     noise_scale=real_number,
                      separability_boost=lambda boost, *rule: (
                          boost if boost is None else real_numbers(boost, *rule) or None),
                      seed=whole_number)
-        if self.m < 2 or self.d < 1 or self.n_per_class < 1:
-            raise ClassifierError("m, d and n_per_class must be positive (m >= 2)")
         if not 0 < self.noise_scale < math.inf:
             raise ClassifierError("noise_scale must be finite and positive")
         if len(self.class_means) != self.m or any(len(row) != self.d for row in self.class_means):

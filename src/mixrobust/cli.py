@@ -8,7 +8,6 @@ through the CSV/JSON files written under the output directory. Exit codes:
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import sys
 from concurrent.futures.process import BrokenProcessPool
@@ -27,7 +26,7 @@ from .pipeline import (ConfigError, ExperimentConfig, checked_pools,
                        parse_experiment_config, resolve_jobs, simulate_plan,
                        with_master_seed)
 from .shapley import shap_report, write_phi_csv, write_shap_json
-from .ternary import (ContourError, TernaryGrid, covariate_tag, grid_surfaces,
+from .ternary import (ContourError, TernaryGrid, covariate_tags, grid_surfaces,
                       surface_filenames, write_grid_csv, write_ternary_svg)
 
 EXIT_OK = 0
@@ -62,7 +61,9 @@ def build_parser():
         cmd.add_argument("--config", required=True, help="experiment config JSON")
         cmd.add_argument("--out", default=None, help="output directory override")
         cmd.add_argument("--seed", type=int, default=None, help="master seed override")
-        cmd.add_argument("--jobs", type=int, default=None, help="worker pool size")
+        cmd.add_argument("--jobs", type=int, default=None,
+                         help="worker pool size, at most one worker per batch "
+                              "(default: the CPUs this process may run on)")
         cmd.add_argument("--scenario", default=None,
                          choices=[s.value for s in TestScenario],
                          help="restrict to one test scenario")
@@ -258,15 +259,9 @@ def write_contours(config, fits):
     # lattice with no point above the floor is a config error
     grid = TernaryGrid.build(q=CONTOUR_Q if ternary else min(CONTOUR_Q, 20),
                              min_prop=design.min_prop, m=design.m)
-    # each covariate combination needs file names of its own
-    combos = {}
-    for z in itertools.product(*design.covariate_levels):
-        first = combos.setdefault(covariate_tag(z), z)
-        if first != z:
-            raise ContourError(f"covariate levels {first} and {z} would both write "
-                               f"contour files tagged {covariate_tag(z)}")
+    combos = covariate_tags(design.covariate_levels).values()
     for scenario, response, fit, _ in fits:
-        for surface in grid_surfaces(fit, grid, combos.values()):
+        for surface in grid_surfaces(fit, grid, combos):
             grid_name, svg_name = surface_filenames(response, scenario.value,
                                                     surface.covariates)
             surface = replace(surface, response=response, scenario=scenario.value)

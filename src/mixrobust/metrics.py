@@ -192,23 +192,6 @@ def stored_sum_bound(m):
     return m * (0.5 * 10.0 ** -PROPORTION_DECIMALS + 4 * np.finfo(float).eps)
 
 
-def renormalize_rows(block, where):
-    """Each row of an (n, m) block of stored proportions divided by its sum.
-
-    A sum outside 1 +/- stored_sum_bound(m) raises MetricsError("<where(i)>:
-    <reason>") for the first such row i.
-    """
-    block = np.asarray(block, dtype=float)
-    total = block.sum(axis=1)
-    bound = stored_sum_bound(block.shape[1])
-    bad = np.flatnonzero(~(np.abs(total - 1.0) <= bound))
-    if bad.size:
-        i = int(bad[0])
-        raise MetricsError(f"{where(i)}: stored proportions sum to {total[i]}, "
-                           f"outside 1 +/- {bound:.2g}")
-    return block / total[:, None]
-
-
 def read_outcome_table(path) -> OutcomeTable:
     """Read outcome rows into columns; the training mixtures are renormalized
     to sum 1. A malformed file or row raises MetricsError naming the path, and
@@ -226,10 +209,18 @@ def read_outcome_table(path) -> OutcomeTable:
 
 def _outcome_table(block, m, h, where, **columns):
     """The table of a float block (covariates, mixture, AUCs, mean_auc,
-    log_sd per row) and the other columns; a stored mixture sum off 1 raises
-    MetricsError("<where(i)>: ...") for the first such row i."""
-    mixtures = renormalize_rows(block[:, h:h + m], where)
-    return OutcomeTable(covariates=block[:, :h], train_mixture=mixtures,
+    log_sd per row) and the other columns, each mixture divided by its sum.
+    A sum outside 1 +/- stored_sum_bound(m) raises MetricsError("<where(i)>:
+    ...") for the first such row i."""
+    mixtures = block[:, h:h + m]
+    total = mixtures.sum(axis=1)
+    bound = stored_sum_bound(m)
+    bad = np.flatnonzero(~(np.abs(total - 1.0) <= bound))
+    if bad.size:
+        i = int(bad[0])
+        raise MetricsError(f"{where(i)}: stored proportions sum to {total[i]}, "
+                           f"outside 1 +/- {bound:.2g}")
+    return OutcomeTable(covariates=block[:, :h], train_mixture=mixtures / total[:, None],
                         aucs=block[:, h + m:h + 2 * m], mean_auc=block[:, -2],
                         log_sd=block[:, -1], **columns)
 

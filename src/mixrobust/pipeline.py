@@ -164,9 +164,10 @@ def _failure(spec, exc):
 
 
 def resolve_jobs(jobs=None):
-    """Worker count: the argument, by default the CPU count."""
+    """Worker count: the argument, by default the CPUs this process may run on."""
     if jobs is None:
-        jobs = os.cpu_count() or 1
+        jobs = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1)
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
     return jobs
@@ -248,18 +249,18 @@ def checked_pools(plan: RunPlan, config: ExperimentConfig, pools=None):
 def simulate_plan(plan: RunPlan, config: ExperimentConfig, jobs=1, pools=None):
     """Execute every run instance; returns (outcomes, failures) by run_id.
 
-    Runs execute in `plan_batches`, serially or one batch per worker task.
-    Results are collected and ordered by run_id, so output depends on
-    neither the batches nor worker scheduling.
+    Runs execute in `plan_batches`, one batch per task, on min(jobs,
+    batches) workers: serially for one. Results are collected and ordered by
+    run_id, so output depends on neither the batches nor worker scheduling.
     """
     pools = checked_pools(plan, config, pools)
     batches = plan_batches(plan.runs)
-    jobs = resolve_jobs(jobs)
+    workers = min(resolve_jobs(jobs), len(batches))
     state = (pools, config.classifiers, config.sampling)
-    if jobs == 1 or len(batches) <= 1:
+    if workers <= 1:
         results = list(map(partial(_execute_planned, *state), batches))
     else:
-        with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker,
+        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
                                  initargs=state) as executor:
             results = list(executor.map(_execute_in_worker, batches))
     ordered = sorted((r for batch in results for r in batch), key=lambda r: r.run_id)

@@ -333,6 +333,19 @@ def covariate_tag(z):
     return "z" + "".join(f"{float(v):g}" for v in z)
 
 
+def covariate_tags(levels):
+    """{covariate_tag(z): z} for each combination z of the covariate levels,
+    in itertools.product order. Raises ContourError when two combinations
+    share a tag, as they would share contour files."""
+    tags = {}
+    for z in itertools.product(*levels):
+        first = tags.setdefault(covariate_tag(z), z)
+        if first != z:
+            raise ContourError(f"covariate levels {first} and {z} would both write "
+                               f"contour files tagged {covariate_tag(z)}")
+    return tags
+
+
 def surface_filenames(response, scenario, z):
     """One surface's grid CSV and SVG names: `grid_<stem>.csv` and
     `contour_<stem>.svg`, where the stem is `<response>_<scenario>_<tag>`

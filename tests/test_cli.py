@@ -183,6 +183,25 @@ class TestSimulateCommand:
         config_path = write_config(tmp_path, doc)
         assert main(["simulate", "--config", str(config_path)]) == EXIT_CONFIG
 
+    def test_zero_jobs_exits_config_before_any_file(self, tmp_path, capsys):
+        config_path = write_config(tmp_path)
+        assert main(["simulate", "--config", str(config_path), "--jobs", "0"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "mixrobust: error: jobs must be >= 1, got 0\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_more_jobs_than_batches_write_the_serial_outcomes(self, tmp_path):
+        # 4 batches: the pool is capped at 4 workers
+        doc = small_config_doc()
+        doc["scenarios"] = ["balanced"]
+        config_path = write_config(tmp_path, doc)
+        written = []
+        for jobs in ("1", "8"):
+            out = tmp_path / f"out{jobs}"
+            assert main(["simulate", "--config", str(config_path), "--jobs", jobs,
+                         "--out", str(out)]) == EXIT_OK
+            written.append((out / "outcomes.csv").read_bytes())
+        assert written[0] == written[1]
+
     def test_hyper_resolved_per_classifier_not_per_batch(self, tmp_path, monkeypatch):
         real, calls = classifiers.resolve_hyper, []
         monkeypatch.setattr(classifiers, "resolve_hyper",

@@ -1,6 +1,7 @@
 import inspect
 import re
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -194,6 +195,11 @@ class TestLibraryConfigsFollowTheJsonRules:
          ClassifierError, "external classifier needs a command list"),
         (lambda: ClassifierSpec(ClassifierKind.LOGISTIC, command=("true",)), ClassifierError,
          "only external classifiers take a command"),
+        # the sizes are checked before the default means are built from them
+        (lambda: _synthetic(m=-1), ClassifierError,
+         r"m, d and n_per_class must be positive \(m >= 2\)$"),
+        (lambda: _synthetic(d=0), ClassifierError,
+         r"m, d and n_per_class must be positive \(m >= 2\)$"),
         (lambda: PoolSpec(), ConfigError, "pool needs either a 'synthetic' or a 'csv' entry"),
         (lambda: PoolSpec(synthetic=_synthetic(), csv_path=Path("pool.csv")), ConfigError,
          "pool takes either a 'synthetic' or a 'csv' entry, not both"),
@@ -201,6 +207,13 @@ class TestLibraryConfigsFollowTheJsonRules:
     def test_constructor_rejects_what_json_rejects(self, build, error, match):
         with pytest.raises(error, match=f"^{match}"):
             build()
+
+    def test_negative_pool_size_names_the_fields(self, tmp_path):
+        doc = small_config_doc()
+        doc["pools"]["1"]["synthetic"]["m"] = -1
+        with pytest.raises(ConfigError, match=re.escape(
+                "pools[1]: m, d and n_per_class must be positive (m >= 2)")):
+            parse_experiment_config(doc, tmp_path)
 
     def test_synthetic_defaults_are_the_json_defaults(self, tmp_path):
         doc = small_config_doc()
@@ -348,6 +361,71 @@ class TestResolveJobs:
     def test_rejects_zero(self):
         with pytest.raises(ConfigError, match="jobs must be >= 1"):
             resolve_jobs(0)
+
+    def test_default_is_the_cpus_this_process_may_run_on(self, monkeypatch):
+        monkeypatch.setattr(pipeline.os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(pipeline.os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+        assert resolve_jobs(None) == 2
+
+    @pytest.mark.parametrize("count,jobs", [(8, 8), (None, 1)])
+    def test_default_without_affinity_is_the_cpu_count(self, monkeypatch, count, jobs):
+        monkeypatch.delattr(pipeline.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(pipeline.os, "cpu_count", lambda: count)
+        assert resolve_jobs(None) == jobs
+
+
+class _RecordingExecutor:
+    """Stands in for ProcessPoolExecutor: records each worker count asked for
+    and runs the initializer and the tasks in this process."""
+
+    def __init__(self, built, max_workers, initializer, initargs):
+        built.append(max_workers)
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+class TestWorkerCount:
+    """A plan gets min(jobs, batches) workers, and one worker is no pool."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(pipeline, "ProcessPoolExecutor",
+                            partial(_RecordingExecutor, built))
+        monkeypatch.setattr(pipeline, "_worker_state", ())
+        return built
+
+    @staticmethod
+    def _balanced(tmp_path):
+        doc = small_config_doc()
+        doc["scenarios"] = ["balanced"]
+        config = parse_experiment_config(doc, tmp_path)
+        return config, build_run_plan(config.design, config.scenarios)
+
+    def test_pool_never_outnumbers_the_batches(self, tmp_path, built):
+        config, plan = self._balanced(tmp_path)
+        assert len(plan_batches(plan.runs)) == 4
+        pooled = simulate_plan(plan, config, jobs=64)
+        assert built == [4]
+        assert simulate_plan(plan, config, jobs=1) == pooled
+        assert built == [4]
+
+    def test_one_worker_builds_no_pool(self, tmp_path, built):
+        config, plan = self._balanced(tmp_path)
+        serial = simulate_plan(plan, config, jobs=1)
+        plan.runs = plan.runs[:5]
+        assert len(plan_batches(plan.runs)) == 1
+        assert simulate_plan(plan, config, jobs=64) == (serial[0][:5], [])
+        assert built == []
 
 
 class TestOneRunBatch:

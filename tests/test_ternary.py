@@ -1,5 +1,6 @@
 import csv
 import io
+import itertools
 import math
 import re
 import xml.etree.ElementTree as ET
@@ -12,7 +13,7 @@ import pytest
 from mixrobust import (MixtureModelFit, TernaryGrid, barycentric_to_xy,
                        grid_predict, render_ternary, simplex_lattice, term_labels)
 from mixrobust import ternary
-from mixrobust.design import DesignError, check_floor
+from mixrobust.design import DesignConfig, DesignError, check_floor
 from mixrobust.ternary import (ContourError, Surface, _micro_triangles, grid_to_csv,
                                surface_filenames)
 from mixrobust.seeding import generator
@@ -475,6 +476,20 @@ class TestCsvAndNames:
         for point, value in zip(surface.grid.points, surface.values):
             writer.writerow([f"{v:.6f}" for v in point] + [f"{value:.10g}"])
         assert grid_to_csv(surface) == buf.getvalue()
+
+    def test_covariate_tags_follow_the_product_of_the_levels(self):
+        levels = ((1.0, 0.0), (2.0, 0.5, 0.0))
+        tags = ternary.covariate_tags(levels)
+        assert list(tags.values()) == list(itertools.product(*levels))
+        assert list(tags) == ["z12", "z10.5", "z10", "z02", "z00.5", "z00"]
+
+    def test_repeated_covariate_tag_rejected(self):
+        # the levels as the design stores them
+        levels = DesignConfig(covariate_levels=((1, 11), (1, 11))).covariate_levels
+        with pytest.raises(ContourError, match=re.escape(
+                "covariate levels (1.0, 11.0) and (11.0, 1.0) would both write "
+                "contour files tagged z111") + "$"):
+            ternary.covariate_tags(levels)
 
     def test_contour_filename(self):
         assert surface_filenames("mean_auc", "balanced", (1, 0))[1] \
