@@ -29,8 +29,8 @@ from .shapley import (ShapReport, exact_shapley_oracle, shap_importance,
 from .ternary import (TernaryGrid, barycentric_to_xy, grid_predict, grid_surfaces,
                       render_ternary, simplex_lattice, write_grid_csv, write_ternary_svg)
 from .pipeline import (ConfigError, ExperimentConfig, PoolSpec, RunFailure,
-                       execute_batch, parse_experiment_config, simulate_plan,
-                       with_master_seed)
+                       execute_batch, parse_experiment_config, prepare_plan,
+                       simulate_plan, with_master_seed)
 from .seeding import derive_seed, generator
 
 __version__ = "0.1.0"

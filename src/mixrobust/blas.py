@@ -31,50 +31,36 @@ def _loaded_paths():
         return []
 
 
-def _symbol(lib, name):
-    for prefix in _PREFIXES:
-        for suffix in _SUFFIXES:
-            fn = getattr(lib, f"{prefix}_{name}{suffix}", None)
-            if fn is not None:
-                return fn
-    return None
-
-
-def _libraries():
-    """(file name, get, set) for each mapped OpenBLAS that exports both calls."""
-    found = []
+def _exported(name, restype, argtypes=()):
+    """{library file name: its `name` call, typed} for each mapped OpenBLAS
+    that exports the call."""
+    calls = {}
     for path in _loaded_paths():
         lib = ctypes.CDLL(path)
-        get, put = _symbol(lib, "get_num_threads"), _symbol(lib, "set_num_threads")
-        if get is None or put is None:
-            continue
-        get.argtypes, get.restype = [], ctypes.c_int
-        put.argtypes, put.restype = [ctypes.c_int], None
-        found.append((Path(path).name, get, put))
-    return found
+        symbols = (f"{prefix}_{name}{suffix}" for prefix in _PREFIXES for suffix in _SUFFIXES)
+        call = next((getattr(lib, symbol) for symbol in symbols if hasattr(lib, symbol)), None)
+        if call is not None:
+            call.argtypes, call.restype = list(argtypes), restype
+            calls[Path(path).name] = call
+    return calls
 
 
 def openblas_threads():
     """{library file name: its current thread count} for every mapped OpenBLAS."""
-    return {name: get() for name, get, _ in _libraries()}
+    return {name: get() for name, get in _exported("get_num_threads", ctypes.c_int).items()}
 
 
 def openblas_corenames():
     """{library file name: the kernel it runs, such as "SkylakeX" or "Haswell"}
     for every mapped OpenBLAS that reports one. The kernel decides the bits of
     some results, so a run is reproducible byte for byte only under one."""
-    names = {}
-    for path in _loaded_paths():
-        get = _symbol(ctypes.CDLL(path), "get_corename")
-        if get is not None:
-            get.argtypes, get.restype = [], ctypes.c_char_p
-            names[Path(path).name] = get().decode()
-    return names
+    return {name: get().decode()
+            for name, get in _exported("get_corename", ctypes.c_char_p).items()}
 
 
 def set_openblas_threads(n):
     """Set every mapped OpenBLAS to n threads."""
-    for _, _, put in _libraries():
+    for put in _exported("set_num_threads", None, [ctypes.c_int]).values():
         put(n)
 
 

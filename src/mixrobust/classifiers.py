@@ -529,8 +529,7 @@ def run_external(command, split: SampleSplit, pool: DatasetPool):
 
 def _read_scores_csv(path, m, n_expected):
     header = [f"score_{j}" for j in range(1, m + 1)]
-    rows = read_csv(path, ExternalRunnerError,
-                    lambda _: (header, lambda row: [float(v) for v in row]))
+    rows = read_csv(path, ExternalRunnerError, lambda _: (header, _score_row))
     if len(rows) != n_expected:
         raise ExternalRunnerError(f"{path}: expected {n_expected} rows, got {len(rows)}")
     scores = np.array(rows, dtype=float).reshape(n_expected, m)
@@ -541,3 +540,10 @@ def _read_scores_csv(path, m, n_expected):
     if scores.min() < 0 or scores.max() > 1 + EXTERNAL_ROW_TOL:
         raise ExternalRunnerError(f"{path}: scores must lie in [0, 1]")
     return check_score_matrix(scores / sums[:, None], m)
+
+
+def _score_row(row):
+    scores = [float(v) for v in row]
+    if not all(map(math.isfinite, scores)):
+        raise ValueError(f"scores must be finite, got {row}")
+    return scores

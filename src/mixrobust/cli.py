@@ -22,9 +22,8 @@ from .fileio import atomic_write_text, csv_text, read_csv, write_json
 from .metrics import MetricsError, read_outcome_table, write_outcomes_csv
 from .mixmodel import (RESPONSES, ModelError, build_design_matrix, dataset_from_table,
                        factorize, fit_report, load_scipy, write_fit_report)
-from .pipeline import (ConfigError, ExperimentConfig, checked_pools,
-                       parse_experiment_config, resolve_jobs, simulate_plan,
-                       with_master_seed)
+from .pipeline import (ConfigError, ExperimentConfig, parse_experiment_config,
+                       prepare_plan, with_master_seed)
 from .shapley import shap_report, write_phi_csv, write_shap_json
 from .ternary import (ContourError, TernaryGrid, covariate_tags, grid_surfaces,
                       surface_filenames, write_grid_csv, write_ternary_svg)
@@ -142,8 +141,7 @@ def _execute(config, args, allow_external):
                              "not `simulate`")
     plan = _build_plan(config, args)
     # every config check runs before the first file is written
-    pools = checked_pools(plan, config)
-    jobs = resolve_jobs(args.jobs)
+    run = prepare_plan(plan, config, args.jobs)
     write_plan_csv(plan, config.output_dir / "plan.csv")
     write_json(config.output_dir / "run_metadata.json", _run_metadata(config))
     # an earlier run's results no longer describe this plan, even if this run
@@ -152,7 +150,7 @@ def _execute(config, args, allow_external):
     for stale in (path, failures_path):
         stale.unlink(missing_ok=True)
     try:
-        outcomes, failures = simulate_plan(plan, config, jobs=jobs, pools=pools)
+        outcomes, failures = run()
     except BrokenProcessPool:
         raise CliFailure(EXIT_NUMERIC, "a worker process died; this run wrote no "
                          "outcomes") from None

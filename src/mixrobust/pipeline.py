@@ -202,16 +202,20 @@ def plan_batches(runs):
             for start in range(0, len(group), BATCH_SIZE)]
 
 
-def checked_pools(plan: RunPlan, config: ExperimentConfig, pools=None):
-    """The pools the plan runs on, materialised unless given, once every pool
-    holds exactly the labels 1..m, all pools have one feature width, every
-    pool gives both sides of a split at least one row, and every run has a
+def prepare_plan(plan: RunPlan, config: ExperimentConfig, jobs=1):
+    """Check the plan against the config; return the call that runs it.
+
+    Checks that every pool holds exactly the labels 1..m, pools share one
+    feature width and give both sides of a split a row, every run has a
     classifier, a matching pool, a scenario and no test count above its
-    class's pool size (checked once per pool and test mixture). Raises
-    ConfigError or DesignError before any run is attempted."""
+    class's pool size (once per pool and test mixture), and jobs >= 1;
+    raises ConfigError or DesignError before any run. The call runs
+    `plan_batches` on min(jobs, batches) workers, serially for one, and
+    returns (outcomes, failures) by run_id, whatever the batches or workers.
+    """
     if plan.config.h < 2:
         raise ConfigError(_TWO_COVARIATES)
-    pools = config.materialize_pools() if pools is None else pools
+    pools = config.materialize_pools()
     m = plan.config.m
     for level, pool in sorted(pools.items()):
         missing = [j + 1 for j, rows in enumerate(pool.class_index) if rows.size == 0]
@@ -243,29 +247,26 @@ def checked_pools(plan: RunPlan, config: ExperimentConfig, pools=None):
             if count > rows.size:
                 raise ConfigError(f"run {spec.run_id}: {count} test points of class {j} "
                                   f"requested but pool z2={level:g} holds only {rows.size}")
-    return pools
-
-
-def simulate_plan(plan: RunPlan, config: ExperimentConfig, jobs=1, pools=None):
-    """Execute every run instance; returns (outcomes, failures) by run_id.
-
-    Runs execute in `plan_batches`, one batch per task, on min(jobs,
-    batches) workers: serially for one. Results are collected and ordered by
-    run_id, so output depends on neither the batches nor worker scheduling.
-    """
-    pools = checked_pools(plan, config, pools)
     batches = plan_batches(plan.runs)
     workers = min(resolve_jobs(jobs), len(batches))
     state = (pools, config.classifiers, config.sampling)
-    if workers <= 1:
-        results = list(map(partial(_execute_planned, *state), batches))
-    else:
-        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
-                                 initargs=state) as executor:
-            results = list(executor.map(_execute_in_worker, batches))
-    ordered = sorted((r for batch in results for r in batch), key=lambda r: r.run_id)
-    return ([r for r in ordered if isinstance(r, RunOutcome)],
-            [r for r in ordered if isinstance(r, RunFailure)])
+
+    def run():
+        if workers <= 1:
+            results = list(map(partial(_execute_planned, *state), batches))
+        else:
+            with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
+                                     initargs=state) as executor:
+                results = list(executor.map(_execute_in_worker, batches))
+        ordered = sorted((r for batch in results for r in batch), key=lambda r: r.run_id)
+        return ([r for r in ordered if isinstance(r, RunOutcome)],
+                [r for r in ordered if isinstance(r, RunFailure)])
+    return run
+
+
+def simulate_plan(plan: RunPlan, config: ExperimentConfig, jobs=1):
+    """Execute every run instance: `prepare_plan`'s checks, then its run."""
+    return prepare_plan(plan, config, jobs)()
 
 
 @contextmanager

@@ -702,6 +702,8 @@ class TestExternalRunner:
     @pytest.mark.parametrize("row,match", [
         ("0.5,high", "could not convert string to float: 'high'"),
         ("0.25,0.25,0.5", "expected 2 fields, got 3"),
+        ("nan,0.5", "scores must be finite"),
+        ("0.5,inf", "scores must be finite"),
     ])
     def test_malformed_score_row_names_its_line(self, tmp_path, row, match):
         runner = tmp_path / "runner.py"
@@ -715,7 +717,7 @@ class TestExternalRunner:
         runner = tmp_path / "runner.py"
         runner.write_text(RUNNER_NAN)
         pool = self._pool()
-        with pytest.raises(ClassifierError, match="finite"):
+        with pytest.raises(ExternalRunnerError, match=r"scores\.csv:2: scores must be finite"):
             train_and_score(ClassifierKind.EXTERNAL, self._split(pool), pool,
                             command=["python3", str(runner)])
 

@@ -14,6 +14,7 @@ import pytest
 from mixrobust import classifiers, cli, pipeline, ternary
 from mixrobust.cli import (EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK,
                            EXIT_USAGE, main)
+from mixrobust.design import build_run_plan
 from mixrobust.metrics import MetricsError
 from mixrobust.mixmodel import RESPONSES, ModelError
 from mixrobust.pipeline import ConfigError, parse_experiment_config
@@ -188,6 +189,17 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", str(config_path), "--jobs", "0"]) == EXIT_CONFIG
         assert capsys.readouterr().err == "mixrobust: error: jobs must be >= 1, got 0\n"
         assert not (tmp_path / "out").exists()
+
+    def test_plan_checked_once_per_pool_and_test_mixture(self, tmp_path, monkeypatch):
+        real, calls = pipeline.class_counts, []
+        monkeypatch.setattr(pipeline, "class_counts",
+                            lambda *args: calls.append(args) or real(*args))
+        config_path = write_config(tmp_path)
+        assert main(["simulate", "--config", str(config_path), "--jobs", "1"]) == EXIT_OK
+        config = parse_experiment_config(small_config_doc(), tmp_path)
+        plan = build_run_plan(config.design, config.scenarios)
+        distinct = {(spec.covariates[1], spec.test_mixture) for spec in plan.runs}
+        assert len(calls) == len(distinct) == 14
 
     def test_more_jobs_than_batches_write_the_serial_outcomes(self, tmp_path):
         # 4 batches: the pool is capped at 4 workers

@@ -620,6 +620,15 @@ class TestTestCapacity:
                                               r"the 120 rows of pool z2=0$"):
             simulate_plan(plan, config, jobs=1)
 
+    def test_prepare_starts_no_batch(self, tmp_path, monkeypatch):
+        def refusing(*args):
+            raise AssertionError("a batch ran")
+        monkeypatch.setattr(pipeline, "_execute_planned", refusing)
+        config = parse_experiment_config(small_config_doc(), tmp_path)
+        run = pipeline.prepare_plan(build_run_plan(config.design, config.scenarios), config)
+        with pytest.raises(AssertionError, match="a batch ran"):
+            run()
+
     def test_checked_once_per_pool_and_test_mixture(self, tmp_path, monkeypatch):
         from mixrobust import pipeline
 
@@ -633,7 +642,7 @@ class TestTestCapacity:
         monkeypatch.setattr(pipeline, "class_counts", counting)
         config = parse_experiment_config(small_config_doc(replicates=2), tmp_path)
         plan = build_run_plan(config.design, config.scenarios)
-        pipeline.checked_pools(plan, config)
+        pipeline.prepare_plan(plan, config)
         distinct = {(spec.covariates[1], spec.test_mixture) for spec in plan.runs}
         assert len(calls) == len(distinct) < len(plan.runs)
 
