@@ -3,10 +3,12 @@ OpenBLAS's kernel name.
 
 The fit stages factor small matrices (a few thousand rows by at most a few
 dozen columns), where OpenBLAS threads cost more in hand-offs than they
-save. `single_thread` pins every OpenBLAS mapped at the time of the call
-(numpy's, and scipy's once scipy is imported) to one thread; a library mapped
-later keeps its own count. Where the process maps no OpenBLAS, or has no
-/proc/self/maps to find it by, nothing is pinned.
+save. `set_openblas_threads(1)` pins every OpenBLAS mapped at the time of
+the call (numpy's, and scipy's once scipy is imported) to one thread; a
+library mapped later keeps its own count until the next call. The count is
+process-wide, and a worker forked after the call inherits it. Where the
+process maps no OpenBLAS, or has no /proc/self/maps to find it by, nothing is
+pinned.
 """
 
 from __future__ import annotations
@@ -18,8 +20,6 @@ from pathlib import Path
 # 64-bit integer build, suffixed) symbol; a system OpenBLAS uses the plain names
 _PREFIXES = ("scipy_openblas", "openblas")
 _SUFFIXES = ("64_", "")
-
-_pinned = False
 
 
 def _loaded_paths():
@@ -63,14 +63,3 @@ def set_openblas_threads(n):
     for put in _exported("set_num_threads", None, [ctypes.c_int]).values():
         put(n)
 
-
-def single_thread():
-    """Pin every mapped OpenBLAS to one thread, once per process.
-
-    The thread count is process-wide state: after the first call, every later
-    BLAS call in the process, and every process it forks, runs single-threaded.
-    """
-    global _pinned
-    if not _pinned:
-        set_openblas_threads(1)
-        _pinned = True

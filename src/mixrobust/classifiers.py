@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .design import as_float, check_fields, real_number, real_numbers, real_table, whole_number
-from .fileio import read_csv
+from .fileio import iter_csv
 from .sampling import DatasetPool, SampleSplit, dense_ranks, write_pool_csv
 from .seeding import generator
 
@@ -529,16 +529,18 @@ def run_external(command, split: SampleSplit, pool: DatasetPool):
 
 def _read_scores_csv(path, m, n_expected):
     header = [f"score_{j}" for j in range(1, m + 1)]
-    rows = read_csv(path, ExternalRunnerError, lambda _: (header, _score_row))
-    if len(rows) != n_expected:
-        raise ExternalRunnerError(f"{path}: expected {n_expected} rows, got {len(rows)}")
-    scores = np.array(rows, dtype=float).reshape(n_expected, m)
+    numbered = list(iter_csv(path, ExternalRunnerError, lambda _: (header, _score_row)))
+    if len(numbered) != n_expected:
+        raise ExternalRunnerError(f"{path}: expected {n_expected} rows, got {len(numbered)}")
+    scores = np.array([row for _, row in numbered], dtype=float).reshape(n_expected, m)
     sums = scores.sum(axis=1)
-    if np.max(np.abs(sums - 1.0)) > EXTERNAL_ROW_TOL:
-        raise ExternalRunnerError(f"{path}: score rows must sum to 1 within "
-                                  f"{EXTERNAL_ROW_TOL}")
-    if scores.min() < 0 or scores.max() > 1 + EXTERNAL_ROW_TOL:
-        raise ExternalRunnerError(f"{path}: scores must lie in [0, 1]")
+    # the first failing row of the first rule broken names its line
+    for bad, reason in ((np.abs(sums - 1.0) > EXTERNAL_ROW_TOL,
+                         f"score rows must sum to 1 within {EXTERNAL_ROW_TOL}"),
+                        (((scores < 0) | (scores > 1 + EXTERNAL_ROW_TOL)).any(axis=1),
+                         "scores must lie in [0, 1]")):
+        if bad.any():
+            raise ExternalRunnerError(f"{path}:{numbered[bad.argmax()][0]}: {reason}")
     return check_score_matrix(scores / sums[:, None], m)
 
 

@@ -15,7 +15,7 @@ from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
-from .blas import single_thread
+from .blas import set_openblas_threads
 from .classifiers import ClassifierKind, resolve_hyper
 from .design import DesignError, TestScenario, build_run_plan, write_plan_csv
 from .fileio import atomic_write_text, csv_text, read_csv, write_json
@@ -184,7 +184,7 @@ def _fits(config, args):
     scenario is checked for rows, before the first fit. A fit's ModelError
     names its scenario and response."""
     load_scipy()  # the pin reaches only the OpenBLAS libraries already mapped
-    single_thread()
+    set_openblas_threads(1)
     path = config.output_dir / "outcomes.csv"
     try:
         outcomes = read_outcome_table(path)

@@ -10,8 +10,10 @@ change results.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import re
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
@@ -30,6 +32,9 @@ from .seeding import generator
 # runs of one (classifier, pool) group that execute together, one batch per
 # worker task
 BATCH_SIZE = 8
+# workers fork on Linux, the start method every result byte and timing was
+# measured under; elsewhere the interpreter's default, as fork is unsafe on macOS
+START_METHOD = "fork" if sys.platform == "linux" else None
 
 
 class ConfigError(ValueError):
@@ -255,8 +260,9 @@ def prepare_plan(plan: RunPlan, config: ExperimentConfig, jobs=1):
         if workers <= 1:
             results = list(map(partial(_execute_planned, *state), batches))
         else:
-            with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
-                                     initargs=state) as executor:
+            with ProcessPoolExecutor(max_workers=workers,
+                                     mp_context=multiprocessing.get_context(START_METHOD),
+                                     initializer=_init_worker, initargs=state) as executor:
                 results = list(executor.map(_execute_in_worker, batches))
         ordered = sorted((r for batch in results for r in batch), key=lambda r: r.run_id)
         return ([r for r in ordered if isinstance(r, RunOutcome)],

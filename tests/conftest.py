@@ -1,4 +1,5 @@
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +8,20 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from mixrobust import DesignConfig, build_run_plan
+
+
+@pytest.fixture(scope="session", autouse=True)
+def session_tempdir(tmp_path_factory):
+    """The session's temporary files, its worker pools' included, go under
+    pytest's base temp directory. A pool worker that dies, or that its pool
+    ends because another died, leaves its external run's directory behind. A
+    forkserver keeps the TMPDIR it started with, so this is set before any
+    test can start one."""
+    tmp = tmp_path_factory.mktemp("tmp")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("TMPDIR", str(tmp))
+        patch.setattr(tempfile, "tempdir", str(tmp))
+        yield tmp
 
 
 @pytest.fixture(scope="session")

@@ -26,11 +26,9 @@ FIT_STAGES = ("analyze", "shap", "contour")
 
 
 @pytest.fixture
-def unpinned(monkeypatch):
-    """A process not yet pinned, with every OpenBLAS at 2 threads; the thread
-    count is restored afterwards."""
+def unpinned():
+    """Every OpenBLAS at 2 threads; the thread count is restored afterwards."""
     before = openblas_threads()
-    monkeypatch.setattr(blas, "_pinned", False)
     set_openblas_threads(2)
     if set(openblas_threads().values()) != {2}:
         set_openblas_threads(max(before.values()))
@@ -49,11 +47,11 @@ def test_fit_outputs_identical_at_one_and_two_threads(tmp_path, monkeypatch, unp
                                                       name):
     outputs = {}
     # at 2 threads the pin is skipped; then the real pin takes the count to 1
-    for threads, pin in ((2, lambda: None), (1, blas.single_thread)):
+    for threads, pin in ((2, lambda n: None), (1, set_openblas_threads)):
         run_dir = tmp_path / f"threads{threads}"
         run_dir.mkdir()
         config_path = shaped_experiment(run_dir, name)
-        monkeypatch.setattr(cli, "single_thread", pin)
+        monkeypatch.setattr(cli, "set_openblas_threads", pin)
         for stage in FIT_STAGES:
             assert main([stage, "--config", str(config_path)]) == EXIT_OK
             assert set(openblas_threads().values()) == {threads}
@@ -70,6 +68,14 @@ def test_fit_outputs_identical_at_one_and_two_threads(tmp_path, monkeypatch, unp
 def test_fit_stage_pins_every_openblas_to_one_thread(tmp_path, unpinned, stage):
     config_path = shaped_experiment(tmp_path, "c7")
     assert main([stage, "--config", str(config_path)]) == EXIT_OK
+    assert set(openblas_threads().values()) == {1}
+
+
+def test_each_fit_stage_pins_what_is_mapped_then(tmp_path, unpinned):
+    config_path = shaped_experiment(tmp_path, "c7")
+    assert main(["analyze", "--config", str(config_path)]) == EXIT_OK
+    set_openblas_threads(2)  # as a library mapped after the first pin would be
+    assert main(["shap", "--config", str(config_path)]) == EXIT_OK
     assert set(openblas_threads().values()) == {1}
 
 

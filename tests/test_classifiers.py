@@ -704,6 +704,8 @@ class TestExternalRunner:
         ("0.25,0.25,0.5", "expected 2 fields, got 3"),
         ("nan,0.5", "scores must be finite"),
         ("0.5,inf", "scores must be finite"),
+        ("1.5,-0.5", r"scores must lie in \[0, 1\]$"),
+        ("0.5,0.4", r"score rows must sum to 1 within 1e-06$"),
     ])
     def test_malformed_score_row_names_its_line(self, tmp_path, row, match):
         runner = tmp_path / "runner.py"

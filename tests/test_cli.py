@@ -4,6 +4,7 @@ import multiprocessing
 import os
 import re
 import shutil
+import sys
 import xml.etree.ElementTree as ET
 from dataclasses import replace
 from pathlib import Path
@@ -87,6 +88,52 @@ class TestDesignCommand:
             f"mixrobust: error: config {config_path}: the pipeline expects two "
             "covariates: the classifier level and the pool level\n")
         assert not (tmp_path / "out").exists()
+
+
+# an external runner that scores every test row as class 1 until more than
+# `after` runs have started, counted in the file `calls`; then it kills the
+# pool worker that started it, whatever the start method. It kills its parent
+# only while that parent descends from the suite's process: a runner orphaned
+# by the pool's shutdown has been handed to another parent by then, which may
+# be any process of the user's.
+DYING_RUNNER = """\
+import os, signal, sys
+from pathlib import Path
+calls, after, suite = Path(sys.argv[1]), int(sys.argv[2]), int(sys.argv[3])
+workdir = Path(sys.argv[4])
+with open(calls, "a") as fh:
+    fh.write(".")
+if calls.stat().st_size > after:
+    worker = pid = os.getppid()
+    while pid > 1 and pid != suite:
+        with open(f"/proc/{pid}/stat") as fh:
+            pid = int(fh.read().rsplit(")", 1)[1].split()[1])
+    if pid == suite != worker:
+        os.kill(worker, signal.SIGKILL)
+    sys.exit(1)
+rows = (workdir / "test.csv").read_text().splitlines()[1:]
+(workdir / "scores.csv").write_text("score_1,score_2,score_3\\n" + "1,0,0\\n" * len(rows))
+"""
+
+needs_proc = pytest.mark.skipif(not Path("/proc/self/stat").exists(),
+                                reason="the dying runner finds its ancestors in /proc")
+
+
+def dying_runner_config(tmp_path, doc, after=20):
+    """The config `doc` with DYING_RUNNER as its z1=1 classifier."""
+    runner = tmp_path / "dying_runner.py"
+    runner.write_text(DYING_RUNNER)
+    doc["classifiers"]["1"] = {"kind": "external", "command": [
+        sys.executable, str(runner), str(tmp_path / "calls"), str(after), str(os.getpid())]}
+    return write_config(tmp_path, doc, name="dying.json")
+
+
+@pytest.fixture(params=["fork", "forkserver", "spawn"])
+def start_method(request, monkeypatch):
+    """The pool's workers start by this method."""
+    if request.param not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"no {request.param} start method here")
+    monkeypatch.setattr(pipeline, "START_METHOD", request.param)
 
 
 class TestSimulateCommand:
@@ -229,48 +276,40 @@ class TestSimulateCommand:
             counts.append(len(calls))
         assert counts[0] == counts[1]
 
-    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
-                        reason="the patched batch reaches the workers by fork")
+    @needs_proc
     def test_dead_worker_exits_numeric_without_outcomes(self, tmp_path, capsys,
-                                                        monkeypatch):
-        real = pipeline._execute_planned
-
-        def dying(pools, classifiers, sampling, specs):
-            if specs[0].run_id > 40:
-                os._exit(1)
-            return real(pools, classifiers, sampling, specs)
-        monkeypatch.setattr(pipeline, "_execute_planned", dying)
-        config_path = write_config(tmp_path)
-        assert main(["simulate", "--config", str(config_path), "--jobs", "2"]) == EXIT_NUMERIC
+                                                        start_method):
+        config_path = dying_runner_config(tmp_path, small_config_doc(n_per_class=100))
+        assert main(["run", "--config", str(config_path), "--jobs", "2"]) == EXIT_NUMERIC
         assert capsys.readouterr().err == ("mixrobust: error: a worker process died; "
                                            "this run wrote no outcomes\n")
         assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
             "plan.csv", "run_metadata.json"]
         assert multiprocessing.active_children() == []
 
-    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
-                        reason="the patched batch reaches the workers by fork")
-    def test_dead_worker_leaves_no_earlier_outcomes(self, tmp_path, capsys, monkeypatch):
+    @needs_proc
+    def test_dead_worker_leaves_no_earlier_outcomes(self, tmp_path, capsys, start_method):
         # pools small enough that the earlier run leaves failures.csv too
         config_path = write_config(tmp_path, small_config_doc(n_per_class=40))
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(config_path), "--seed", "99",
                      "--jobs", "1"]) == EXIT_NUMERIC
         assert (out / "outcomes.csv").exists() and (out / "failures.csv").exists()
-        real = pipeline._execute_planned
-
-        def dying(pools, classifiers, sampling, specs):
-            if specs[0].run_id > 40:
-                os._exit(1)
-            return real(pools, classifiers, sampling, specs)
-        monkeypatch.setattr(pipeline, "_execute_planned", dying)
-        assert main(["simulate", "--config", str(config_path), "--seed", "5",
+        dying_path = dying_runner_config(tmp_path, small_config_doc(n_per_class=100))
+        assert main(["run", "--config", str(dying_path), "--seed", "5",
                      "--jobs", "2"]) == EXIT_NUMERIC
         assert sorted(p.name for p in out.iterdir()) == ["plan.csv", "run_metadata.json"]
         capsys.readouterr()
         # so the fit stages cannot fit the seed-99 outcomes under seed 5's metadata
         assert main(["analyze", "--config", str(config_path), "--seed", "5"]) == EXIT_IO
         assert capsys.readouterr().err.endswith("; run `simulate` or `run` first\n")
+
+    def test_outcomes_identical_under_every_start_method(self, experiment_dir, tmp_path,
+                                                         start_method):
+        config_path = write_config(tmp_path)
+        assert main(["simulate", "--config", str(config_path), "--jobs", "2"]) == EXIT_OK
+        assert ((tmp_path / "out" / "outcomes.csv").read_bytes()
+                == (experiment_dir[0] / "out" / "outcomes.csv").read_bytes())
 
     def test_failures_exit_numeric(self, tmp_path):
         doc = small_config_doc(n_per_class=40)

@@ -1,5 +1,6 @@
 import inspect
 import re
+import sys
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
@@ -379,7 +380,7 @@ class _RecordingExecutor:
     """Stands in for ProcessPoolExecutor: records each worker count asked for
     and runs the initializer and the tasks in this process."""
 
-    def __init__(self, built, max_workers, initializer, initargs):
+    def __init__(self, built, max_workers, initializer, initargs, **options):
         built.append(max_workers)
         initializer(*initargs)
 
@@ -426,6 +427,18 @@ class TestWorkerCount:
         assert len(plan_batches(plan.runs)) == 1
         assert simulate_plan(plan, config, jobs=64) == (serial[0][:5], [])
         assert built == []
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="workers fork on Linux only")
+    def test_workers_fork_on_linux(self, tmp_path, monkeypatch):
+        real, contexts = pipeline.ProcessPoolExecutor, []
+
+        def recording(*args, **kwargs):
+            contexts.append(kwargs.get("mp_context"))
+            return real(*args, **kwargs)
+        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", recording)
+        config, plan = self._balanced(tmp_path)
+        simulate_plan(plan, config, jobs=2)
+        assert [context.get_start_method() for context in contexts] == ["fork"]
 
 
 class TestOneRunBatch:
