@@ -18,9 +18,9 @@ from .classifiers import (ClassifierError, ClassifierKind, ClassifierSpec,
                           generate_pool, train_and_score)
 from .metrics import (MetricsError, RunOutcome, auc_ovr, log_sd, mean_auc,
                       read_outcomes_csv, write_outcomes_csv)
-from .mixmodel import (AnalysisDataset, ImpliedEffect, MixtureModelFit, ModelError,
-                       ModelMatrix, TermInference, build_design_matrix,
-                       dataset_from_outcomes, factorize, fit_ols, fit_report,
+from .mixmodel import (AnalysisDataset, FittedTerms, ImpliedEffect, MixtureModelFit,
+                       ModelError, ModelMatrix, TermInference, build_design_matrix,
+                       dataset_from_outcomes, factorize, fit_ols, fit_report, fitted_terms,
                        implied_covariate_effect, model_matrix, model_row, predict,
                        predict_rows, term_inference, term_labels, two_sided_p,
                        write_fit_report)

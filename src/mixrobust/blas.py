@@ -1,7 +1,7 @@
-"""OpenBLAS thread count through ctypes, for the fit stages, and each mapped
+"""OpenBLAS thread count through ctypes, for `analyze`, and each mapped
 OpenBLAS's kernel name.
 
-The fit stages factor small matrices (a few thousand rows by at most a few
+`analyze` factors small matrices (a few thousand rows by at most a few
 dozen columns), where OpenBLAS threads cost more in hand-offs than they
 save. `set_openblas_threads(1)` pins every OpenBLAS mapped at the time of
 the call (numpy's, and scipy's once scipy is imported) to one thread; a

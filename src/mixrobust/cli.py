@@ -21,7 +21,7 @@ from .design import DesignError, TestScenario, build_run_plan, write_plan_csv
 from .fileio import atomic_write_text, csv_text, read_csv, write_json
 from .metrics import MetricsError, read_outcome_table, write_outcomes_csv
 from .mixmodel import (RESPONSES, ModelError, build_design_matrix, dataset_from_table,
-                       factorize, fit_report, load_scipy, write_fit_report)
+                       factorize, fit_report, fitted_terms, load_scipy, write_fit_report)
 from .pipeline import (ConfigError, ExperimentConfig, parse_experiment_config,
                        prepare_plan, with_master_seed)
 from .shapley import shap_report, write_phi_csv, write_shap_json
@@ -144,10 +144,12 @@ def _execute(config, args, allow_external):
     run = prepare_plan(plan, config, args.jobs)
     write_plan_csv(plan, config.output_dir / "plan.csv")
     write_json(config.output_dir / "run_metadata.json", _run_metadata(config))
-    # an earlier run's results no longer describe this plan, even if this run
-    # stops before it writes its own
+    # an earlier run's results, and the fits and attributions made from them,
+    # no longer describe this plan, even if this run stops before it writes its own
     path, failures_path = config.output_dir / "outcomes.csv", config.output_dir / "failures.csv"
-    for stale in (path, failures_path):
+    reports = [_report_path(config, kind, response, scenario) for kind in ("fit", "shap")
+               for response in RESPONSES for scenario in TestScenario]
+    for stale in [path, failures_path] + reports:
         stale.unlink(missing_ok=True)
     try:
         outcomes, failures = run()
@@ -178,13 +180,15 @@ def _failed_scenarios(path):
         raise MetricsError(f"cannot read {path}: {exc}") from None
 
 
-def _fits(config, args):
-    """Yield (scenario, response, fit, matrix) for each selected scenario and
-    each response. The outcomes' m and h must be the design's, and every
-    scenario is checked for rows, before the first fit. A fit's ModelError
-    names its scenario and response."""
-    load_scipy()  # the pin reaches only the OpenBLAS libraries already mapped
-    set_openblas_threads(1)
+def _scenario_error(scenario, response, exc):
+    return ModelError(f"scenario {scenario.value}, response {response}: {exc}")
+
+
+def _outcome_data(config, args):
+    """[(scenario, datasets)] for each selected scenario, from outcomes.csv,
+    with one AnalysisDataset per response. The outcomes' m and h must be the
+    design's, and every scenario must have rows, each of them finite; a
+    dataset's ModelError names its scenario and response."""
     path = config.output_dir / "outcomes.csv"
     try:
         outcomes = read_outcome_table(path)
@@ -197,7 +201,7 @@ def _fits(config, args):
         raise CliFailure(EXIT_IO, f"{path} holds outcomes of m={m} mixture parts and "
                          f"h={h} covariates, but the design has m={design.m} and "
                          f"h={design.h}; run `simulate` or `run` again")
-    groups = []
+    data = []
     for scenario in _scenarios(config, args):
         rows = outcomes.where(outcomes.scenario == scenario)
         if not len(rows):
@@ -207,30 +211,70 @@ def _fits(config, args):
                                  f"failed; see {failures}")
             raise CliFailure(EXIT_IO, f"outcomes file has no rows for scenario "
                              f"{scenario.value}")
-        groups.append((scenario, rows))
-    for scenario, rows in groups:
-        factors = None  # both responses share the scenario's model matrix and its QR
+        datasets = []
         for response in RESPONSES:
             try:
-                data = dataset_from_table(rows, response)
+                datasets.append(dataset_from_table(rows, response))
+            except ModelError as exc:
+                raise _scenario_error(scenario, response, exc) from None
+        data.append((scenario, datasets))
+    return data
+
+
+def _fits(config, args):
+    """Yield (scenario, response, fit, matrix) for each selected scenario and
+    each response, fitted from outcomes.csv once _outcome_data has checked
+    every scenario. A fit's ModelError names its scenario and response."""
+    load_scipy()  # the pin reaches only the OpenBLAS libraries already mapped
+    set_openblas_threads(1)
+    for scenario, datasets in _outcome_data(config, args):
+        factors = None  # both responses share the scenario's model matrix and its QR
+        for data in datasets:
+            try:
                 if factors is None:
                     factors = factorize(build_design_matrix(data))
                 fit = factors.fit(data.y)
             except ModelError as exc:
-                raise ModelError(f"scenario {scenario.value}, response {response}: "
-                                 f"{exc}") from None
-            yield scenario, response, fit, factors.matrix
+                raise _scenario_error(scenario, data.response, exc) from None
+            yield scenario, data.response, fit, factors.matrix
 
 
-def _fit_stage(write, config, args):
-    # the fits stay lazy: a fit that fails leaves the files written before it
-    write(config, _fits(config, args))
+def _reported_fits(config, args, matrices=False):
+    """Yield (scenario, response, fit, matrix) for each selected scenario and
+    each response, the fit's terms read from the report that `analyze` wrote.
+    With matrices, matrix is the scenario's model matrix, built from the
+    outcomes that _outcome_data checks before the first report is read, and
+    each report must have fitted its rows; without, matrix is None."""
+    design = config.design
+    read = partial(fitted_terms, m=design.m, h=design.h)
+    if matrices:
+        # both responses' datasets share the mixtures and covariates
+        scenarios = [(scenario, datasets[0])
+                     for scenario, datasets in _outcome_data(config, args)]
+    else:
+        scenarios = [(scenario, None) for scenario in _scenarios(config, args)]
+    for scenario, data in scenarios:
+        matrix = None if data is None else build_design_matrix(data)
+        for response in RESPONSES:
+            path = _report_path(config, "fit", response, scenario)
+            fit = _read_reports([path], read, "analyze")
+            if matrix is not None and fit.n != matrix.n:
+                raise CliFailure(EXIT_IO, f"{path} reports a fit of n={fit.n} rows, but "
+                                 f"{config.output_dir / 'outcomes.csv'} holds {matrix.n} "
+                                 f"of scenario {scenario.value}; run `analyze` again")
+            yield scenario, response, fit, matrix
+
+
+def _fit_stage(write, fits, config, args):
+    # the fits stay lazy: a fit or report that fails leaves the files written
+    # before it
+    write(config, fits(config, args))
     return EXIT_OK
 
 
 def _report_path(config, kind, response, scenario):
     """The JSON that `analyze` (kind "fit") or `shap` (kind "shap") writes for
-    one fit, and that `report` reads."""
+    one fit, and that `report` reads; `shap` and `contour` read the fit's."""
     return config.output_dir / f"{kind}_{response}_{scenario.value}.json"
 
 
@@ -302,9 +346,9 @@ def _report_block(scenario, mean_rep, sd_rep):
     return lines
 
 
-def _report_lines(paths, format_docs, stage):
-    """format_docs(*docs) for the JSON files at paths, which `stage` writes;
-    a file that cannot be read, decoded or formatted exits 3 naming it."""
+def _read_reports(paths, parse, stage):
+    """parse(*docs) for the JSON files at paths, which `stage` writes; a file
+    that cannot be read, decoded or parsed exits 3 naming it."""
     docs = []
     for path in paths:
         try:
@@ -313,7 +357,7 @@ def _report_lines(paths, format_docs, stage):
             raise CliFailure(EXIT_IO, f"cannot read {path}: {exc}; `{stage}` writes it "
                              "and stops at the first fit that fails") from None
     try:
-        return format_docs(*docs)
+        return parse(*docs)
     except (KeyError, TypeError, ValueError) as exc:
         names = " / ".join(map(str, paths))
         raise CliFailure(EXIT_IO, f"malformed report file {names}: {exc!r}") from None
@@ -330,11 +374,11 @@ def cmd_report(config, args):
     for scenario in _scenarios(config, args):
         fit_paths = [_report_path(config, "fit", response, scenario)
                      for response in RESPONSES]
-        lines.extend(_report_lines(fit_paths, partial(_report_block, scenario), "analyze"))
+        lines.extend(_read_reports(fit_paths, partial(_report_block, scenario), "analyze"))
         lines.append("")
         shap_path = _report_path(config, "shap", "mean_auc", scenario)
         if shap_path.exists():
-            lines.extend(_report_lines([shap_path], _shap_lines, "shap"))
+            lines.extend(_read_reports([shap_path], _shap_lines, "shap"))
     text = "\n".join(lines) + "\n"
     path = config.output_dir / "report.txt"
     atomic_write_text(path, text)
@@ -351,10 +395,12 @@ _STAGES = {
     "run": ("execute runs via the external-runner protocol",
             partial(_execute, allow_external=True)),
     "analyze": ("fit both responses per scenario, write fit reports",
-                partial(_fit_stage, write_fit_reports)),
-    "shap": ("write per-column attribution reports", partial(_fit_stage, write_shap_reports)),
+                partial(_fit_stage, write_fit_reports, _fits)),
+    # shap and contour take each fit from the report `analyze` wrote
+    "shap": ("write per-column attribution reports",
+             partial(_fit_stage, write_shap_reports, partial(_reported_fits, matrices=True))),
     "contour": ("write prediction grids and ternary SVG plots",
-                partial(_fit_stage, write_contours)),
+                partial(_fit_stage, write_contours, _reported_fits)),
     "report": ("bundle fit reports into one text summary", cmd_report),
 }
 

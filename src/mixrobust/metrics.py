@@ -259,12 +259,8 @@ def _read_outcome_rows(path) -> OutcomeTable:
         degenerate_sd=ints[:, 2] != 0)
 
 
-# bytes of a plain file: 0 in a field, 1 a field or line end, 2 refused
-# (control, quote, non-ASCII)
-_BYTE_KIND = np.full(256, 2, dtype=np.uint8)
-_BYTE_KIND[0x20:0x7f] = 0
-_BYTE_KIND[[ord(","), ord("\r"), ord("\n")]] = 1
-_BYTE_KIND[ord('"')] = 2
+# the bytes of a plain file: printable ASCII other than a quote, and line ends
+_PLAIN_BYTES = bytes(range(0x20, 0x7f)).replace(b'"', b"") + b"\r\n"
 # a scenario field this long may have been cut to fit
 _SCENARIO_WIDTH = max(len(s.value) for s in TestScenario) + 1
 
@@ -280,8 +276,8 @@ def _is_plain(path):
     size = max(csv.field_size_limit() // 2, 1)
     with open(path, "rb") as handle:
         while chunk := handle.read(size):
-            kinds = _BYTE_KIND[np.frombuffer(chunk, dtype=np.uint8)]
-            if kinds.max() == 2 or (len(chunk) == size and not kinds.any()):
+            if chunk.translate(None, _PLAIN_BYTES) or (
+                    len(chunk) == size and not any(end in chunk for end in (b",", b"\r", b"\n"))):
                 return False
     return True
 

@@ -9,7 +9,7 @@ recovered afterwards as the sum-to-zero contrast (1/m) sum_j of its
 mixture-interaction coefficients.
 
 scipy is imported inside the functions that call it, so the stages that never
-fit (design, simulate, run, report) start without loading it.
+fit (every stage but `analyze`) start without loading it.
 """
 
 from __future__ import annotations
@@ -172,15 +172,22 @@ def build_design_matrix(data: AnalysisDataset) -> ModelMatrix:
 
 
 @dataclass
-class MixtureModelFit:
+class FittedTerms:
+    """A fit's coefficients, one per model column: what prediction and
+    attribution use of a fit, and what its report keeps of it."""
+
     coefficients: np.ndarray
-    covariance: np.ndarray
-    sigma2: float
-    df: int
     labels: list
     m: int
     h: int
     n: int
+
+
+@dataclass
+class MixtureModelFit(FittedTerms):
+    covariance: np.ndarray
+    sigma2: float
+    df: int
     rss: float
 
 
@@ -337,7 +344,7 @@ def implied_covariate_effect(fit: MixtureModelFit, k) -> ImpliedEffect:
     return ImpliedEffect(k, estimate, se, *_t_and_p(estimate, se, fit.df))
 
 
-def predict_rows(fit: MixtureModelFit, mixtures, covariates):
+def predict_rows(fit: FittedTerms, mixtures, covariates):
     """Model predictions for rows of mixtures (n, m) and covariates (..., h).
 
     The covariates' leading axes broadcast against the n mixture rows:
@@ -371,7 +378,7 @@ def predict_rows(fit: MixtureModelFit, mixtures, covariates):
     return out
 
 
-def predict(fit: MixtureModelFit, x, z):
+def predict(fit: FittedTerms, x, z):
     """Model prediction at mixture x and covariate levels z."""
     return float(predict_rows(fit, np.reshape(x, (1, -1)), np.reshape(z, (1, -1)))[0])
 
@@ -400,3 +407,16 @@ def fit_report(fit: MixtureModelFit, scenario, response):
 
 def write_fit_report(report, path):
     write_json(path, report)
+
+
+def fitted_terms(report, m, h) -> FittedTerms:
+    """The terms of the fit that `fit_report` summarized as `report`, whose
+    terms must be those of an m-part, h-covariate design, in model order.
+    json writes each estimate as its repr, so the coefficients read back from
+    a report file have the fit's bits."""
+    labels = term_labels(m, h)
+    terms = report["terms"]
+    if [term["label"] for term in terms] != labels:
+        raise ModelError(f"terms are not the m={m}, h={h} design's {labels}")
+    return FittedTerms(coefficients=np.array([float(term["estimate"]) for term in terms]),
+                       labels=labels, m=m, h=h, n=report["n"])

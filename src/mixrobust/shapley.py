@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fileio import atomic_write_text, write_json
-from .mixmodel import MixtureModelFit, ModelMatrix
+from .mixmodel import FittedTerms, ModelMatrix
 
 MAX_ORACLE_FEATURES = 20
 
@@ -24,7 +24,7 @@ class ShapError(ValueError):
     pass
 
 
-def shap_per_observation(fit: MixtureModelFit, matrix: ModelMatrix):
+def shap_per_observation(fit: FittedTerms, matrix: ModelMatrix):
     """Per-observation, per-column values beta_c * (M_ic - mean_i M_ic)."""
     if list(fit.labels) != list(matrix.labels):
         raise ShapError("fit and matrix disagree on column labels")
@@ -80,7 +80,7 @@ class ShapReport:
     importance: np.ndarray
 
 
-def shap_report(fit: MixtureModelFit, matrix: ModelMatrix) -> ShapReport:
+def shap_report(fit: FittedTerms, matrix: ModelMatrix) -> ShapReport:
     phi = shap_per_observation(fit, matrix)
     return ShapReport(labels=list(fit.labels), phi=phi, importance=shap_importance(phi))
 

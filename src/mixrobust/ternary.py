@@ -19,7 +19,7 @@ import numpy as np
 
 from .design import PROPORTION_DECIMALS, check_floor
 from .fileio import atomic_write_bytes, atomic_write_text
-from .mixmodel import MixtureModelFit, predict_rows
+from .mixmodel import FittedTerms, predict_rows
 
 SQRT3_2 = math.sqrt(3.0) / 2.0
 CONTOUR_LEVELS = 10  # value bands of a ternary plot
@@ -118,7 +118,7 @@ class Surface:
     scenario: str = ""
 
 
-def grid_surfaces(fit: MixtureModelFit, grid: TernaryGrid, zs):
+def grid_surfaces(fit: FittedTerms, grid: TernaryGrid, zs):
     """The fitted surface at every grid point for each covariate combination
     in zs, from one prediction call over the lattice."""
     zs = [tuple(float(v) for v in z) for z in zs]
@@ -126,7 +126,7 @@ def grid_surfaces(fit: MixtureModelFit, grid: TernaryGrid, zs):
     return [Surface(grid, row, z) for z, row in zip(zs, values)]
 
 
-def grid_predict(fit: MixtureModelFit, grid: TernaryGrid, z) -> Surface:
+def grid_predict(fit: FittedTerms, grid: TernaryGrid, z) -> Surface:
     """Evaluate the fitted surface at every grid point for covariate levels z."""
     return grid_surfaces(fit, grid, [z])[0]
 

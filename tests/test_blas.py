@@ -1,6 +1,6 @@
-"""The fit stages pin OpenBLAS to one thread; their outputs do not depend on
-the BLAS thread count, and `simulate` leaves the count alone. Every mapped
-OpenBLAS names the kernel it runs."""
+"""`analyze`, the one stage that fits, pins OpenBLAS to one thread; the fit
+stages' outputs do not depend on the BLAS thread count, and `simulate` leaves
+the count alone. Every mapped OpenBLAS names the kernel it runs."""
 
 import json
 import os
@@ -64,10 +64,9 @@ def test_fit_outputs_identical_at_one_and_two_threads(tmp_path, monkeypatch, unp
     assert outputs[2] == outputs[1]
 
 
-@pytest.mark.parametrize("stage", FIT_STAGES)
-def test_fit_stage_pins_every_openblas_to_one_thread(tmp_path, unpinned, stage):
+def test_analyze_pins_every_openblas_to_one_thread(tmp_path, unpinned):
     config_path = shaped_experiment(tmp_path, "c7")
-    assert main([stage, "--config", str(config_path)]) == EXIT_OK
+    assert main(["analyze", "--config", str(config_path)]) == EXIT_OK
     assert set(openblas_threads().values()) == {1}
 
 
@@ -75,7 +74,7 @@ def test_each_fit_stage_pins_what_is_mapped_then(tmp_path, unpinned):
     config_path = shaped_experiment(tmp_path, "c7")
     assert main(["analyze", "--config", str(config_path)]) == EXIT_OK
     set_openblas_threads(2)  # as a library mapped after the first pin would be
-    assert main(["shap", "--config", str(config_path)]) == EXIT_OK
+    assert main(["analyze", "--config", str(config_path)]) == EXIT_OK
     assert set(openblas_threads().values()) == {1}
 
 

@@ -20,6 +20,7 @@ from mixrobust.metrics import MetricsError
 from mixrobust.mixmodel import RESPONSES, ModelError
 from mixrobust.pipeline import ConfigError, parse_experiment_config
 
+from test_outcome_table import shaped_experiment
 from test_pipeline import small_config_doc
 from test_ternary import make_fit, spy_on_lattice_parts
 
@@ -144,12 +145,16 @@ class TestSimulateCommand:
         assert lines[0] == ("run_id,replicate,scenario,z1,z2,x1,x2,x3,"
                             "auc_1,auc_2,auc_3,mean_auc,log_sd,degenerate_flag")
 
-    def test_rerun_byte_identical(self, experiment_dir):
-        tmp_path, config_path = experiment_dir
-        outcomes = tmp_path / "out" / "outcomes.csv"
-        first = outcomes.read_bytes()
-        assert main(["simulate", "--config", str(config_path), "--jobs", "1"]) == EXIT_OK
-        assert outcomes.read_bytes() == first
+    def test_rerun_byte_identical(self, experiment_dir, tmp_path):
+        source, config_path = experiment_dir
+        # the rerun goes over a copy: it removes the fits other tests read
+        out = tmp_path / "out"
+        shutil.copytree(source / "out", out)
+        assert main(["shap", "--config", str(config_path), "--out", str(out)]) == EXIT_OK
+        assert main(["simulate", "--config", str(config_path), "--jobs", "1",
+                     "--out", str(out)]) == EXIT_OK
+        assert (out / "outcomes.csv").read_bytes() == (source / "out" / "outcomes.csv").read_bytes()
+        assert not list(out.glob("fit_*.json")) and not list(out.glob("shap_*.json"))
 
     def test_run_metadata_records_resolved_hyper(self, experiment_dir):
         tmp_path, _ = experiment_dir
@@ -440,7 +445,7 @@ class TestEmptyContourLattice:
 class TestContourFileNames:
     @pytest.mark.parametrize("levels,code", [
         ([[1, 11], [1, 11]], EXIT_CONFIG),
-        # the c7 and m5 level sets pass the name check and reach the outcomes
+        # the c7 and m5 level sets pass the name check and reach the first report
         ([[1, 0], [1, 0]], EXIT_IO),
         ([[1, 0], [1, 0], [1, 0]], EXIT_IO)])
     def test_colliding_file_names_exit_config(self, tmp_path, capsys, levels, code):
@@ -457,12 +462,13 @@ class TestContourFileNames:
             assert err == ("mixrobust: error: covariate levels (1.0, 11.0) and (11.0, 1.0) "
                            "would both write contour files tagged z111\n")
         else:
-            assert "cannot read outcomes" in err
+            assert err.startswith("mixrobust: error: cannot read "
+                                  f"{tmp_path / 'out' / 'fit_mean_auc_balanced.json'}: ")
         assert not (tmp_path / "out").exists()
 
 
 class TestOutcomesFromAnotherDesign:
-    @pytest.mark.parametrize("command", ["analyze", "shap", "contour"])
+    @pytest.mark.parametrize("command", ["analyze", "shap"])
     @pytest.mark.parametrize("change,shape", [
         ({"covariate_levels": [[1, 0], [1, 0], [1, 0]]}, "m=3 and h=3"),
         ({"m": 4}, "m=4 and h=2")])
@@ -483,7 +489,7 @@ class TestOutcomesFromAnotherDesign:
 
 
 class TestNonFiniteOutcomes:
-    @pytest.mark.parametrize("command", ["analyze", "shap", "contour"])
+    @pytest.mark.parametrize("command", ["analyze", "shap"])
     def test_nan_response_exits_numeric(self, experiment_dir, tmp_path, capsys, command):
         source, _ = experiment_dir
         lines = (source / "out" / "outcomes.csv").read_text().splitlines()
@@ -543,19 +549,41 @@ class TestFitErrorsNameTheFit:
                                                                tmp_path, capsys,
                                                                command, count):
         source, _ = experiment_dir
+        out = tmp_path / "out"
         write_rank_deficient_consistent(source / "out" / "outcomes.csv",
-                                        tmp_path / "out" / "outcomes.csv")
+                                        out / "outcomes.csv")
         config_path = write_config(tmp_path)
-        assert main([command, "--config", str(config_path)]) == EXIT_NUMERIC
+        assert main(["analyze", "--config", str(config_path)]) == EXIT_NUMERIC
         assert capsys.readouterr().err.startswith(
             "mixrobust: error: scenario consistent, response mean_auc: model matrix is "
             "rank deficient; dependent columns: ")
-        written = sorted(p.name for p in (tmp_path / "out").iterdir())
-        written.remove("outcomes.csv")
+        inputs = {"outcomes.csv"}
+        if command != "analyze":
+            # the stage reads the fits `analyze` wrote, up to the first it did not
+            inputs |= {"fit_mean_auc_balanced.json", "fit_log_sd_balanced.json"}
+            assert main([command, "--config", str(config_path)]) == EXIT_IO
+            assert capsys.readouterr().err.startswith(
+                f"mixrobust: error: cannot read {out / 'fit_mean_auc_consistent.json'}: ")
+        written = sorted(p.name for p in out.iterdir() if p.name not in inputs)
         assert len(written) == count
         assert all("_balanced" in name for name in written), written
         assert {response for response in RESPONSES
                 if any(response in name for name in written)} == set(RESPONSES)
+
+
+def count_calls(monkeypatch, *targets):
+    """{name: calls} for each (owner, name) in targets, each counted from here on."""
+    calls = {}
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return call
+    for owner, name in targets:
+        calls[name] = 0
+        monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+    return calls
 
 
 class TestOneFactorizationPerScenario:
@@ -564,27 +592,101 @@ class TestOneFactorizationPerScenario:
     def test_each_fit_stage_factors_each_scenario_once(self, experiment_dir, tmp_path,
                                                        monkeypatch, command, scenario,
                                                        scenarios):
+        # only `analyze` factors; shap and contour read the fits it reported
         source, _ = experiment_dir
-        (tmp_path / "out").mkdir()
-        shutil.copy(source / "out" / "outcomes.csv", tmp_path / "out" / "outcomes.csv")
+        shutil.copytree(source / "out", tmp_path / "out")
         config_path = write_config(tmp_path)
-        calls = {"qr": 0, "predict_rows": 0}
-
-        def counted(name, fn):
-            def call(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-            return call
-        monkeypatch.setattr(np.linalg, "qr", counted("qr", np.linalg.qr))
-        monkeypatch.setattr(ternary, "predict_rows",
-                            counted("predict_rows", ternary.predict_rows))
+        calls = count_calls(monkeypatch, (np.linalg, "qr"), (ternary, "predict_rows"))
         argv = [command, "--config", str(config_path)]
         if scenario is not None:
             argv += ["--scenario", scenario]
         assert main(argv) == EXIT_OK
         fits = scenarios * len(RESPONSES)
-        assert calls == {"qr": scenarios,
+        assert calls == {"qr": scenarios if command == "analyze" else 0,
                          "predict_rows": fits if command == "contour" else 0}
+
+    def test_a_pass_fits_each_scenario_once_from_one_outcome_read(self, tmp_path,
+                                                                  monkeypatch):
+        config_path = shaped_experiment(tmp_path, "c7")
+        calls = count_calls(monkeypatch, (np.linalg, "qr"), (cli, "read_outcome_table"))
+        for command in ("analyze", "shap", "contour"):
+            assert main([command, "--config", str(config_path)]) == EXIT_OK
+        # one read and a QR per scenario in `analyze`, one read in `shap`
+        assert calls == {"qr": 3, "read_outcome_table": 2}
+
+
+class TestShapAndContourReadTheReports:
+    @pytest.fixture
+    def copied(self, experiment_dir, tmp_path):
+        source, _ = experiment_dir
+        shutil.copytree(source / "out", tmp_path / "out")
+        return tmp_path / "out", write_config(tmp_path)
+
+    def test_contour_without_reports_exits_io_naming_the_first(self, experiment_dir,
+                                                                tmp_path, capsys):
+        source, _ = experiment_dir
+        out = tmp_path / "out"
+        out.mkdir()
+        shutil.copy(source / "out" / "outcomes.csv", out / "outcomes.csv")
+        config_path = write_config(tmp_path)
+        assert main(["contour", "--config", str(config_path)]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"mixrobust: error: cannot read {out / 'fit_mean_auc_balanced.json'}: ")
+        assert err.endswith("; `analyze` writes it and stops at the first fit that fails\n")
+        assert [p.name for p in out.iterdir()] == ["outcomes.csv"]
+
+    @pytest.mark.parametrize("change,shape", [
+        ({"covariate_levels": [[1, 0], [1, 0], [1, 0]]}, "m=3, h=3"),
+        ({"m": 4}, "m=4, h=2")])
+    def test_contour_on_reports_of_another_design_exits_io_naming_it(
+            self, copied, capsys, change, shape):
+        out, config_path = copied
+        doc = small_config_doc()
+        doc["design"].update(change)
+        config_path.write_text(json.dumps(doc))
+        before = sorted(p.name for p in out.iterdir())
+        assert main(["contour", "--config", str(config_path)]) == EXIT_IO
+        assert capsys.readouterr().err.startswith(
+            f"mixrobust: error: malformed report file {out / 'fit_mean_auc_balanced.json'}: "
+            f"ModelError(\"terms are not the {shape} design's ")
+        assert sorted(p.name for p in out.iterdir()) == before
+
+    def test_contour_after_a_new_simulate_exits_io(self, copied, capsys):
+        out, config_path = copied
+        assert main(["shap", "--config", str(config_path)]) == EXIT_OK
+        assert main(["simulate", "--config", str(config_path), "--jobs", "1",
+                     "--seed", "5"]) == EXIT_OK
+        # the old reports were fitted to the seed-99 outcomes, which are gone
+        assert not list(out.glob("fit_*.json")) and not list(out.glob("shap_*.json"))
+        capsys.readouterr()
+        assert main(["contour", "--config", str(config_path)]) == EXIT_IO
+        assert capsys.readouterr().err.startswith(
+            f"mixrobust: error: cannot read {out / 'fit_mean_auc_balanced.json'}: ")
+
+    def test_shap_on_a_report_of_other_rows_exits_io_naming_both(self, copied, capsys):
+        out, config_path = copied
+        path = out / "fit_log_sd_consistent.json"
+        doc = json.loads(path.read_text())
+        doc["n"] = 27
+        path.write_text(json.dumps(doc))
+        assert main(["shap", "--config", str(config_path)]) == EXIT_IO
+        assert capsys.readouterr().err == (
+            f"mixrobust: error: {path} reports a fit of n=27 rows, but "
+            f"{out / 'outcomes.csv'} holds 28 of scenario consistent; run `analyze` again\n")
+
+    def test_contour_needs_no_outcomes(self, copied, tmp_path):
+        out, config_path = copied
+        bare = tmp_path / "bare"
+        shutil.copytree(out, bare)
+        (bare / "outcomes.csv").unlink()
+        outputs = {}
+        for run in (out, bare):
+            assert main(["contour", "--config", str(config_path), "--out", str(run)]) == EXIT_OK
+            outputs[run] = {p.name: p.read_bytes() for p in sorted(run.iterdir())
+                            if p.suffix == ".svg" or p.name.startswith("grid_")}
+        assert len(outputs[out]) == 48
+        assert outputs[bare] == outputs[out]
 
 
 def all_reverse_runs_fail_doc():
@@ -607,7 +709,7 @@ class TestScenarioWithoutOutcomes:
         assert sum(",reverse," in line for line in failures) == 28
         return tmp_path / "out"
 
-    @pytest.mark.parametrize("command", ["analyze", "shap", "contour"])
+    @pytest.mark.parametrize("command", ["analyze", "shap"])
     def test_every_run_failed_exits_numeric_naming_failures(self, failed_dir, tmp_path,
                                                             capsys, command):
         shutil.copytree(failed_dir, tmp_path / "out")

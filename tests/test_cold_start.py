@@ -1,7 +1,8 @@
 """Every stage as a fresh process, as `mixrobust <stage>` runs it: the stages
-that never fit start without scipy, and the fit stages load scipy before they
-pin OpenBLAS, so scipy's OpenBLAS runs at one thread too. The pytest process
-has scipy loaded already, so only a new process can show either."""
+that never fit start without scipy, and `analyze`, the one stage that fits,
+loads scipy before it pins OpenBLAS, so scipy's OpenBLAS runs at one thread
+too. The pytest process has scipy loaded already, so only a new process can
+show either."""
 
 import json
 import os
@@ -16,7 +17,6 @@ import mixrobust
 from test_pipeline import small_config_doc
 
 STAGES = ("design", "simulate", "analyze", "shap", "contour", "report")
-FIT_STAGES = ("analyze", "shap", "contour")
 
 # runs one stage, prints what it left loaded as the last stdout line, and
 # exits with the stage's code
@@ -52,16 +52,16 @@ def cold_stages(tmp_path_factory):
     return results
 
 
-@pytest.mark.parametrize("stage", ["design", "simulate", "report"])
+# shap and contour read the fits `analyze` reported
+@pytest.mark.parametrize("stage", ["design", "simulate", "shap", "contour", "report"])
 def test_stage_that_never_fits_starts_without_scipy(cold_stages, stage):
     assert not cold_stages[stage]["scipy"]
 
 
 @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
                     reason="on one CPU OpenBLAS starts at 1 thread")
-@pytest.mark.parametrize("stage", FIT_STAGES)
-def test_fit_stage_pins_scipys_openblas_too(cold_stages, stage):
-    before, after = cold_stages[stage]["before"], cold_stages[stage]["after"]
+def test_analyze_pins_scipys_openblas_too(cold_stages):
+    before, after = cold_stages["analyze"]["before"], cold_stages["analyze"]["after"]
     if not before:
         pytest.skip("no OpenBLAS mapped into a fresh process")
     # the stage starts with numpy's OpenBLAS at 2 threads, and maps scipy's
