@@ -144,13 +144,18 @@ def _execute(config, args, allow_external):
     run = prepare_plan(plan, config, args.jobs)
     write_plan_csv(plan, config.output_dir / "plan.csv")
     write_json(config.output_dir / "run_metadata.json", _run_metadata(config))
-    # an earlier run's results, and the fits and attributions made from them,
-    # no longer describe this plan, even if this run stops before it writes its own
-    path, failures_path = config.output_dir / "outcomes.csv", config.output_dir / "failures.csv"
-    reports = [_report_path(config, kind, response, scenario) for kind in ("fit", "shap")
-               for response in RESPONSES for scenario in TestScenario]
-    for stale in [path, failures_path] + reports:
-        stale.unlink(missing_ok=True)
+    # an earlier run's results, and all the later stages made from them, no
+    # longer describe this plan, even if this run stops before it writes its own
+    out = config.output_dir
+    path, failures_path = out / "outcomes.csv", out / "failures.csv"
+    stale = [path, failures_path, out / "report.txt"]
+    for tag in (f"{response}_{scenario.value}" for response in RESPONSES
+                for scenario in TestScenario):
+        for pattern in (f"fit_{tag}.json", f"shap_{tag}.json", f"shap_phi_{tag}.csv",
+                        f"grid_{tag}_*.csv", f"contour_{tag}_*.svg"):
+            stale.extend(out.glob(pattern))
+    for old in stale:
+        old.unlink(missing_ok=True)
     try:
         outcomes, failures = run()
     except BrokenProcessPool:
@@ -188,7 +193,8 @@ def _outcome_data(config, args):
     """[(scenario, datasets)] for each selected scenario, from outcomes.csv,
     with one AnalysisDataset per response. The outcomes' m and h must be the
     design's, and every scenario must have rows, each of them finite; a
-    dataset's ModelError names its scenario and response."""
+    dataset's ModelError names its scenario and response. Then the run's
+    recorded settings must be config's."""
     path = config.output_dir / "outcomes.csv"
     try:
         outcomes = read_outcome_table(path)
@@ -218,7 +224,45 @@ def _outcome_data(config, args):
             except ModelError as exc:
                 raise _scenario_error(scenario, response, exc) from None
         data.append((scenario, datasets))
+    _check_run_metadata(config)
     return data
+
+
+def _leaves(value, key=""):
+    """{key path: leaf} for each leaf of a JSON value, in order."""
+    if isinstance(value, dict):
+        parts = [(part, f"{key}.{name}" if key else name) for name, part in value.items()]
+    elif isinstance(value, list):
+        parts = [(part, f"{key}[{i}]") for i, part in enumerate(value)]
+    else:
+        return {key: value}
+    return {path: leaf for part in parts for path, leaf in _leaves(*part).items()}
+
+
+_ABSENT = object()  # what a run_metadata.json key lacking on one side holds
+
+
+def _check_run_metadata(config):
+    """Exit 3 when the run_metadata.json that `simulate` or `run` wrote beside
+    the outcomes records other settings than config's, naming the first
+    differing key. The master seed may differ, and a missing file passes."""
+    path = config.output_dir / "run_metadata.json"
+    try:
+        recorded = _leaves(json.loads(path.read_text()))
+    except FileNotFoundError:
+        return
+    except (OSError, ValueError) as exc:
+        raise CliFailure(EXIT_IO, f"cannot read {path}: {exc}") from None
+    # through json, as the file went, so that both sides hold the same types
+    expected = _leaves(json.loads(json.dumps(_run_metadata(config))))
+    for leaves in (recorded, expected):
+        leaves.pop("master_seed", None)
+    for key in {**expected, **recorded}:
+        was, now = (leaves.get(key, _ABSENT) for leaves in (recorded, expected))
+        if was != now:
+            was, now = ("nothing" if v is _ABSENT else json.dumps(v) for v in (was, now))
+            raise CliFailure(EXIT_IO, f"{path} records {key} = {was}, but the config has "
+                             f"{now}; run `simulate` or `run` again")
 
 
 def _fits(config, args):
@@ -239,62 +283,58 @@ def _fits(config, args):
             yield scenario, data.response, fit, factors.matrix
 
 
-def _reported_fits(config, args, matrices=False):
-    """Yield (scenario, response, fit, matrix) for each selected scenario and
-    each response, the fit's terms read from the report that `analyze` wrote.
-    With matrices, matrix is the scenario's model matrix, built from the
-    outcomes that _outcome_data checks before the first report is read, and
-    each report must have fitted its rows; without, matrix is None."""
-    design = config.design
-    read = partial(fitted_terms, m=design.m, h=design.h)
-    if matrices:
-        # both responses' datasets share the mixtures and covariates
-        scenarios = [(scenario, datasets[0])
-                     for scenario, datasets in _outcome_data(config, args)]
-    else:
-        scenarios = [(scenario, None) for scenario in _scenarios(config, args)]
-    for scenario, data in scenarios:
-        matrix = None if data is None else build_design_matrix(data)
-        for response in RESPONSES:
-            path = _report_path(config, "fit", response, scenario)
-            fit = _read_reports([path], read, "analyze")
-            if matrix is not None and fit.n != matrix.n:
-                raise CliFailure(EXIT_IO, f"{path} reports a fit of n={fit.n} rows, but "
-                                 f"{config.output_dir / 'outcomes.csv'} holds {matrix.n} "
-                                 f"of scenario {scenario.value}; run `analyze` again")
-            yield scenario, response, fit, matrix
-
-
-def _fit_stage(write, fits, config, args):
-    # the fits stay lazy: a fit or report that fails leaves the files written
-    # before it
-    write(config, fits(config, args))
-    return EXIT_OK
-
-
 def _report_path(config, kind, response, scenario):
     """The JSON that `analyze` (kind "fit") or `shap` (kind "shap") writes for
     one fit, and that `report` reads; `shap` and `contour` read the fit's."""
     return config.output_dir / f"{kind}_{response}_{scenario.value}.json"
 
 
-def write_fit_reports(config, fits):
-    for scenario, response, fit, _ in fits:
+def _reported_fit(config, response, scenario):
+    """(path, terms) of the fit report that `analyze` wrote for one scenario
+    and response; terms that are not the design's exit 3 naming the report."""
+    path = _report_path(config, "fit", response, scenario)
+    read = partial(fitted_terms, m=config.design.m, h=config.design.h)
+    return path, _read_reports([path], read, "analyze")
+
+
+# the fit stages stay lazy: a fit or report that fails leaves the files
+# written before it
+def cmd_analyze(config, args):
+    for scenario, response, fit, _ in _fits(config, args):
         path = _report_path(config, "fit", response, scenario)
         write_fit_report(fit_report(fit, scenario, response), path)
         print(f"wrote {path}")
+    return EXIT_OK
 
 
-def write_shap_reports(config, fits):
-    for scenario, response, fit, matrix in fits:
-        report = shap_report(fit, matrix)
-        path = _report_path(config, "shap", response, scenario)
-        write_shap_json(report, path, scenario=scenario.value, response=response)
-        write_phi_csv(report, config.output_dir / f"shap_phi_{response}_{scenario.value}.csv")
-        print(f"wrote {path}")
+def cmd_shap(config, args):
+    for scenario, datasets in _outcome_data(config, args):
+        # both responses' datasets share the mixtures and covariates
+        matrix = build_design_matrix(datasets[0])
+        for response in RESPONSES:
+            fit_path, fit = _reported_fit(config, response, scenario)
+            if fit.n != matrix.n:
+                raise CliFailure(EXIT_IO, f"{fit_path} reports a fit of n={fit.n} rows, but "
+                                 f"{config.output_dir / 'outcomes.csv'} holds {matrix.n} "
+                                 f"of scenario {scenario.value}; run `analyze` again")
+            report = shap_report(fit, matrix)
+            path = _report_path(config, "shap", response, scenario)
+            write_shap_json(report, path, scenario=scenario.value, response=response)
+            write_phi_csv(report, config.output_dir / f"shap_phi_{response}_{scenario.value}.csv")
+            print(f"wrote {path}")
+    return EXIT_OK
+
+
+def cmd_contour(config, args):
+    scenarios = _scenarios(config, args)
+    _check_run_metadata(config)
+    write_contours(config, ((scenario, response, _reported_fit(config, response, scenario)[1])
+                            for scenario in scenarios for response in RESPONSES))
+    return EXIT_OK
 
 
 def write_contours(config, fits):
+    """Each (scenario, response, fit)'s grid CSVs, and for m = 3 its SVGs."""
     design = config.design
     ternary = design.m == 3
     # no ternary projection beyond 3 classes: coarse lattice, CSV only; a
@@ -302,7 +342,7 @@ def write_contours(config, fits):
     grid = TernaryGrid.build(q=CONTOUR_Q if ternary else min(CONTOUR_Q, 20),
                              min_prop=design.min_prop, m=design.m)
     combos = covariate_tags(design.covariate_levels).values()
-    for scenario, response, fit, _ in fits:
+    for scenario, response, fit in fits:
         for surface in grid_surfaces(fit, grid, combos):
             grid_name, svg_name = surface_filenames(response, scenario.value,
                                                     surface.covariates)
@@ -394,13 +434,10 @@ _STAGES = {
                  partial(_execute, allow_external=False)),
     "run": ("execute runs via the external-runner protocol",
             partial(_execute, allow_external=True)),
-    "analyze": ("fit both responses per scenario, write fit reports",
-                partial(_fit_stage, write_fit_reports, _fits)),
+    "analyze": ("fit both responses per scenario, write fit reports", cmd_analyze),
     # shap and contour take each fit from the report `analyze` wrote
-    "shap": ("write per-column attribution reports",
-             partial(_fit_stage, write_shap_reports, partial(_reported_fits, matrices=True))),
-    "contour": ("write prediction grids and ternary SVG plots",
-                partial(_fit_stage, write_contours, _reported_fits)),
+    "shap": ("write per-column attribution reports", cmd_shap),
+    "contour": ("write prediction grids and ternary SVG plots", cmd_contour),
     "report": ("bundle fit reports into one text summary", cmd_report),
 }
 

@@ -156,6 +156,20 @@ class TestSimulateCommand:
         assert (out / "outcomes.csv").read_bytes() == (source / "out" / "outcomes.csv").read_bytes()
         assert not list(out.glob("fit_*.json")) and not list(out.glob("shap_*.json"))
 
+    def test_rerun_removes_every_later_stage_output(self, experiment_dir, tmp_path):
+        source, config_path = experiment_dir
+        out = tmp_path / "out"
+        shutil.copytree(source / "out", out)
+        for command in ("shap", "contour", "report"):
+            assert main([command, "--config", str(config_path), "--out", str(out)]) == EXIT_OK
+        # a grid of covariate levels the config no longer has, and a bystander
+        (out / "grid_log_sd_reverse_z27.csv").write_text("old\n")
+        (out / "notes.txt").write_text("mine\n")
+        assert main(["simulate", "--config", str(config_path), "--jobs", "1", "--seed", "5",
+                     "--out", str(out)]) == EXIT_OK
+        assert sorted(p.name for p in out.iterdir()) == [
+            "notes.txt", "outcomes.csv", "plan.csv", "run_metadata.json"]
+
     def test_run_metadata_records_resolved_hyper(self, experiment_dir):
         tmp_path, _ = experiment_dir
         doc = json.loads((tmp_path / "out" / "run_metadata.json").read_text())
@@ -408,7 +422,7 @@ class TestContourLatticeParts:
         doc = small_config_doc()
         doc["design"].update(m=5, covariate_levels=[[1, 0], [1, 0], [1, 0]])
         config = replace(parse_experiment_config(doc, tmp_path), output_dir=tmp_path)
-        fits = [(scenario, response, make_fit(np.full(33, 0.5), m=5, h=3), None)
+        fits = [(scenario, response, make_fit(np.full(33, 0.5), m=5, h=3))
                 for scenario in config.scenarios for response in RESPONSES]
         cli.write_contours(config, fits)
         assert len(list(tmp_path.glob("grid_*.csv"))) == 48
@@ -642,6 +656,8 @@ class TestShapAndContourReadTheReports:
     def test_contour_on_reports_of_another_design_exits_io_naming_it(
             self, copied, capsys, change, shape):
         out, config_path = copied
+        # without the run's metadata, whose check would name the design first
+        (out / "run_metadata.json").unlink()
         doc = small_config_doc()
         doc["design"].update(change)
         config_path.write_text(json.dumps(doc))
@@ -687,6 +703,78 @@ class TestShapAndContourReadTheReports:
                             if p.suffix == ".svg" or p.name.startswith("grid_")}
         assert len(outputs[out]) == 48
         assert outputs[bare] == outputs[out]
+
+
+def relabel_pool_level(doc):
+    """The config doc with its pool covariate's level 0 relabelled 2."""
+    doc["design"]["covariate_levels"][1] = [1, 2]
+    doc["pools"]["2"] = doc["pools"].pop("0")
+
+
+class TestOutcomesFromAnotherConfig:
+    @pytest.fixture
+    def copied(self, experiment_dir, tmp_path):
+        source, _ = experiment_dir
+        shutil.copytree(source / "out", tmp_path / "out")
+        return tmp_path / "out"
+
+    @pytest.mark.parametrize("command", ["analyze", "shap", "contour"])
+    @pytest.mark.parametrize("edit,key,was,now", [
+        (lambda doc: doc["design"].update(replicates=2), "design.replicates", "1", "2"),
+        (lambda doc: doc["design"].update(min_prop=0.02), "design.min_prop", "0.01", "0.02"),
+        (relabel_pool_level, "design.covariate_levels[1][1]", "0.0", "2.0"),
+        (lambda doc: doc["sampling"].update(train_frac=0.15), "sampling.train_frac",
+         "0.1", "0.15"),
+        (lambda doc: doc["classifiers"].update({"1": {"kind": "boosted_stumps"}}),
+         "classifiers.1.kind", '"logistic"', '"boosted_stumps"'),
+        (lambda doc: doc["classifiers"]["0"]["hyper"].update(rounds=11),
+         "classifiers.0.hyper.rounds", "10.0", "11.0"),
+    ], ids=["replicates", "min_prop", "covariate_level", "train_frac", "kind", "hyper"])
+    def test_edited_config_exits_io_naming_the_key(self, copied, capsys, command, edit,
+                                                  key, was, now):
+        doc = small_config_doc()
+        edit(doc)
+        config_path = write_config(copied.parent, doc)
+        before = {p.name: p.read_bytes() for p in copied.iterdir()}
+        assert main([command, "--config", str(config_path)]) == EXIT_IO
+        assert capsys.readouterr().err == (
+            f"mixrobust: error: {copied / 'run_metadata.json'} records {key} = {was}, "
+            f"but the config has {now}; run `simulate` or `run` again\n")
+        assert {p.name: p.read_bytes() for p in copied.iterdir()} == before
+
+    @pytest.mark.parametrize("command", ["analyze", "shap", "contour"])
+    @pytest.mark.parametrize("case", ["unchanged", "seed", "config_seed", "scenario",
+                                      "no_metadata"])
+    def test_same_settings_pass(self, copied, command, case):
+        doc = small_config_doc(master_seed=5 if case == "config_seed" else 99)
+        argv = [command, "--config", str(write_config(copied.parent, doc))]
+        argv += {"seed": ["--seed", "5"], "scenario": ["--scenario", "reverse"]}.get(case, [])
+        if case == "no_metadata":
+            (copied / "run_metadata.json").unlink()
+        assert main(argv) == EXIT_OK
+
+    @pytest.mark.parametrize("content,reason", [
+        ("{", "Expecting property name"), (None, "Is a directory")])
+    def test_unreadable_metadata_exits_io_naming_it(self, copied, capsys, content, reason):
+        path = copied / "run_metadata.json"
+        path.unlink()
+        if content is None:
+            path.mkdir()
+        else:
+            path.write_text(content)
+        assert main(["analyze", "--config", str(write_config(copied.parent))]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith(f"mixrobust: error: cannot read {path}: ") and reason in err
+
+    def test_outcome_checks_come_first(self, copied, capsys):
+        doc = small_config_doc()
+        doc["design"]["m"] = 4
+        config_path = write_config(copied.parent, doc)
+        assert main(["shap", "--config", str(config_path)]) == EXIT_IO
+        assert capsys.readouterr().err == (
+            f"mixrobust: error: {copied / 'outcomes.csv'} holds outcomes of m=3 mixture "
+            "parts and h=2 covariates, but the design has m=4 and h=2; run `simulate` "
+            "or `run` again\n")
 
 
 def all_reverse_runs_fail_doc():

@@ -11,7 +11,7 @@ from scipy import stats
 import mixrobust
 from mixrobust import (AnalysisDataset, MixtureModelFit, ModelError, ModelMatrix,
                        RunOutcome, TestScenario, build_design_matrix,
-                       dataset_from_outcomes, factorize, fit_ols, fit_report,
+                       dataset_from_outcomes, factorize, fit_ols, fit_report, fitted_terms,
                        implied_covariate_effect, model_matrix, model_row, predict,
                        predict_rows, term_inference, term_labels, write_fit_report)
 from mixrobust.mixmodel import MIXTURE_ROW_TOL
@@ -418,6 +418,42 @@ class TestDatasetAndReport:
         loaded = json.loads(path.read_text())
         assert [t["label"] for t in loaded["terms"]] == term_labels(3, 2)
         assert loaded["implied_effects"][0]["covariate"] == "z1"
+
+
+def reported(m, h, n, seed):
+    """A fit of n random rows of an m-part, h-covariate design, and its
+    report sent through a json dump and load."""
+    rng = generator(seed, "reported")
+    mixtures = rng.dirichlet(np.ones(m), size=n)
+    covariates = rng.integers(0, 2, size=(n, h)).astype(float)
+    fit = fit_ols(make_matrix(model_matrix(mixtures, covariates), m=m, h=h),
+                  rng.normal(size=n))
+    return fit, json.loads(json.dumps(fit_report(fit, TestScenario.REVERSE, "log_sd")))
+
+
+class TestFittedTerms:
+    @pytest.mark.parametrize("m,h,n", [(3, 2, 84), (5, 3, 60)])
+    def test_report_round_trip_keeps_the_fit(self, m, h, n):
+        fit, report = reported(m, h, n, seed=m)
+        terms = fitted_terms(report, m=m, h=h)
+        assert terms.coefficients.tobytes() == fit.coefficients.tobytes()
+        assert (terms.n, terms.m, terms.h) == (n, m, h)
+        assert terms.labels == fit.labels == term_labels(m, h)
+
+    @pytest.mark.parametrize("edit", [
+        lambda terms: terms.insert(1, terms.pop(0)),
+        lambda terms: terms.pop(),
+    ], ids=["reordered", "missing"])
+    def test_terms_not_in_model_order_are_refused(self, edit):
+        _, report = reported(3, 2, 84, seed=3)
+        edit(report["terms"])
+        with pytest.raises(ModelError, match=r"terms are not the m=3, h=2 design's"):
+            fitted_terms(report, m=3, h=2)
+
+    def test_report_of_another_m_is_refused(self):
+        _, report = reported(3, 2, 84, seed=3)
+        with pytest.raises(ModelError, match=r"terms are not the m=4, h=2 design's"):
+            fitted_terms(report, m=4, h=2)
 
 
 class TestAnalysisDatasetValidation:
