@@ -14,9 +14,10 @@ import numpy as np
 from mixrobust import (DesignConfig, TernaryGrid, cross_array, fit_ols, grid_predict,
                        model_matrix, simplex_centroid, term_labels, write_grid_csv,
                        write_ternary_svg)
+from mixrobust.cli import CONTOUR_SVG, GRID
 from mixrobust.mixmodel import ModelMatrix
 from mixrobust.seeding import generator
-from mixrobust.ternary import surface_filenames
+from mixrobust.ternary import covariate_tag
 
 design = DesignConfig(m=3, covariate_levels=((1, 0), (1, 0)), min_prop=0.01)
 base = cross_array(simplex_centroid(3, 0.01), design)
@@ -35,7 +36,9 @@ out_dir = Path("demo_output")
 grid = TernaryGrid.build(q=100, min_prop=design.min_prop)
 for z in itertools.product(*design.covariate_levels):
     surface = replace(grid_predict(fit, grid, z), response="mean_auc", scenario="balanced")
-    grid_name, name = surface_filenames("mean_auc", "balanced", z)
+    # the names `mixrobust contour` gives these files
+    names = dict(response="mean_auc", scenario="balanced", tag=covariate_tag(z))
+    grid_name, name = GRID.format(**names), CONTOUR_SVG.format(**names)
     write_ternary_svg(surface, out_dir / name)
     write_grid_csv(surface, out_dir / grid_name)
     peak = grid.points[np.argmax(surface.values)]

@@ -8,6 +8,7 @@ through the CSV/JSON files written under the output directory. Exit codes:
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from concurrent.futures.process import BrokenProcessPool
@@ -26,7 +27,7 @@ from .pipeline import (ConfigError, ExperimentConfig, parse_experiment_config,
                        prepare_plan, with_master_seed)
 from .shapley import shap_report, write_phi_csv, write_shap_json
 from .ternary import (ContourError, TernaryGrid, covariate_tags, grid_surfaces,
-                      surface_filenames, write_grid_csv, write_ternary_svg)
+                      write_grid_csv, write_ternary_svg)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -36,6 +37,30 @@ EXIT_NUMERIC = 4
 
 CONTOUR_Q = 100  # grid steps per simplex edge
 FAILURES_HEADER = ["run_id", "replicate", "scenario", "reason"]
+
+# the files the stages write under the output directory (see _STAGES), as
+# patterns over {response}, {scenario} and {tag} (ternary.covariate_tag)
+PLAN = "plan.csv"
+RUN_METADATA = "run_metadata.json"
+OUTCOMES = "outcomes.csv"
+FAILURES = "failures.csv"
+FIT = "fit_{response}_{scenario}.json"
+SHAP = "shap_{response}_{scenario}.json"
+SHAP_PHI = "shap_phi_{response}_{scenario}.csv"
+GRID = "grid_{response}_{scenario}_{tag}.csv"
+CONTOUR_SVG = "contour_{response}_{scenario}_{tag}.svg"
+REPORT = "report.txt"
+
+
+def _path(config, name, response=None, scenario=None, tag=None):
+    """The output file `name`, a pattern above, of a response, TestScenario and tag."""
+    return config.output_dir / name.format(response=response, tag=tag,
+                                           scenario=scenario and scenario.value)
+
+
+def _writers(name):
+    """The stages that write the file `name`, as in "`simulate` or `run`"."""
+    return " or ".join(f"`{stage}`" for stage, (*_, files) in _STAGES.items() if name in files)
 
 
 class CliFailure(Exception):
@@ -55,7 +80,7 @@ def build_parser():
                      description="mixture-design experiments for classifier "
                                  "robustness under label imbalance and shift")
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
-    for name, (help_text, _) in _STAGES.items():
+    for name, (help_text, *_) in _STAGES.items():
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", required=True, help="experiment config JSON")
         cmd.add_argument("--out", default=None, help="output directory override")
@@ -105,7 +130,7 @@ def _build_plan(config, args):
 
 def cmd_design(config, args):
     plan = _build_plan(config, args)
-    path = config.output_dir / "plan.csv"
+    path = _path(config, PLAN)
     write_plan_csv(plan, path)
     print(f"wrote {path} ({len(plan)} run instances)")
     return EXIT_OK
@@ -142,20 +167,16 @@ def _execute(config, args, allow_external):
     plan = _build_plan(config, args)
     # every config check runs before the first file is written
     run = prepare_plan(plan, config, args.jobs)
-    write_plan_csv(plan, config.output_dir / "plan.csv")
-    write_json(config.output_dir / "run_metadata.json", _run_metadata(config))
+    write_plan_csv(plan, _path(config, PLAN))
+    write_json(_path(config, RUN_METADATA), _run_metadata(config))
     # an earlier run's results, and all the later stages made from them, no
     # longer describe this plan, even if this run stops before it writes its own
-    out = config.output_dir
-    path, failures_path = out / "outcomes.csv", out / "failures.csv"
-    stale = [path, failures_path, out / "report.txt"]
-    for tag in (f"{response}_{scenario.value}" for response in RESPONSES
-                for scenario in TestScenario):
-        for pattern in (f"fit_{tag}.json", f"shap_{tag}.json", f"shap_phi_{tag}.csv",
-                        f"grid_{tag}_*.csv", f"contour_{tag}_*.svg"):
-            stale.extend(out.glob(pattern))
-    for old in stale:
-        old.unlink(missing_ok=True)
+    later = list(_STAGES.values())[list(_STAGES).index("run") + 1:]
+    for name in (OUTCOMES, FAILURES, *(name for *_, files in later for name in files)):
+        for response, scenario in itertools.product(RESPONSES, TestScenario):
+            for old in config.output_dir.glob(_path(config, name, response, scenario, "*").name):
+                old.unlink(missing_ok=True)
+    path, failures_path = _path(config, OUTCOMES), _path(config, FAILURES)
     try:
         outcomes, failures = run()
     except BrokenProcessPool:
@@ -195,23 +216,23 @@ def _outcome_data(config, args):
     design's, and every scenario must have rows, each of them finite; a
     dataset's ModelError names its scenario and response. Then the run's
     recorded settings must be config's."""
-    path = config.output_dir / "outcomes.csv"
+    path = _path(config, OUTCOMES)
     try:
         outcomes = read_outcome_table(path)
     except OSError as exc:
         raise CliFailure(EXIT_IO, f"cannot read outcomes {path}: {exc}; "
-                         "run `simulate` or `run` first") from None
+                         f"run {_writers(OUTCOMES)} first") from None
     design = config.design
     m, h = outcomes.train_mixture.shape[1], outcomes.covariates.shape[1]
     if (m, h) != (design.m, design.h):
         raise CliFailure(EXIT_IO, f"{path} holds outcomes of m={m} mixture parts and "
                          f"h={h} covariates, but the design has m={design.m} and "
-                         f"h={design.h}; run `simulate` or `run` again")
+                         f"h={design.h}; run {_writers(OUTCOMES)} again")
     data = []
     for scenario in _scenarios(config, args):
         rows = outcomes.where(outcomes.scenario == scenario)
         if not len(rows):
-            failures = path.with_name("failures.csv")
+            failures = _path(config, FAILURES)
             if scenario in _failed_scenarios(failures):
                 raise CliFailure(EXIT_NUMERIC, f"every run of scenario {scenario.value} "
                                  f"failed; see {failures}")
@@ -246,7 +267,7 @@ def _check_run_metadata(config):
     """Exit 3 when the run_metadata.json that `simulate` or `run` wrote beside
     the outcomes records other settings than config's, naming the first
     differing key. The master seed may differ, and a missing file passes."""
-    path = config.output_dir / "run_metadata.json"
+    path = _path(config, RUN_METADATA)
     try:
         recorded = _leaves(json.loads(path.read_text()))
     except FileNotFoundError:
@@ -262,7 +283,7 @@ def _check_run_metadata(config):
         if was != now:
             was, now = ("nothing" if v is _ABSENT else json.dumps(v) for v in (was, now))
             raise CliFailure(EXIT_IO, f"{path} records {key} = {was}, but the config has "
-                             f"{now}; run `simulate` or `run` again")
+                             f"{now}; run {_writers(RUN_METADATA)} again")
 
 
 def _fits(config, args):
@@ -283,25 +304,17 @@ def _fits(config, args):
             yield scenario, data.response, fit, factors.matrix
 
 
-def _report_path(config, kind, response, scenario):
-    """The JSON that `analyze` (kind "fit") or `shap` (kind "shap") writes for
-    one fit, and that `report` reads; `shap` and `contour` read the fit's."""
-    return config.output_dir / f"{kind}_{response}_{scenario.value}.json"
-
-
 def _reported_fit(config, response, scenario):
-    """(path, terms) of the fit report that `analyze` wrote for one scenario
-    and response; terms that are not the design's exit 3 naming the report."""
-    path = _report_path(config, "fit", response, scenario)
+    """The terms `analyze` reported for one fit; exit 3 unless they are the design's."""
     read = partial(fitted_terms, m=config.design.m, h=config.design.h)
-    return path, _read_reports([path], read, "analyze")
+    return _read_reports(config, FIT, scenario, [response], read)
 
 
 # the fit stages stay lazy: a fit or report that fails leaves the files
 # written before it
 def cmd_analyze(config, args):
     for scenario, response, fit, _ in _fits(config, args):
-        path = _report_path(config, "fit", response, scenario)
+        path = _path(config, FIT, response, scenario)
         write_fit_report(fit_report(fit, scenario, response), path)
         print(f"wrote {path}")
     return EXIT_OK
@@ -312,15 +325,16 @@ def cmd_shap(config, args):
         # both responses' datasets share the mixtures and covariates
         matrix = build_design_matrix(datasets[0])
         for response in RESPONSES:
-            fit_path, fit = _reported_fit(config, response, scenario)
+            fit = _reported_fit(config, response, scenario)
             if fit.n != matrix.n:
-                raise CliFailure(EXIT_IO, f"{fit_path} reports a fit of n={fit.n} rows, but "
-                                 f"{config.output_dir / 'outcomes.csv'} holds {matrix.n} "
-                                 f"of scenario {scenario.value}; run `analyze` again")
+                raise CliFailure(EXIT_IO, f"{_path(config, FIT, response, scenario)} reports "
+                                 f"a fit of n={fit.n} rows, but {_path(config, OUTCOMES)} "
+                                 f"holds {matrix.n} of scenario {scenario.value}; run "
+                                 f"{_writers(FIT)} again")
             report = shap_report(fit, matrix)
-            path = _report_path(config, "shap", response, scenario)
+            path = _path(config, SHAP, response, scenario)
             write_shap_json(report, path, scenario=scenario.value, response=response)
-            write_phi_csv(report, config.output_dir / f"shap_phi_{response}_{scenario.value}.csv")
+            write_phi_csv(report, _path(config, SHAP_PHI, response, scenario))
             print(f"wrote {path}")
     return EXIT_OK
 
@@ -328,7 +342,7 @@ def cmd_shap(config, args):
 def cmd_contour(config, args):
     scenarios = _scenarios(config, args)
     _check_run_metadata(config)
-    write_contours(config, ((scenario, response, _reported_fit(config, response, scenario)[1])
+    write_contours(config, ((scenario, response, _reported_fit(config, response, scenario))
                             for scenario in scenarios for response in RESPONSES))
     return EXIT_OK
 
@@ -341,15 +355,13 @@ def write_contours(config, fits):
     # lattice with no point above the floor is a config error
     grid = TernaryGrid.build(q=CONTOUR_Q if ternary else min(CONTOUR_Q, 20),
                              min_prop=design.min_prop, m=design.m)
-    combos = covariate_tags(design.covariate_levels).values()
+    tags = covariate_tags(design.covariate_levels)
     for scenario, response, fit in fits:
-        for surface in grid_surfaces(fit, grid, combos):
-            grid_name, svg_name = surface_filenames(response, scenario.value,
-                                                    surface.covariates)
+        for tag, surface in zip(tags, grid_surfaces(fit, grid, tags.values())):
             surface = replace(surface, response=response, scenario=scenario.value)
-            write_grid_csv(surface, config.output_dir / grid_name)
+            write_grid_csv(surface, _path(config, GRID, response, scenario, tag))
             if ternary:
-                write_ternary_svg(surface, config.output_dir / svg_name)
+                write_ternary_svg(surface, _path(config, CONTOUR_SVG, response, scenario, tag))
         print(f"wrote contour outputs for {response} / {scenario.value}")
 
 
@@ -386,16 +398,17 @@ def _report_block(scenario, mean_rep, sd_rep):
     return lines
 
 
-def _read_reports(paths, parse, stage):
-    """parse(*docs) for the JSON files at paths, which `stage` writes; a file
-    that cannot be read, decoded or parsed exits 3 naming it."""
+def _read_reports(config, name, scenario, responses, parse):
+    """parse(*docs) for the JSON files `name` of scenario and each response; a
+    file that cannot be read, decoded or parsed exits 3 naming it."""
+    paths = [_path(config, name, response, scenario) for response in responses]
     docs = []
     for path in paths:
         try:
             docs.append(json.loads(path.read_text()))
         except (OSError, ValueError) as exc:
-            raise CliFailure(EXIT_IO, f"cannot read {path}: {exc}; `{stage}` writes it "
-                             "and stops at the first fit that fails") from None
+            raise CliFailure(EXIT_IO, f"cannot read {path}: {exc}; {_writers(name)} writes "
+                             "it and stops at the first fit that fails") from None
     try:
         return parse(*docs)
     except (KeyError, TypeError, ValueError) as exc:
@@ -412,33 +425,32 @@ def _shap_lines(doc):
 def cmd_report(config, args):
     lines = ["mixrobust experiment summary", ""]
     for scenario in _scenarios(config, args):
-        fit_paths = [_report_path(config, "fit", response, scenario)
-                     for response in RESPONSES]
-        lines.extend(_read_reports(fit_paths, partial(_report_block, scenario), "analyze"))
+        lines.extend(_read_reports(config, FIT, scenario, RESPONSES, partial(_report_block, scenario)))
         lines.append("")
-        shap_path = _report_path(config, "shap", "mean_auc", scenario)
-        if shap_path.exists():
-            lines.extend(_read_reports([shap_path], _shap_lines, "shap"))
+        if _path(config, SHAP, "mean_auc", scenario).exists():
+            lines.extend(_read_reports(config, SHAP, scenario, ["mean_auc"], _shap_lines))
     text = "\n".join(lines) + "\n"
-    path = config.output_dir / "report.txt"
+    path = _path(config, REPORT)
     atomic_write_text(path, text)
     sys.stdout.write(text)
     print(f"wrote {path}")
     return EXIT_OK
 
 
-# each subcommand's help text and stage(config, args), in pipeline order
+_EXECUTE_WRITES = (PLAN, RUN_METADATA, OUTCOMES, FAILURES)
+
+# each subcommand's help text, stage(config, args) and the files it writes, in pipeline order
 _STAGES = {
-    "design": ("write the expanded run plan CSV", cmd_design),
+    "design": ("write the expanded run plan CSV", cmd_design, (PLAN,)),
     "simulate": ("execute built-in classifiers and write outcomes",
-                 partial(_execute, allow_external=False)),
+                 partial(_execute, allow_external=False), _EXECUTE_WRITES),
     "run": ("execute runs via the external-runner protocol",
-            partial(_execute, allow_external=True)),
-    "analyze": ("fit both responses per scenario, write fit reports", cmd_analyze),
+            partial(_execute, allow_external=True), _EXECUTE_WRITES),
+    "analyze": ("fit both responses per scenario, write fit reports", cmd_analyze, (FIT,)),
     # shap and contour take each fit from the report `analyze` wrote
-    "shap": ("write per-column attribution reports", cmd_shap),
-    "contour": ("write prediction grids and ternary SVG plots", cmd_contour),
-    "report": ("bundle fit reports into one text summary", cmd_report),
+    "shap": ("write per-column attribution reports", cmd_shap, (SHAP, SHAP_PHI)),
+    "contour": ("write prediction grids and ternary SVG plots", cmd_contour, (GRID, CONTOUR_SVG)),
+    "report": ("bundle fit reports into one text summary", cmd_report, (REPORT,)),
 }
 
 

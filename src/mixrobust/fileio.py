@@ -15,6 +15,9 @@ def atomic_write_bytes(path, data: bytes):
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as handle:
+            umask = os.umask(0o077)  # os.umask reads only by setting; 077 loosens nothing
+            os.umask(umask)
+            os.fchmod(fd, 0o666 & ~umask)  # open()'s mode, not mkstemp's 0600
             handle.write(data)
         os.replace(tmp, path)
     except BaseException:

@@ -346,13 +346,5 @@ def covariate_tags(levels):
     return tags
 
 
-def surface_filenames(response, scenario, z):
-    """One surface's grid CSV and SVG names: `grid_<stem>.csv` and
-    `contour_<stem>.svg`, where the stem is `<response>_<scenario>_<tag>`
-    and the tag is `covariate_tag(z)`."""
-    stem = f"{response}_{scenario}_{covariate_tag(z)}"
-    return f"grid_{stem}.csv", f"contour_{stem}.svg"
-
-
 def write_ternary_svg(surface: Surface, path):
     atomic_write_bytes(path, render_ternary(surface))

@@ -1231,3 +1231,91 @@ class TestRunCommand:
         assert all("scores must be finite" in line for line in failures[1:])
         lines = (tmp_path / "out" / "outcomes.csv").read_text().splitlines()
         assert len(lines) == 1 + 14
+
+
+# the sorted names `design` through `report` write for the suite's c7-shaped
+# config; at m=5 the same without the SVGs
+C7_NAMES = """
+    contour_log_sd_balanced_z00.svg contour_log_sd_balanced_z01.svg
+    contour_log_sd_balanced_z10.svg contour_log_sd_balanced_z11.svg
+    contour_log_sd_consistent_z00.svg contour_log_sd_consistent_z01.svg
+    contour_log_sd_consistent_z10.svg contour_log_sd_consistent_z11.svg
+    contour_log_sd_reverse_z00.svg contour_log_sd_reverse_z01.svg
+    contour_log_sd_reverse_z10.svg contour_log_sd_reverse_z11.svg
+    contour_mean_auc_balanced_z00.svg contour_mean_auc_balanced_z01.svg
+    contour_mean_auc_balanced_z10.svg contour_mean_auc_balanced_z11.svg
+    contour_mean_auc_consistent_z00.svg contour_mean_auc_consistent_z01.svg
+    contour_mean_auc_consistent_z10.svg contour_mean_auc_consistent_z11.svg
+    contour_mean_auc_reverse_z00.svg contour_mean_auc_reverse_z01.svg
+    contour_mean_auc_reverse_z10.svg contour_mean_auc_reverse_z11.svg
+    fit_log_sd_balanced.json fit_log_sd_consistent.json fit_log_sd_reverse.json
+    fit_mean_auc_balanced.json fit_mean_auc_consistent.json fit_mean_auc_reverse.json
+    grid_log_sd_balanced_z00.csv grid_log_sd_balanced_z01.csv grid_log_sd_balanced_z10.csv
+    grid_log_sd_balanced_z11.csv grid_log_sd_consistent_z00.csv
+    grid_log_sd_consistent_z01.csv grid_log_sd_consistent_z10.csv
+    grid_log_sd_consistent_z11.csv grid_log_sd_reverse_z00.csv grid_log_sd_reverse_z01.csv
+    grid_log_sd_reverse_z10.csv grid_log_sd_reverse_z11.csv grid_mean_auc_balanced_z00.csv
+    grid_mean_auc_balanced_z01.csv grid_mean_auc_balanced_z10.csv
+    grid_mean_auc_balanced_z11.csv grid_mean_auc_consistent_z00.csv
+    grid_mean_auc_consistent_z01.csv grid_mean_auc_consistent_z10.csv
+    grid_mean_auc_consistent_z11.csv grid_mean_auc_reverse_z00.csv
+    grid_mean_auc_reverse_z01.csv grid_mean_auc_reverse_z10.csv
+    grid_mean_auc_reverse_z11.csv outcomes.csv plan.csv report.txt run_metadata.json
+    shap_log_sd_balanced.json shap_log_sd_consistent.json shap_log_sd_reverse.json
+    shap_mean_auc_balanced.json shap_mean_auc_consistent.json shap_mean_auc_reverse.json
+    shap_phi_log_sd_balanced.csv shap_phi_log_sd_consistent.csv shap_phi_log_sd_reverse.csv
+    shap_phi_mean_auc_balanced.csv shap_phi_mean_auc_consistent.csv
+    shap_phi_mean_auc_reverse.csv
+""".split()
+
+# the same under --scenario balanced
+BALANCED_NAMES = """
+    contour_log_sd_balanced_z00.svg contour_log_sd_balanced_z01.svg
+    contour_log_sd_balanced_z10.svg contour_log_sd_balanced_z11.svg
+    contour_mean_auc_balanced_z00.svg contour_mean_auc_balanced_z01.svg
+    contour_mean_auc_balanced_z10.svg contour_mean_auc_balanced_z11.svg
+    fit_log_sd_balanced.json fit_mean_auc_balanced.json grid_log_sd_balanced_z00.csv
+    grid_log_sd_balanced_z01.csv grid_log_sd_balanced_z10.csv grid_log_sd_balanced_z11.csv
+    grid_mean_auc_balanced_z00.csv grid_mean_auc_balanced_z01.csv
+    grid_mean_auc_balanced_z10.csv grid_mean_auc_balanced_z11.csv outcomes.csv plan.csv
+    report.txt run_metadata.json shap_log_sd_balanced.json shap_mean_auc_balanced.json
+    shap_phi_log_sd_balanced.csv shap_phi_mean_auc_balanced.csv
+""".split()
+
+
+class TestOutputNames:
+    """Every file `design` through `report` writes keeps its name, and the
+    stage table names each of them."""
+
+    STAGES = ("design", "simulate", "analyze", "shap", "contour", "report")
+
+    @staticmethod
+    def table_names(doc, scenarios):
+        """Each file the table says STAGES write, over every response, scenario
+        and covariate tag: no run fails, and only m = 3 draws SVGs."""
+        tags = ternary.covariate_tags(doc["design"]["covariate_levels"])
+        return {pattern.format(response=response, scenario=scenario, tag=tag)
+                for stage in TestOutputNames.STAGES for pattern in cli._STAGES[stage][2]
+                if pattern != cli.FAILURES
+                and (pattern != cli.CONTOUR_SVG or doc["design"]["m"] == 3)
+                for response in RESPONSES for scenario in scenarios for tag in tags}
+
+    @pytest.mark.parametrize("case", ["c7", "m5", "balanced"])
+    def test_names_are_the_parents_and_the_tables(self, tmp_path, case):
+        doc = small_config_doc()
+        args, scenarios, names = [], doc["scenarios"], C7_NAMES
+        if case == "m5":
+            doc["design"].update(m=5)
+            # so the 0.96 vertex leaves each class enough test points
+            doc["sampling"]["test_frac"] = 0.1
+            for spec in doc["pools"].values():
+                spec["synthetic"].update(m=5, d=5)
+            names = [name for name in C7_NAMES if not name.endswith(".svg")]
+        elif case == "balanced":
+            args, scenarios, names = ["--scenario", "balanced"], ["balanced"], BALANCED_NAMES
+        config_path = write_config(tmp_path, doc)
+        for stage in self.STAGES:
+            assert main([stage, "--config", str(config_path), "--jobs", "1", *args]) == EXIT_OK
+        written = sorted(p.name for p in (tmp_path / "out").iterdir())
+        assert written == names
+        assert set(written) == self.table_names(doc, scenarios)

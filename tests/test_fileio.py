@@ -1,11 +1,15 @@
 """Every headed-CSV reader rejects a malformed file in its own error class,
-naming the path, and the line for a row error."""
+naming the path, and the line for a row error. The atomic writer gives each
+file the mode open() would."""
 
+import os
 import re
+import stat
 
 import pytest
 
 from mixrobust.classifiers import ExternalRunnerError, _read_scores_csv
+from mixrobust.fileio import atomic_write_bytes
 from mixrobust.metrics import MetricsError, outcomes_header, read_outcomes_csv
 from mixrobust.sampling import SamplingError, load_pool_csv
 
@@ -63,3 +67,17 @@ def test_valid_table_reads(tmp_path, name):
     path = tmp_path / f"{name}.csv"
     path.write_text(",".join(header) + "\n\n" + row + "\n")
     read(path)
+
+
+@pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+def test_atomic_write_takes_the_umask(tmp_path, umask, mode):
+    before = os.umask(umask)
+    try:
+        atomic_write_bytes(tmp_path / "result.csv", b"x\n")
+        (tmp_path / "plain.csv").write_bytes(b"x\n")
+        left = os.umask(before)
+    finally:
+        os.umask(before)
+    assert left == umask
+    modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in tmp_path.iterdir()}
+    assert modes == {"result.csv": mode, "plain.csv": mode}

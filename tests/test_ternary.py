@@ -12,10 +12,9 @@ import pytest
 
 from mixrobust import (MixtureModelFit, TernaryGrid, barycentric_to_xy,
                        grid_predict, render_ternary, simplex_lattice, term_labels)
-from mixrobust import ternary
+from mixrobust import cli, ternary
 from mixrobust.design import DesignConfig, DesignError, check_floor
-from mixrobust.ternary import (ContourError, Surface, _micro_triangles, grid_to_csv,
-                               surface_filenames)
+from mixrobust.ternary import ContourError, Surface, _micro_triangles, grid_to_csv
 from mixrobust.seeding import generator
 
 THIRD = 1.0 / 3.0
@@ -492,5 +491,6 @@ class TestCsvAndNames:
             ternary.covariate_tags(levels)
 
     def test_contour_filename(self):
-        assert surface_filenames("mean_auc", "balanced", (1, 0))[1] \
+        tag = ternary.covariate_tag((1, 0))
+        assert cli.CONTOUR_SVG.format(response="mean_auc", scenario="balanced", tag=tag) \
             == "contour_mean_auc_balanced_z10.svg"
